@@ -1,8 +1,8 @@
 """Command-line entry point with CI-friendly exit codes.
 
 Exit codes: 0 when the requested check passes (no findings), 1 when the
-check produced findings (unmapped terms, clashes, violations), 2 on usage
-or load errors. Reports are deterministic: identical inputs and flags
+check produced findings (unmapped terms, clashes, violations), 2 on usage,
+load or internal errors. Reports are deterministic: identical inputs and flags
 produce byte-identical output.
 """
 
@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import vocab
 from .alignment import Alignment, extract_mappings, export_sssom
@@ -80,10 +81,6 @@ def _load_graph(path: str) -> Graph:
         raise UsageError(f"parse failure in {path}: {details}") from exc
 
 
-def _load_models(paths: Sequence[str]) -> List[OntologyModel]:
-    return [extract_axioms(_load_graph(p), source_label=os.path.basename(p)) for p in paths]
-
-
 def _require(args, *roles: str) -> None:
     missing = [r for r in roles if not getattr(args, r.replace("-", "_"))]
     if missing:
@@ -102,14 +99,52 @@ def _fact_cap(args) -> int:
     return DEFAULT_FACT_CAP
 
 
-def _alignment(args) -> Alignment:
-    _require(args, "alignment", "source-ns", "target-ns")
-    merged = merge_models(_load_models(args.alignment), source_label="alignment")
-    return extract_mappings(merged, args.source_ns, args.target_ns)
+class _Inputs:
+    """The files named on one command line, each parsed and extracted at most once.
 
+    Every role is loaded on first use, so usage and load errors surface in the
+    order the subcommand asks for its inputs. A record lives for one ``run``.
+    """
 
-def _alignment_models(args) -> List[OntologyModel]:
-    return _load_models(args.alignment)
+    def __init__(self, args) -> None:
+        self.args = args
+        self._models: Dict[str, OntologyModel] = {}
+
+    def models(self, paths: Sequence[str]) -> List[OntologyModel]:
+        for p in paths:
+            if p not in self._models:
+                self._models[p] = extract_axioms(_load_graph(p), source_label=os.path.basename(p))
+        return [self._models[p] for p in paths]
+
+    @cached_property
+    def source(self) -> OntologyModel:
+        return merge_models(self.models(self.args.source), source_label="source")
+
+    @cached_property
+    def targets(self) -> List[OntologyModel]:
+        return self.models(self.args.target)
+
+    @cached_property
+    def alignment(self) -> Alignment:
+        _require(self.args, "alignment", "source-ns", "target-ns")
+        merged = merge_models(self.models(self.args.alignment), source_label="alignment")
+        return extract_mappings(merged, self.args.source_ns, self.args.target_ns)
+
+    @cached_property
+    def stack(self) -> List[OntologyModel]:
+        """Source, target and alignment models, unmerged."""
+        models = self.models(self.args.source) + self.targets + self.models(self.args.alignment)
+        if not models:
+            raise UsageError(f"{self.args.subcommand} needs at least one "
+                             "--source/--target/--alignment file")
+        return models
+
+    @cached_property
+    def instances(self) -> OntologyModel:
+        """The instance data; without any, consistency trivially passes."""
+        if not self.args.instances:
+            return OntologyModel(source_label="instances")
+        return self.models([self.args.instances])[0]
 
 
 def _write(args, payload: str) -> None:
@@ -133,55 +168,34 @@ def _emit_report(args, doc: dict) -> int:
     return {"pass": 0, "fail": 1, "error": 2}[doc["status"]]
 
 
-def _doc_totality(args) -> dict:
-    _require(args, "source")
-    source = merge_models(_load_models(args.source), source_label="source")
-    others = _load_models(args.target)
-    alignment = _alignment(args)
-    return check_totality(source, others, alignment).as_dict()
+def _doc_totality(inp: _Inputs) -> dict:
+    _require(inp.args, "source")
+    return check_totality(inp.source, inp.targets, inp.alignment).as_dict()
 
 
-def _merged_stack(args) -> List[OntologyModel]:
-    models = _load_models(args.source) + _load_models(args.target)
-    models += _alignment_models(args)
-    if not models:
-        raise UsageError(f"{args.subcommand} needs at least one --source/--target/--alignment file")
-    return models
+def _doc_coherence(inp: _Inputs) -> dict:
+    return check_coherence(inp.stack, skolem_depth=inp.args.skolem_depth,
+                           fact_cap=_fact_cap(inp.args)).as_dict()
 
 
-def _doc_coherence(args) -> dict:
-    models = _merged_stack(args)
-    return check_coherence(models, skolem_depth=args.skolem_depth,
-                           fact_cap=_fact_cap(args)).as_dict()
+def _doc_consistency(inp: _Inputs) -> dict:
+    _require(inp.args, "instances")
+    return _consistency(inp)
 
 
-def _doc_consistency(args) -> dict:
-    _require(args, "instances")
-    models = _merged_stack(args)
-    instances = extract_axioms(_load_graph(args.instances), source_label="instances")
-    return check_consistency(models, instances, skolem_depth=args.skolem_depth,
-                             fact_cap=_fact_cap(args)).as_dict()
+def _consistency(inp: _Inputs) -> dict:
+    return check_consistency(inp.stack, inp.instances, skolem_depth=inp.args.skolem_depth,
+                             fact_cap=_fact_cap(inp.args)).as_dict()
 
 
-def _doc_conservativity(args) -> dict:
-    _require(args, "source")
-    source = merge_models(_load_models(args.source), source_label="source")
-    others = _load_models(args.target)
-    alignment = _alignment(args)
-    return check_conservativity(source, others, alignment).as_dict()
+def _doc_conservativity(inp: _Inputs) -> dict:
+    _require(inp.args, "source")
+    return check_conservativity(inp.source, inp.targets, inp.alignment).as_dict()
 
 
-def _doc_check_all(args) -> dict:
-    docs = [_doc_totality(args), _doc_coherence(args)]
-    if args.instances:
-        docs.append(_doc_consistency(args))
-    else:
-        # Consistency needs instance data; without any it trivially passes.
-        models = _merged_stack(args)
-        empty = OntologyModel(source_label="instances")
-        docs.append(check_consistency(models, empty, skolem_depth=args.skolem_depth,
-                                      fact_cap=_fact_cap(args)).as_dict())
-    docs.append(_doc_conservativity(args))
+def _doc_check_all(inp: _Inputs) -> dict:
+    docs = [_doc_totality(inp), _doc_coherence(inp), _consistency(inp),
+            _doc_conservativity(inp)]
     docs.sort(key=lambda d: d["check"])
     status = "pass"
     if any(d["status"] == "error" for d in docs):
@@ -191,42 +205,36 @@ def _doc_check_all(args) -> dict:
     return {"check": "check-all", "status": status, "checks": docs}
 
 
-def _doc_suggest(args) -> dict:
-    _require(args, "source", "target")
-    source = merge_models(_load_models(args.source), source_label="source")
-    targets = _load_models(args.target)
-    alignment = _alignment(args)
+def _doc_suggest(inp: _Inputs) -> dict:
+    _require(inp.args, "source", "target")
     try:
-        result = suggest_property_mappings(args.property, source, targets, alignment)
+        result = suggest_property_mappings(inp.args.property, inp.source, inp.targets,
+                                           inp.alignment)
     except UnknownPropertyError as exc:
         raise UsageError(str(exc)) from exc
     return result.as_dict()
 
 
-def _doc_stats(args) -> dict:
-    alignment = _alignment(args)
+def _doc_stats(inp: _Inputs) -> dict:
+    alignment = inp.alignment
     totality = None
-    if args.source:
-        source = merge_models(_load_models(args.source), source_label="source")
-        totality = check_totality(source, _load_models(args.target), alignment)
+    if inp.args.source:
+        totality = check_totality(inp.source, inp.targets, alignment)
     return alignment_stats(alignment, totality)
 
 
-def _run_export_sssom(args) -> int:
-    alignment = _alignment(args)
-    _write(args, export_sssom(alignment))
+def _run_export_sssom(inp: _Inputs) -> int:
+    _write(inp.args, export_sssom(inp.alignment))
     return 0
 
 
-def _run_materialize(args) -> int:
+def _run_materialize(inp: _Inputs) -> int:
     """Write the alignment plus every entailed cross-namespace mapping as Turtle."""
+    args = inp.args
     _require(args, "source", "alignment", "source-ns", "target-ns")
-    source_models = _load_models(args.source)
-    target_models = _load_models(args.target)
-    align_models = _alignment_models(args)
-    alignment = extract_mappings(merge_models(align_models, source_label="alignment"),
-                                 args.source_ns, args.target_ns)
-    taxonomy = entailed_taxonomy(source_models + target_models + align_models)
+    models = inp.stack
+    alignment = inp.alignment
+    taxonomy = entailed_taxonomy(models)
 
     def group(name: str) -> Optional[str]:
         if name.startswith(tuple(args.source_ns)):
@@ -301,18 +309,22 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
+    inputs = _Inputs(args)
     try:
         if args.subcommand == "export-sssom":
-            return _run_export_sssom(args)
+            return _run_export_sssom(inputs)
         if args.subcommand == "materialize":
-            return _run_materialize(args)
-        doc = _DOC_COMMANDS[args.subcommand](args)
+            return _run_materialize(inputs)
+        doc = _DOC_COMMANDS[args.subcommand](inputs)
         return _emit_report(args, doc)
-    except UsageError as exc:
+    except (UsageError, FactCapExceededError) as exc:
         print(f"provalign: error: {exc}", file=sys.stderr)
         return 2
-    except FactCapExceededError as exc:
-        print(f"provalign: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Exit 1 means findings; anything unexpected is an internal error.
+        message = " ".join(str(exc).splitlines())
+        print(f"provalign: error: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return 2
 
 

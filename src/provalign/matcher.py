@@ -12,21 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import vocab
 from .alignment import Alignment, EQUIVALENT_CLASS, SUB_CLASS_OF
 from .owl import (
     Axiom,
     ClassExpression,
     Intersection,
-    InverseProperty,
+    NOTHING,
     NamedClass,
-    NamedProperty,
     OntologyModel,
+    THING,
     merged_signature,
     render_class_expression,
 )
-from .rdf import Iri, iri
-from .reasoner import TBoxIndex, entailed_taxonomy
+from .rdf import Iri
+from .reasoner import TBoxIndex
 
 
 class MatcherError(Exception):
@@ -35,9 +34,6 @@ class MatcherError(Exception):
 
 class UnknownPropertyError(MatcherError):
     """The queried property is not an object property of any given model."""
-
-
-THING = NamedClass(Iri(vocab.OWL_THING))
 
 
 @dataclass
@@ -76,55 +72,38 @@ class SuggestionResult:
         }
 
 
-def _declared_domain_range(name: str, models: Sequence[OntologyModel]) -> Tuple[Optional[ClassExpression], Optional[ClassExpression]]:
-    domains: List[ClassExpression] = []
-    ranges: List[ClassExpression] = []
-    for model in models:
-        for ax in model.axioms:
-            if ax.kind not in ("property-domain", "property-range"):
-                continue
-            pe, ce = ax.args
-            if isinstance(pe, NamedProperty) and pe.iri.value == name:
-                (domains if ax.kind == "property-domain" else ranges).append(ce)
-            elif isinstance(pe, InverseProperty) and pe.operand.iri.value == name:
-                (ranges if ax.kind == "property-domain" else domains).append(ce)
+def _pick(values: Sequence[ClassExpression]) -> Optional[ClassExpression]:
+    if not values:
+        return None
+    unique = sorted(set(values), key=render_class_expression)
+    return unique[0] if len(unique) == 1 else Intersection(tuple(unique))
 
-    def pick(values: List[ClassExpression]) -> Optional[ClassExpression]:
-        if not values:
+
+def _check_known(prop: str, models: Sequence[OntologyModel]) -> None:
+    if prop not in merged_signature(models)["object_properties"]:
+        raise UnknownPropertyError(f"{prop} is not an object property of the given models")
+
+
+def _resolve_domain_range(prop: str, tbox: TBoxIndex) -> Tuple[ClassExpression, ClassExpression]:
+    def resolve(name: str, slot: int, visited: Set[str]) -> Optional[ClassExpression]:
+        if name in visited:
             return None
-        if len(values) == 1:
-            return values[0]
-        unique = sorted(set(values), key=render_class_expression)
-        return unique[0] if len(unique) == 1 else Intersection(tuple(unique))
+        visited.add(name)
+        declared = _pick((tbox.domains if slot == 0 else tbox.ranges).get(name, ()))
+        if declared is not None:
+            return declared
+        supers = sorted(q for q, inverted in tbox.prop_edges.get((name, False), ()) if not inverted)
+        for sup in supers:
+            found = resolve(sup, slot, visited)
+            if found is not None:
+                return found
+        for inv in sorted(tbox.inverse_pairs.get(name, ())):
+            found = resolve(inv, 1 - slot, visited)
+            if found is not None:
+                return found
+        return None
 
-    return pick(domains), pick(ranges)
-
-
-def _super_properties(name: str, models: Sequence[OntologyModel]) -> List[str]:
-    out: Set[str] = set()
-    for model in models:
-        for ax in model.axioms:
-            if ax.kind != "sub-property-of":
-                continue
-            sub, sup = ax.args
-            if isinstance(sub, NamedProperty) and sub.iri.value == name and isinstance(sup, NamedProperty):
-                out.add(sup.iri.value)
-    return sorted(out)
-
-
-def _inverses(name: str, models: Sequence[OntologyModel]) -> List[str]:
-    out: Set[str] = set()
-    for model in models:
-        for ax in model.axioms:
-            if ax.kind != "inverse-properties":
-                continue
-            a, b = ax.args
-            if isinstance(a, NamedProperty) and isinstance(b, NamedProperty):
-                if a.iri.value == name:
-                    out.add(b.iri.value)
-                if b.iri.value == name:
-                    out.add(a.iri.value)
-    return sorted(out)
+    return resolve(prop, 0, set()) or THING, resolve(prop, 1, set()) or THING
 
 
 def effective_domain_range(prop: str, models: Sequence[OntologyModel]) -> Tuple[ClassExpression, ClassExpression]:
@@ -132,36 +111,16 @@ def effective_domain_range(prop: str, models: Sequence[OntologyModel]) -> Tuple[
 
     Resolution order per slot: own declaration, nearest declaring ancestor in
     the subproperty hierarchy, the inverse property's declaration with the
-    pair swapped, and finally owl:Thing.
+    pair swapped, and finally owl:Thing. The hierarchy is the schema index's
+    direct property edges, so an owl:equivalentProperty counts as an
+    ancestor: an undeclared property inherits its equivalent's domain/range.
     """
     models = list(models)
-    known = merged_signature(models)["object_properties"]
-    if prop not in known:
-        raise UnknownPropertyError(f"{prop} is not an object property of the given models")
-
-    def resolve(name: str, slot: int, visited: Set[str]) -> Optional[ClassExpression]:
-        if name in visited:
-            return None
-        visited.add(name)
-        declared = _declared_domain_range(name, models)
-        if declared[slot] is not None:
-            return declared[slot]
-        for sup in _super_properties(name, models):
-            found = resolve(sup, slot, visited)
-            if found is not None:
-                return found
-        for inv in _inverses(name, models):
-            found = resolve(inv, 1 - slot, visited)
-            if found is not None:
-                return found
-        return None
-
-    domain = resolve(prop, 0, set()) or THING
-    range_ = resolve(prop, 1, set()) or THING
-    return domain, range_
+    _check_known(prop, models)
+    return _resolve_domain_range(prop, TBoxIndex(models))
 
 
-def _translations(term: str, source: OntologyModel, alignment: Alignment) -> List[ClassExpression]:
+def _translations(term: str, source_index: TBoxIndex, alignment: Alignment) -> List[ClassExpression]:
     """Target-side class expressions the source class translates to.
 
     Uses mappings on the class itself, else on the nearest mapped ancestor in
@@ -186,8 +145,8 @@ def _translations(term: str, source: OntologyModel, alignment: Alignment) -> Lis
     direct = target_only(by_term.get(term, []))
     if direct:
         return sorted(direct, key=render_class_expression)
-    taxonomy = entailed_taxonomy([source])
-    ancestors = sorted(b for a, b in taxonomy.subclass_pairs if a == term)
+    ancestors = sorted(sup.iri.value for sup in source_index.supers(NamedClass(Iri(term)))
+                       if isinstance(sup, NamedClass) and sup not in (THING, NOTHING))
     collected: List[ClassExpression] = []
     for ancestor in ancestors:
         collected.extend(target_only(by_term.get(ancestor, [])))
@@ -195,7 +154,9 @@ def _translations(term: str, source: OntologyModel, alignment: Alignment) -> Lis
 
 
 def _compatible(tbox: TBoxIndex, translated: ClassExpression, candidate: ClassExpression) -> bool:
-    if tbox.subsumed(translated, candidate):
+    # TBoxIndex.subsumed(x, owl:Thing) is false; a property without a domain
+    # or range accepts any class.
+    if candidate == THING or tbox.subsumed(translated, candidate):
         return True
     if isinstance(translated, Intersection):
         # A conjunction translates to its conjunct set; any subsumed conjunct
@@ -216,11 +177,13 @@ def suggest_property_mappings(prop: str, source: OntologyModel,
     """
     targets = list(targets)
     notes = ["inverse target properties are not considered as candidates"]
-    domain, range_ = effective_domain_range(prop, [source])
+    _check_known(prop, [source])
+    source_index = TBoxIndex([source])
+    domain, range_ = _resolve_domain_range(prop, source_index)
     translations = {}
     for slot_name, ce in (("domain", domain), ("range", range_)):
         if isinstance(ce, NamedClass):
-            found = _translations(ce.iri.value, source, alignment)
+            found = _translations(ce.iri.value, source_index, alignment)
         else:
             found = []
         if not found:
@@ -239,7 +202,7 @@ def suggest_property_mappings(prop: str, source: OntologyModel,
 
     candidates: List[Candidate] = []
     for target_prop in sorted(merged_signature(targets)["object_properties"]):
-        cand_domain, cand_range = effective_domain_range(target_prop, targets)
+        cand_domain, cand_range = _resolve_domain_range(target_prop, tbox)
         domain_hit = next((t for t in translations["domain"]
                            if _compatible(tbox, t, cand_domain)), None)
         if domain_hit is None:

@@ -92,14 +92,6 @@ THING = NamedClass(iri(vocab.OWL_THING))
 NOTHING = NamedClass(iri(vocab.OWL_NOTHING))
 
 
-def named(value: str) -> NamedClass:
-    return NamedClass(iri(value))
-
-
-def named_prop(value: str) -> NamedProperty:
-    return NamedProperty(iri(value))
-
-
 def inverse_of(p: PropertyExpression) -> PropertyExpression:
     """Inverse with normalization: the inverse of an inverse is the named property."""
     if isinstance(p, InverseProperty):

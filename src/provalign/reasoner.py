@@ -329,9 +329,6 @@ class TBoxIndex:
     def named_prop_supers(self, name: str) -> Tuple[str, ...]:
         return self._named_prop_supers.get(name, ())
 
-    def prop_subsumed(self, sub: str, sup: str) -> bool:
-        return sub == sup or sup in self._named_prop_supers.get(sub, ())
-
     def named_classes(self) -> List[NamedClass]:
         return sorted((ce for ce in self.universe if isinstance(ce, NamedClass)
                        and ce.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING)),
@@ -371,7 +368,6 @@ class ClosedKB:
     skolem_depths: Dict[Term, int]
     skolem_budget_exceeded: bool
     derived_count: int
-    instance_count: int
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
         return ce in self.memberships.get(individual, ())
@@ -603,25 +599,30 @@ class _Engine:
             changed |= self._pass_swrl()
 
 
-def _load_assertions(engine: _Engine, models: Sequence[OntologyModel]) -> Set[Term]:
-    individuals: Set[Term] = set()
+def _close(models: Sequence[OntologyModel], tbox: TBoxIndex, skolem_depth: int,
+           fact_cap: int) -> ClosedKB:
+    """Load the models' assertions and run the engine to fixpoint."""
+    engine = _Engine(tbox, skolem_depth, fact_cap)
     for model in models:
         for ax in model.axioms:
             if ax.kind == "class-assertion":
-                individuals.add(ax.args[0])
                 engine.add_class(ax.args[0], ax.args[1], "asserted", ())
             elif ax.kind == "property-assertion":
                 name, inverted = _prop_key(ax.args[0])
                 s, o = ax.args[1], ax.args[2]
                 if inverted:
                     s, o = o, s
-                individuals.add(s)
-                if not isinstance(o, Literal):
-                    individuals.add(o)
                 engine.add_prop(name, s, o, "asserted", ())
-        for name in sorted(model.declared_individuals):
-            individuals.add(Iri(name))
-    return individuals
+    engine.run()
+    return ClosedKB(
+        tbox=tbox,
+        memberships=engine.memberships,
+        prop_index=engine.prop_index,
+        traces=engine.traces,
+        skolem_depths=engine.depths,
+        skolem_budget_exceeded=engine.skolem_budget_exceeded,
+        derived_count=engine.derived_count,
+    )
 
 
 def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *,
@@ -637,19 +638,7 @@ def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *
         all_models.append(extract_axioms(abox, source_label="instances"))
     if tbox is None:
         tbox = TBoxIndex(all_models)
-    engine = _Engine(tbox, skolem_depth, fact_cap)
-    individuals = _load_assertions(engine, all_models)
-    engine.run()
-    return ClosedKB(
-        tbox=tbox,
-        memberships=engine.memberships,
-        prop_index=engine.prop_index,
-        traces=engine.traces,
-        skolem_depths=engine.depths,
-        skolem_budget_exceeded=engine.skolem_budget_exceeded,
-        derived_count=engine.derived_count,
-        instance_count=len(individuals),
-    )
+    return _close(all_models, tbox, skolem_depth, fact_cap)
 
 
 def check_clash(kb: ClosedKB) -> List[Clash]:
@@ -684,25 +673,12 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     The probe and its skolem descendants live only in this closure and are
     discarded afterwards.
     """
+    seed = OntologyModel(source_label="probe-seed")
+    seed.axioms = [Axiom("class-assertion", (_PROBE, ce))]
+    probed = list(models) + [seed]
     if tbox is None or ce not in tbox.universe:
-        seed = OntologyModel(source_label="probe-seed")
-        seed.axioms = [Axiom("class-assertion", (_PROBE, ce))]
-        tbox = TBoxIndex(list(models) + [seed])
-    engine = _Engine(tbox, skolem_depth, fact_cap)
-    _load_assertions(engine, models)
-    engine.add_class(_PROBE, ce, "asserted", ())
-    engine.run()
-    kb = ClosedKB(
-        tbox=tbox,
-        memberships=engine.memberships,
-        prop_index=engine.prop_index,
-        traces=engine.traces,
-        skolem_depths=engine.depths,
-        skolem_budget_exceeded=engine.skolem_budget_exceeded,
-        derived_count=engine.derived_count,
-        instance_count=0,
-    )
-    return not check_clash(kb)
+        tbox = TBoxIndex(probed)
+    return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
 
 
 def entailed_taxonomy(models: Sequence[OntologyModel],

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import provalign
+import provalign.cli
 from provalign.cli import run
 from provalign.fixtures import fixture_path
 from provalign.owl import extract_axioms
@@ -196,3 +202,54 @@ def test_fact_cap_flag_overrides_env(monkeypatch, tmp_path):
                     "--instances", fix("instances/fig12.ttl"),
                     "--fact-cap", "100000"], tmp_path, 0)
     assert doc["status"] == "pass"
+
+
+def test_check_all_parses_each_file_once(monkeypatch, tmp_path):
+    parsed = []
+    original = provalign.cli.parse_turtle
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(provalign.cli, "parse_turtle", counting)
+    run_json(["check-all", *stack_flags(), "--instances", fix("instances/fig9.ttl"),
+              *NS_FLAGS], tmp_path, 1)
+    assert len(parsed) == 6  # prov, bfo, cco, ro, align-paper, fig9
+
+
+def test_deep_nesting_exits_two(tmp_path, capsys):
+    depth = 3000
+    deep = tmp_path / "deep.ttl"
+    deep.write_text("@prefix ex: <http://example.org/> .\nex:a ex:p "
+                    + "[ ex:p " * depth + "ex:b" + " ]" * depth + " .\n")
+    assert run(["check-coherence", "--source", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("provalign: error: ")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_two_with_one_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(provalign.cli, "check_coherence", broken)
+    assert run(["check-coherence", "--source", fix("prov-mini.ttl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "provalign: error: internal error: RuntimeError: boom\n"
+    assert captured.out == ""
+
+
+def test_check_all_identical_across_hash_seeds(tmp_path):
+    args = ["check-all", *stack_flags(), "--instances", fix("instances/fig9.ttl"),
+            *NS_FLAGS, "--format", "json"]
+    package_root = str(Path(provalign.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-m", "provalign.cli", *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 1, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -25,6 +25,7 @@ HEADER = """
 PROV = "http://www.w3.org/ns/prov#"
 CCO = "https://www.commoncoreontologies.org/"
 EX = "http://example.org/"
+OBO = "http://purl.obolibrary.org/obo/"
 
 
 def model_of(body):
@@ -62,6 +63,39 @@ def test_inverse_swaps_pair():
     dom, rng = effective_domain_range(EX + "q", models)
     assert dom == NamedClass(iri(EX + "D"))
     assert rng == NamedClass(iri(EX + "C"))
+
+
+def test_nearest_declaring_ancestor_wins():
+    models = [model_of("""
+    ex:p a owl:ObjectProperty ; rdfs:subPropertyOf ex:q .
+    ex:q a owl:ObjectProperty ; rdfs:subPropertyOf ex:r ; rdfs:domain ex:Near .
+    ex:r a owl:ObjectProperty ; rdfs:domain ex:Far ; rdfs:range ex:FarRange .
+    """)]
+    dom, rng = effective_domain_range(EX + "p", models)
+    assert dom == NamedClass(iri(EX + "Near"))
+    assert rng == NamedClass(iri(EX + "FarRange"))  # two levels up
+
+
+def test_subproperty_cycle_terminates():
+    models = [model_of("""
+    ex:p a owl:ObjectProperty ; rdfs:subPropertyOf ex:q .
+    ex:q a owl:ObjectProperty ; rdfs:subPropertyOf ex:p ; rdfs:range ex:D .
+    """)]
+    dom, rng = effective_domain_range(EX + "p", models)
+    assert dom == NamedClass(iri(vocab.OWL_THING))
+    assert rng == NamedClass(iri(EX + "D"))
+
+
+def test_equivalent_property_shares_domain_range():
+    # p == q entails p's domain and range are q's; the index's property edges
+    # hold equivalences, so the undeclared side inherits them.
+    models = [model_of("""
+    ex:p a owl:ObjectProperty ; owl:equivalentProperty ex:q .
+    ex:q a owl:ObjectProperty ; rdfs:domain ex:C ; rdfs:range ex:D .
+    """)]
+    dom, rng = effective_domain_range(EX + "p", models)
+    assert dom == NamedClass(iri(EX + "C"))
+    assert rng == NamedClass(iri(EX + "D"))
 
 
 def test_unknown_property_raises(prov):
@@ -145,3 +179,14 @@ def test_exact_match_sorts_first(prov, alignment):
     assert kinds[EX + "Exact"] == "exact"
     assert kinds[EX + "Wider"] == "inherited"
     assert result.candidates[0].prop == EX + "Exact"
+
+
+def test_property_without_domain_or_range_accepts_any_class(prov, cco, bfo, ro, alignment):
+    result = suggest_property_mappings(PROV + "generated", prov, [cco, bfo, ro], alignment)
+    kinds = {c.prop: c.match_kind for c in result.candidates}
+    for unrestricted in ("RO_0002410", "RO_0002559"):
+        assert kinds[OBO + unrestricted] == "inherited"
+        cand = next(c for c in result.candidates if c.prop == OBO + unrestricted)
+        assert cand.domain_match[1] == cand.range_match[1] == NamedClass(iri(vocab.OWL_THING))
+    without_ro = suggest_property_mappings(PROV + "generated", prov, [cco, bfo], alignment)
+    assert {c.prop for c in without_ro.candidates} < set(kinds)
