@@ -222,25 +222,37 @@ class CoherenceReport:
 
 def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
                     fact_cap: int = 1_000_000) -> CoherenceReport:
-    """Probe satisfiability of every named class in the merged signature."""
+    """Probe satisfiability of every named class in the merged signature.
+
+    Probes run bottom-up: most entailed superclasses first, then by name. A
+    clash-free probe under the fact cap also decides every named superclass
+    satisfiable, as its probe closure is a subset. Pruning never runs
+    downward, so a subclass whose own probe exceeds the cap stays undetermined.
+    """
     models = list(models)
     seen_classes = sorted(merged_signature(models)["classes"])
     seed = OntologyModel(source_label="probe-seeds")
     probe = Iri("urn:probe:individual")
     seed.axioms = [Axiom("class-assertion", (probe, NamedClass(iri(c)))) for c in seen_classes]
     tbox = TBoxIndex(models + [seed])
+    named = {c: NamedClass(iri(c)) for c in seen_classes}
+    satisfiable: Set[str] = set()
     unsat: List[str] = []
     undetermined: List[Tuple[str, str]] = []
-    for c in seen_classes:
+    for c in sorted(seen_classes, key=lambda c: (-len(tbox.supers(named[c])), c)):
+        if c in satisfiable:
+            continue
         try:
-            ok = class_satisfiable(models, NamedClass(iri(c)), skolem_depth=skolem_depth,
+            ok = class_satisfiable(models, named[c], skolem_depth=skolem_depth,
                                    fact_cap=fact_cap, tbox=tbox)
         except FactCapExceededError as exc:
             undetermined.append((c, str(exc)))
             continue
-        if not ok:
+        if ok:
+            satisfiable.update(sup.iri.value for sup in tbox.supers(named[c]) if isinstance(sup, NamedClass))
+        else:
             unsat.append(c)
-    return CoherenceReport(unsatisfiable=unsat, undetermined=undetermined,
+    return CoherenceReport(unsatisfiable=sorted(unsat), undetermined=sorted(undetermined),
                            probed=len(seen_classes), unmodeled_count=unmodeled_total(models))
 
 

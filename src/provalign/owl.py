@@ -42,33 +42,49 @@ class UnsupportedAtomError(OwlError):
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class NamedClass:
+class _CachedHash:
+    """Holds the dataclass field-tuple hash, computed once at construction:
+    nested expressions are hashed on every set lookup."""
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f) for f in self.__match_args__)))
+
+
+def _expression(cls):
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@_expression
+class NamedClass(_CachedHash):
     iri: Iri
 
 
-@dataclass(frozen=True, slots=True)
-class Intersection:
+@_expression
+class Intersection(_CachedHash):
     operands: Tuple["ClassExpression", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class UnionOf:
+@_expression
+class UnionOf(_CachedHash):
     operands: Tuple["ClassExpression", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class DisjointUnionOf:
+@_expression
+class DisjointUnionOf(_CachedHash):
     operands: Tuple["ClassExpression", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Complement:
+@_expression
+class Complement(_CachedHash):
     operand: "ClassExpression"
 
 
-@dataclass(frozen=True, slots=True)
-class SomeValuesFrom:
+@_expression
+class SomeValuesFrom(_CachedHash):
     prop: "PropertyExpression"
     filler: "ClassExpression"
 
@@ -412,11 +428,6 @@ class _Extractor:
 
     def consume(self, s: Term, p: str, o: Term) -> None:
         self.consumed.add(Triple(s, iri(p), o))
-
-    def consume_all(self, subject: Term) -> None:
-        for pred, objects in self.spo.get(subject, {}).items():
-            for o in objects:
-                self.consume(subject, pred, o)
 
     def add_axiom(self, axiom: Axiom) -> None:
         key = (axiom.kind, axiom.args)

@@ -91,10 +91,6 @@ def _ce_key(ce: ClassExpression) -> str:
     return render_class_expression(ce)
 
 
-def _expr_sort_key(ce: ClassExpression) -> Tuple:
-    return (_ce_key(ce),)
-
-
 # ---------------------------------------------------------------------------
 # TBox index
 # ---------------------------------------------------------------------------
@@ -142,9 +138,9 @@ class TBoxIndex:
         self._close_classes()
         self._close_properties()
         self.existentials: List[SomeValuesFrom] = sorted(
-            (e for e in self.universe if isinstance(e, SomeValuesFrom)), key=_expr_sort_key)
+            (e for e in self.universe if isinstance(e, SomeValuesFrom)), key=_ce_key)
         self.complements: List[Complement] = sorted(
-            (e for e in self.universe if isinstance(e, Complement)), key=_expr_sort_key)
+            (e for e in self.universe if isinstance(e, Complement)), key=_ce_key)
 
     # -- loading -------------------------------------------------------------
 
@@ -167,7 +163,7 @@ class TBoxIndex:
         self.prop_edges.setdefault(_flip(a), set()).add(_flip(b))
 
     def _mark_disjoint(self, a: ClassExpression, b: ClassExpression) -> None:
-        pair = tuple(sorted((a, b), key=_expr_sort_key))
+        pair = tuple(sorted((a, b), key=_ce_key))
         if pair[0] != pair[1]:
             self.disjoint_pairs.add(pair)  # type: ignore[arg-type]
 
@@ -250,44 +246,54 @@ class TBoxIndex:
                         for j in range(i + 1, len(ce.operands)):
                             self._mark_disjoint(ce.operands[i], ce.operands[j])
         for values in self.domains.values():
-            values.sort(key=_expr_sort_key)
+            values.sort(key=_ce_key)
         for values in self.ranges.values():
-            values.sort(key=_expr_sort_key)
+            values.sort(key=_ce_key)
 
     # -- closures --------------------------------------------------------------
 
     def _close_classes(self) -> None:
-        reach: Dict[ClassExpression, Set[ClassExpression]] = {
-            ce: {ce} | self.edges.get(ce, set()) for ce in self.universe}
-        unions = [ce for ce in self.universe if isinstance(ce, (UnionOf, DisjointUnionOf))]
-        intersections = [ce for ce in self.universe if isinstance(ce, Intersection)]
-        changed = True
-        while changed:
-            changed = False
-            for ce in self.universe:
-                current = reach[ce]
-                extra: Set[ClassExpression] = set()
-                for sup in current:
-                    extra |= reach.get(sup, set())
-                if not extra <= current:
-                    current |= extra
-                    changed = True
-            for u in unions:
-                common: Optional[Set[ClassExpression]] = None
-                for op in u.operands:
-                    common = set(reach[op]) if common is None else common & reach[op]
-                if common and not common <= reach[u]:
-                    reach[u] |= common
-                    changed = True
-            for i in intersections:
-                ops = set(i.operands)
-                for ce in self.universe:
-                    if i not in reach[ce] and ops <= reach[ce]:
-                        reach[ce].add(i)
-                        changed = True
+        # Worklist to the least fixpoint, with the inverse map ``below``. Each
+        # entry (a, b) stands for the pairs below(a) x reach(b): first the
+        # reflexive pairs, then every pair that linking a <= b added. Only the
+        # intersections and unions with an operand among them can fire.
+        reach: Dict[ClassExpression, Set[ClassExpression]] = {ce: {ce} for ce in self.universe}
+        below: Dict[ClassExpression, Set[ClassExpression]] = {ce: {ce} for ce in self.universe}
+        inter_of: Dict[ClassExpression, List[ClassExpression]] = {}
+        union_of: Dict[ClassExpression, List[ClassExpression]] = {}
+        for ce in self.universe:
+            if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
+                for op in set(ce.operands):
+                    (inter_of if isinstance(ce, Intersection) else union_of).setdefault(op, []).append(ce)
+        inter_ops, union_ops = set(inter_of), set(union_of)
+        pending = [(ce, ce) for ce in self.universe]
+
+        def link(a: ClassExpression, b: ClassExpression) -> None:
+            up, down = reach[b], below[a]
+            if b not in reach[a]:
+                for x in down:
+                    reach[x] |= up
+                for y in up:
+                    below[y] |= down
+                pending.append((a, b))
+
+        for a, targets in self.edges.items():
+            for b in targets:
+                link(a, b)
+        while pending:
+            a, b = pending.pop()
+            for y in reach[b] & inter_ops:
+                for i in inter_of[y]:
+                    for x in [x for x in below[a] if all(op in reach[x] for op in i.operands)]:
+                        link(x, i)
+            for x in below[a] & union_ops:
+                for u in union_of[x]:
+                    for y in [y for y in reach[b] if all(y in reach[op] for op in u.operands)]:
+                        link(u, y)
         self._reach = reach
+        keys = {ce: _ce_key(ce) for ce in self.universe}
         self._supers_sorted: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {
-            ce: tuple(sorted(sups - {ce}, key=_expr_sort_key)) for ce, sups in reach.items()}
+            ce: tuple(sorted(sups - {ce}, key=keys.__getitem__)) for ce, sups in reach.items()}
 
     def _close_properties(self) -> None:
         reach: Dict[PropKey, Set[PropKey]] = {
@@ -316,10 +322,7 @@ class TBoxIndex:
 
     def supers(self, ce: ClassExpression) -> Tuple[ClassExpression, ...]:
         """Strict superexpressions of ``ce`` within the loaded universe."""
-        cached = self._supers_sorted.get(ce)
-        if cached is not None:
-            return cached
-        return ()
+        return self._supers_sorted.get(ce, ())
 
     def subsumed(self, sub: ClassExpression, sup: ClassExpression) -> bool:
         if sub == sup:
@@ -332,7 +335,7 @@ class TBoxIndex:
     def named_classes(self) -> List[NamedClass]:
         return sorted((ce for ce in self.universe if isinstance(ce, NamedClass)
                        and ce.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING)),
-                      key=_expr_sort_key)
+                      key=_ce_key)
 
 
 @dataclass
@@ -364,6 +367,7 @@ class ClosedKB:
     tbox: TBoxIndex
     memberships: Dict[Term, Set[ClassExpression]]
     prop_index: Dict[str, List[Tuple[Term, Term]]]
+    prop_set: Set[Tuple[str, Term, Term]]
     traces: Dict[FactKey, Trace]
     skolem_depths: Dict[Term, int]
     skolem_budget_exceeded: bool
@@ -373,13 +377,25 @@ class ClosedKB:
         return ce in self.memberships.get(individual, ())
 
     def has_prop(self, prop_iri: str, s: Term, o: Term) -> bool:
-        return (s, o) in set(self.prop_index.get(prop_iri, ()))
+        return (prop_iri, s, o) in self.prop_set
 
     def individuals(self) -> List[Term]:
         return sorted(self.memberships.keys(), key=term_sort_key)
 
     def fact_keys(self) -> List[FactKey]:
         return list(self.traces.keys())
+
+
+def _depth_first(expand, first: Tuple) -> None:
+    """Run ``expand(*first)`` and, nested as recursion would, ``expand(*step)`` for each
+    step it yields; each ``expand`` is a generator that records its step when first advanced."""
+    stack = [expand(*first)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(expand(*step))
 
 
 class _Engine:
@@ -409,38 +425,44 @@ class _Engine:
         members = self.memberships.setdefault(x, set())
         if ce in members:
             return False
-        self._bump()
-        members.add(ce)
-        self.traces[class_fact(x, ce)] = Trace(rule, premises, detail)
-        premise = (class_fact(x, ce),)
-        for sup in self.tbox.supers(ce):
-            if sup not in members:
-                self.add_class(x, sup, "subsumption", premise,
-                               detail=f"{_ce_key(ce)} is below {_ce_key(sup)}")
+
+        def expand(ce, rule, premises, detail):
+            self._bump()
+            members.add(ce)
+            self.traces[class_fact(x, ce)] = Trace(rule, premises, detail)
+            premise = (class_fact(x, ce),)
+            for sup in self.tbox.supers(ce):
+                if sup not in members:
+                    yield sup, "subsumption", premise, f"{_ce_key(ce)} is below {_ce_key(sup)}"
+
+        _depth_first(expand, (ce, rule, premises, detail))
         return True
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        key = (name, s, o)
-        if key in self.prop_set:
+        if (name, s, o) in self.prop_set:
             return False
-        self._bump()
-        self.prop_set.add(key)
-        self.prop_index.setdefault(name, []).append((s, o))
-        self.traces[prop_fact(name, s, o)] = Trace(rule, premises, detail)
-        premise = (prop_fact(name, s, o),)
-        for sup in self.tbox.named_prop_supers(name):
-            self.add_prop(sup, s, o, "subproperty", premise,
-                          detail=f"{name} is below {sup}")
-        if not isinstance(o, Literal):
-            for q in sorted(self.tbox.inverse_pairs.get(name, ())):
-                self.add_prop(q, o, s, "inverse", premise,
-                              detail=f"{q} is the inverse of {name}")
-        for c in self.tbox.domains.get(name, ()):
-            self.add_class(s, c, "domain", premise, detail=f"domain of {name}")
-        if not isinstance(o, Literal):
-            for c in self.tbox.ranges.get(name, ()):
-                self.add_class(o, c, "range", premise, detail=f"range of {name}")
+
+        def expand(name, s, o, rule, premises, detail):
+            if (name, s, o) in self.prop_set:
+                return
+            self._bump()
+            self.prop_set.add((name, s, o))
+            self.prop_index.setdefault(name, []).append((s, o))
+            self.traces[prop_fact(name, s, o)] = Trace(rule, premises, detail)
+            premise = (prop_fact(name, s, o),)
+            for sup in self.tbox.named_prop_supers(name):
+                yield sup, s, o, "subproperty", premise, f"{name} is below {sup}"
+            if not isinstance(o, Literal):
+                for q in sorted(self.tbox.inverse_pairs.get(name, ())):
+                    yield q, o, s, "inverse", premise, f"{q} is the inverse of {name}"
+            for c in self.tbox.domains.get(name, ()):
+                self.add_class(s, c, "domain", premise, detail=f"domain of {name}")
+            if not isinstance(o, Literal):
+                for c in self.tbox.ranges.get(name, ()):
+                    self.add_class(o, c, "range", premise, detail=f"range of {name}")
+
+        _depth_first(expand, (name, s, o, rule, premises, detail))
         return True
 
     # -- rule passes -----------------------------------------------------------
@@ -465,7 +487,7 @@ class _Engine:
             for ce in self.memberships[x]:
                 if isinstance(ce, SomeValuesFrom) and (x, ce) not in self.skolem_memo:
                     pending.append((x, ce))
-        pending.sort(key=lambda pair: (term_sort_key(pair[0]), _expr_sort_key(pair[1])))
+        pending.sort(key=lambda pair: (term_sort_key(pair[0]), _ce_key(pair[1])))
         for x, ce in pending:
             self.skolem_memo.add((x, ce))
             depth = self.depths.get(x, 0) + 1
@@ -618,6 +640,7 @@ def _close(models: Sequence[OntologyModel], tbox: TBoxIndex, skolem_depth: int,
         tbox=tbox,
         memberships=engine.memberships,
         prop_index=engine.prop_index,
+        prop_set=engine.prop_set,
         traces=engine.traces,
         skolem_depths=engine.depths,
         skolem_budget_exceeded=engine.skolem_budget_exceeded,

@@ -1,0 +1,97 @@
+"""The worklist class closure in ``TBoxIndex`` against a full-rescan fixpoint."""
+
+from typing import Dict, Optional, Set
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from provalign.fixtures import load_model
+from provalign.owl import (
+    Axiom,
+    ClassExpression,
+    DisjointUnionOf,
+    Intersection,
+    NamedClass,
+    NamedProperty,
+    OntologyModel,
+    SomeValuesFrom,
+    UnionOf,
+)
+from provalign.rdf import iri
+from provalign.reasoner import TBoxIndex, _ce_key
+
+EX = "http://example.org/closure#"
+
+
+def reference_reach(tbox: TBoxIndex) -> Dict[ClassExpression, Set[ClassExpression]]:
+    """Least fixpoint by rescanning every rule over the whole universe each round."""
+    reach = {ce: {ce} | tbox.edges.get(ce, set()) for ce in tbox.universe}
+    unions = [ce for ce in tbox.universe if isinstance(ce, (UnionOf, DisjointUnionOf))]
+    intersections = [ce for ce in tbox.universe if isinstance(ce, Intersection)]
+    changed = True
+    while changed:
+        changed = False
+        for ce in tbox.universe:
+            current = reach[ce]
+            extra: Set[ClassExpression] = set()
+            for sup in current:
+                extra |= reach.get(sup, set())
+            if not extra <= current:
+                current |= extra
+                changed = True
+        for u in unions:
+            common: Optional[Set[ClassExpression]] = None
+            for op in u.operands:
+                common = set(reach[op]) if common is None else common & reach[op]
+            if common and not common <= reach[u]:
+                reach[u] |= common
+                changed = True
+        for i in intersections:
+            ops = set(i.operands)
+            for ce in tbox.universe:
+                if i not in reach[ce] and ops <= reach[ce]:
+                    reach[ce].add(i)
+                    changed = True
+    return reach
+
+
+def assert_matches_reference(tbox: TBoxIndex) -> None:
+    reach = reference_reach(tbox)
+    assert tbox._reach == reach
+    for ce, sups in reach.items():
+        assert tbox.supers(ce) == tuple(sorted(sups - {ce}, key=_ce_key))
+
+
+names = st.sampled_from("ABCDEF").map(lambda n: NamedClass(iri(EX + n)))
+expressions = st.recursive(
+    names,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda ops: Intersection(tuple(ops))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ops: UnionOf(tuple(ops))),
+        inner.map(lambda filler: SomeValuesFrom(NamedProperty(iri(EX + "p")), filler)),
+    ),
+    max_leaves=4,
+)
+axioms = st.one_of(
+    st.tuples(expressions, expressions).map(lambda ab: Axiom("sub-class-of", ab)),
+    st.tuples(expressions, expressions).map(lambda ab: Axiom("equivalent-classes", ab)),
+    st.tuples(names, st.lists(expressions, min_size=2, max_size=3)).map(
+        lambda cu: Axiom("disjoint-union", (cu[0], tuple(cu[1])))),
+    st.tuples(expressions, expressions).map(lambda ab: Axiom("disjoint-classes", ab)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(axioms, max_size=8))
+def test_worklist_closure_equals_rescan_fixpoint(generated):
+    assert_matches_reference(TBoxIndex([OntologyModel(axioms=generated)]))
+
+
+@pytest.mark.parametrize("names", [
+    ["prov-mini.ttl", "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-paper.ttl"],
+    ["prov-mini.ttl", "bfo-mini.ttl", "align-counterexample.ttl"],
+    ["bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-plan-incoherent.ttl"],
+])
+def test_worklist_closure_equals_rescan_fixpoint_on_fixtures(names):
+    assert_matches_reference(TBoxIndex([load_model(name) for name in names]))

@@ -253,3 +253,20 @@ def test_check_all_identical_across_hash_seeds(tmp_path):
         assert done.returncode == 1, done.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_deep_subclass_chain_exits_zero(tmp_path, capsys):
+    # C0000 is the bottom and each class's nearest superclass sorts first, so
+    # adding C0000's memberships walks the whole chain depth-first.
+    depth = 1500
+    names = [f"ex:C{k:04d}" for k in range(depth)]
+    chain = tmp_path / "chain.ttl"
+    chain.write_text("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                     "@prefix ex: <http://example.org/chain#> .\n"
+                     + "".join(f"{a} rdfs:subClassOf {b} .\n" for a, b in zip(names, names[1:])))
+    instances = tmp_path / "instances.ttl"
+    instances.write_text("@prefix ex: <http://example.org/chain#> .\nex:i a ex:C0000 .\n")
+    assert run(["check-coherence", "--source", str(chain)]) == 0
+    assert run(["check-consistency", "--source", str(chain),
+                "--instances", str(instances)]) == 0
+    assert capsys.readouterr().err == ""

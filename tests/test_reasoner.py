@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from provalign import vocab
+from provalign import reasoner, vocab
 from provalign.fixtures import load_model
 from provalign.owl import (
     Axiom,
@@ -12,7 +12,7 @@ from provalign.owl import (
     OntologyModel,
     extract_axioms,
 )
-from provalign.rdf import iri
+from provalign.rdf import Literal, iri
 from provalign.reasoner import (
     FactCapExceededError,
     UnknownFactError,
@@ -398,3 +398,65 @@ def test_fig11_trace_cites_domain_then_equivalence(prov, bfo, align_model):
     rules.append(chain.rule)
     assert rules[-1] == "asserted"
     assert "domain" in rules
+
+
+class RecursiveEngine(reasoner._Engine):
+    """The engine with recursive fact propagation, as a reference order."""
+
+    def add_class(self, x, ce, rule, premises, detail=""):
+        if isinstance(x, Literal):
+            return False
+        members = self.memberships.setdefault(x, set())
+        if ce in members:
+            return False
+        self._bump()
+        members.add(ce)
+        self.traces[class_fact(x, ce)] = reasoner.Trace(rule, premises, detail)
+        for sup in self.tbox.supers(ce):
+            if sup not in members:
+                self.add_class(x, sup, "subsumption", (class_fact(x, ce),),
+                               detail=f"{reasoner._ce_key(ce)} is below {reasoner._ce_key(sup)}")
+        return True
+
+    def add_prop(self, name, s, o, rule, premises, detail=""):
+        if (name, s, o) in self.prop_set:
+            return False
+        self._bump()
+        self.prop_set.add((name, s, o))
+        self.prop_index.setdefault(name, []).append((s, o))
+        self.traces[prop_fact(name, s, o)] = reasoner.Trace(rule, premises, detail)
+        premise = (prop_fact(name, s, o),)
+        for sup in self.tbox.named_prop_supers(name):
+            self.add_prop(sup, s, o, "subproperty", premise, detail=f"{name} is below {sup}")
+        if not isinstance(o, Literal):
+            for q in sorted(self.tbox.inverse_pairs.get(name, ())):
+                self.add_prop(q, o, s, "inverse", premise, detail=f"{q} is the inverse of {name}")
+        for c in self.tbox.domains.get(name, ()):
+            self.add_class(s, c, "domain", premise, detail=f"domain of {name}")
+        if not isinstance(o, Literal):
+            for c in self.tbox.ranges.get(name, ()):
+                self.add_class(o, c, "range", premise, detail=f"range of {name}")
+        return True
+
+
+@pytest.mark.parametrize("instances", ["fig9.ttl", "fig11.ttl", "example4.ttl", "revision.ttl"])
+def test_iterative_propagation_keeps_recursive_derivation_order(
+        monkeypatch, prov, bfo, cco, ro, align_model, instances):
+    models = [prov, bfo, cco, ro, align_model, load_model(f"instances/{instances}")]
+    kb = materialize(models)
+    monkeypatch.setattr(reasoner, "_Engine", RecursiveEngine)
+    reference = materialize(models)
+    assert list(kb.traces.items()) == list(reference.traces.items())
+    assert kb.prop_index == reference.prop_index
+
+
+def test_has_prop_answers_from_the_closure():
+    kb = kb_of("ex:p rdfs:subPropertyOf ex:q . ex:q owl:inverseOf ex:r .",
+               "ex:a ex:p ex:b . ex:b ex:p ex:c .")
+    for name, pairs in kb.prop_index.items():
+        for s, o in pairs:
+            assert kb.has_prop(name, s, o)
+    assert kb.has_prop(EX + "r", iri(EX + "c"), iri(EX + "b"))
+    assert not kb.has_prop(EX + "r", iri(EX + "b"), iri(EX + "c"))
+    assert not kb.has_prop(EX + "p", iri(EX + "a"), iri(EX + "c"))
+    assert not kb.has_prop(EX + "missing", iri(EX + "a"), iri(EX + "b"))
