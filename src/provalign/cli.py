@@ -13,10 +13,10 @@ import json
 import os
 import sys
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import vocab
-from .alignment import Alignment, extract_mappings, export_sssom
+from .alignment import Alignment, _group, extract_mappings, export_sssom
 from .checks import (
     alignment_stats,
     check_coherence,
@@ -236,13 +236,6 @@ def _run_materialize(inp: _Inputs) -> int:
     alignment = inp.alignment
     taxonomy = entailed_taxonomy(models)
 
-    def group(name: str) -> Optional[str]:
-        if name.startswith(tuple(args.source_ns)):
-            return "source"
-        if name.startswith(tuple(args.target_ns)):
-            return "target"
-        return None
-
     asserted: set = set()
     for m in alignment.mappings:
         if m.is_simple() and isinstance(m.subject, (NamedClass, NamedProperty)) \
@@ -280,7 +273,8 @@ def _run_materialize(inp: _Inputs) -> int:
             pairs.append((vocab.RDFS_SUBPROPERTYOF, a, b, "sub-property-of"))
 
     for predicate_iri, a, b, predicate in pairs:
-        ga, gb = group(a), group(b)
+        ga = _group(a, args.source_ns, args.target_ns)
+        gb = _group(b, args.source_ns, args.target_ns)
         if ga is None or gb is None or ga == gb:
             continue
         derived = (predicate, a, b) not in asserted and (

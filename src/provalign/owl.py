@@ -139,36 +139,25 @@ def property_name(pe: PropertyExpression) -> str:
     return pe.operand.iri.value
 
 
-def render_class_expression(ce: ClassExpression, compress=None) -> str:
+def render_class_expression(ce: ClassExpression) -> str:
     """Deterministic compact text form, used in reports and CSV cells."""
-    def name(value: str) -> str:
-        if compress is not None:
-            short = compress(value)
-            if short is not None:
-                return short
-        return value
-
     if isinstance(ce, NamedClass):
-        return name(ce.iri.value)
+        return ce.iri.value
     if isinstance(ce, Intersection):
-        return "(" + " and ".join(render_class_expression(o, compress) for o in ce.operands) + ")"
+        return "(" + " and ".join(render_class_expression(o) for o in ce.operands) + ")"
     if isinstance(ce, UnionOf):
-        return "(" + " or ".join(render_class_expression(o, compress) for o in ce.operands) + ")"
+        return "(" + " or ".join(render_class_expression(o) for o in ce.operands) + ")"
     if isinstance(ce, DisjointUnionOf):
-        return "DisjointUnion(" + ", ".join(render_class_expression(o, compress) for o in ce.operands) + ")"
+        return "DisjointUnion(" + ", ".join(render_class_expression(o) for o in ce.operands) + ")"
     if isinstance(ce, Complement):
-        return "(not " + render_class_expression(ce.operand, compress) + ")"
-    return "(" + render_property_expression(ce.prop, compress) + " some " + render_class_expression(ce.filler, compress) + ")"
+        return "(not " + render_class_expression(ce.operand) + ")"
+    return "(" + render_property_expression(ce.prop) + " some " + render_class_expression(ce.filler) + ")"
 
 
-def render_property_expression(pe: PropertyExpression, compress=None) -> str:
+def render_property_expression(pe: PropertyExpression) -> str:
     if isinstance(pe, NamedProperty):
-        if compress is not None:
-            short = compress(pe.iri.value)
-            if short is not None:
-                return short
         return pe.iri.value
-    return "inverse(" + render_property_expression(pe.operand, compress) + ")"
+    return "inverse(" + render_property_expression(pe.operand) + ")"
 
 
 # ---------------------------------------------------------------------------

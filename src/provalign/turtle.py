@@ -1,12 +1,14 @@
 """RDF Turtle parsing and serialization.
 
-The parser is a hand-written tokenizer plus recursive descent over the Turtle
+The parser is a table-driven tokenizer plus recursive descent over the Turtle
 subset used by OWL ontologies and alignment files: prefix/base directives
 (both '@' and SPARQL spellings), prefixed names, IRI references, blank node
 labels and anonymous property lists, collections, 'a', predicate-object and
 object lists, string/typed/language literals, numeric and boolean shorthand,
 and comments. Quoted triples and TriG blocks are hard errors: silently
-dropping triples would corrupt verification verdicts downstream.
+dropping triples would corrupt verification verdicts downstream. So is
+nesting '[ ]' and '( )' more than MAX_NESTING levels deep, which would
+otherwise exhaust the interpreter's stack.
 
 Serialization is semantic, not byte-preserving: output re-parses to a graph
 isomorphic to the input, with deterministic ordering.
@@ -34,6 +36,8 @@ from .rdf import (
     UnknownPrefixError,
 )
 
+MAX_NESTING = 128
+
 
 @dataclass
 class ParseDiagnostic:
@@ -56,8 +60,7 @@ class TurtleParseError(Exception):
 class _Token:
     kind: str  # iriref pname bnode_label string lang number boolean punct word eof
     value: object
-    line: int
-    column: int
+    offset: int
 
 
 _ESCAPES = {
@@ -65,202 +68,128 @@ _ESCAPES = {
     '"': '"', "'": "'", "\\": "\\",
 }
 
-_DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
-_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
-_LANGTAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
-_PN_PREFIX_RE = re.compile(r"[A-Za-zÀ-￿][\wÀ-￿.\-]*")
-_LOCAL_CHAR_RE = re.compile(r"[\wÀ-￿\-:%]")
+# PN_LOCAL: word chars, digits, '-', ':', '%', '\' escapes; dots only medially.
+_LOCAL = r"(?:[\wÀ-￿\-:%]+|\.(?=[\wÀ-￿\-:%.])|\\[\s\S]?)*"
+# A prefix label cannot end with '.'.
+_PREFIX = r"[A-Za-zÀ-￿](?:[\wÀ-￿.\-]*[\wÀ-￿\-])?"
+
+# One alternative per token kind, tried in this order at the current offset.
+# IRI and string bodies are matched permissively (any escape, no terminator)
+# so that a bad escape is reported before a missing terminator.
+_TOKEN_KINDS = (
+    ("eof", r"\Z"),
+    ("quoted", r"<<"),
+    ("trig", r"[{}]"),
+    ("punct", r"[.;,\[\]()]|\^\^"),
+    ("iriref", r"<(?:[^>\\ \n\t\r<\"{}|^`]+|\\[\s\S]?)*"),
+    ("long_string", r'"""(?:[^"\\]+|"(?!"")|\\[\s\S]?)*|\'\'\'(?:[^\'\\]+|\'(?!\'\')|\\[\s\S]?)*'),
+    ("short_string", r'"(?:[^"\\\n]+|\\[\s\S]?)*|\'(?:[^\'\\\n]+|\\[\s\S]?)*'),
+    ("bnode_label", "_:" + _LOCAL),
+    ("at", r"@(?:[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?"),
+    ("double", r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)"),
+    ("decimal", r"[+-]?\d*\.\d+"),
+    ("integer", r"[+-]?\d+"),
+    ("pname", f"(?:{_PREFIX})?:{_LOCAL}"),
+    ("name", _PREFIX),
+    ("other", r"[\s\S]"),
+)
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
+    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")")
+_NUMBER_TYPES = {"double": vocab.XSD_DOUBLE, "decimal": vocab.XSD_DECIMAL,
+                 "integer": vocab.XSD_INTEGER}
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[\s\S]?)")
+_LOCAL_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
+
+
+def _unescape_local(local: str) -> str:
+    """Drop the backslash of each '\\' escape in a local name or label."""
+    return _LOCAL_ESCAPE_RE.sub(r"\1", local) if "\\" in local else local
 
 
 class _Lexer:
+    """Turtle tokenizer. Tokens carry only their offset into the text;
+    line and column are worked out when a diagnostic is raised."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        raise TurtleParseError([ParseDiagnostic(line or self.line, col or self.col, message)])
+    def error(self, message: str, offset: int):
+        # Columns count code points, so a '\r' before the offset is a column.
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        line = self.text.count("\n", 0, line_start) + 1
+        raise TurtleParseError([ParseDiagnostic(line, offset - line_start + 1, message)])
 
-    def _advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + n]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return chunk
+    def _unescape(self, body: str, offset: int, table: Dict[str, str]) -> str:
+        """Decode the escapes of a body that starts at ``offset``: ``\\u``
+        and ``\\U`` everywhere, other characters through ``table``. IRI
+        references pass an empty table."""
+        if "\\" not in body:
+            return body
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+        def decode(m: "re.Match[str]") -> str:
+            esc = m.group(1)
+            if len(esc) > 1:
+                return chr(int(esc[1:], 16))
+            if esc in ("u", "U"):
+                self.error(f"bad \\{esc} escape", offset + m.end())
+            if esc not in table:
+                where = "" if table else " in IRI reference"
+                self.error(f"unknown escape \\{esc}{where}", offset + m.start() + 1)
+            return table[esc]
 
-    def _skip_ws_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _read_unicode_escape(self, width: int) -> str:
-        digits = self.text[self.pos:self.pos + width]
-        if len(digits) < width or any(c not in "0123456789abcdefABCDEF" for c in digits):
-            self.error(f"bad \\{'u' if width == 4 else 'U'} escape")
-        self._advance(width)
-        return chr(int(digits, 16))
-
-    def _read_string(self, quote: str, long: bool, start_line: int, start_col: int) -> str:
-        out: List[str] = []
-        terminator = quote * 3 if long else quote
-        while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated literal", start_line, start_col)
-            if self.text.startswith(terminator, self.pos):
-                self._advance(len(terminator))
-                return "".join(out)
-            ch = self._peek()
-            if not long and ch == "\n":
-                self.error("unterminated literal", start_line, start_col)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc == "u":
-                    self._advance()
-                    out.append(self._read_unicode_escape(4))
-                elif esc == "U":
-                    self._advance()
-                    out.append(self._read_unicode_escape(8))
-                elif esc in _ESCAPES:
-                    self._advance()
-                    out.append(_ESCAPES[esc])
-                else:
-                    self.error(f"unknown escape \\{esc}")
-            else:
-                out.append(self._advance())
-
-    def _read_iriref(self, start_line: int, start_col: int) -> str:
-        out: List[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated IRI reference", start_line, start_col)
-            ch = self._peek()
-            if ch == ">":
-                self._advance()
-                return "".join(out)
-            if ch in " \n\t\r<\"{}|^`":
-                self.error(f"character {ch!r} not allowed inside IRI reference")
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc == "u":
-                    self._advance()
-                    out.append(self._read_unicode_escape(4))
-                elif esc == "U":
-                    self._advance()
-                    out.append(self._read_unicode_escape(8))
-                else:
-                    self.error(f"unknown escape \\{esc} in IRI reference")
-            else:
-                out.append(self._advance())
-
-    def _read_local(self) -> str:
-        # PN_LOCAL: word chars, digits, '-', ':', '%XX', '\' escapes; dots only medially.
-        out: List[str] = []
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == ".":
-                nxt = self._peek(1)
-                if nxt and (_LOCAL_CHAR_RE.match(nxt) or nxt == "."):
-                    out.append(self._advance())
-                    continue
-                break
-            if ch == "\\":
-                self._advance()
-                out.append(self._advance())
-                continue
-            if _LOCAL_CHAR_RE.match(ch):
-                out.append(self._advance())
-                continue
-            break
-        return "".join(out)
+        return _ESCAPE_RE.sub(decode, body)
 
     def next_token(self) -> _Token:
-        self._skip_ws_and_comments()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return _Token("eof", None, line, col)
-        ch = self._peek()
-
-        if self.text.startswith("<<", self.pos):
-            self.error("quoted triples are not supported", line, col)
-        if ch in "{}":
-            self.error("TriG graph blocks are not supported", line, col)
-        if ch in ".;,[]()":
-            self._advance()
-            return _Token("punct", ch, line, col)
-        if ch == "<":
-            self._advance()
-            return _Token("iriref", self._read_iriref(line, col), line, col)
-        if ch in "\"'":
-            if self.text.startswith(ch * 3, self.pos):
-                self._advance(3)
-                value = self._read_string(ch, True, line, col)
-            else:
-                self._advance()
-                value = self._read_string(ch, False, line, col)
-            return _Token("string", value, line, col)
-        if ch == "_" and self._peek(1) == ":":
-            self._advance(2)
-            label = self._read_local()
+        text = self.text
+        m = _TOKEN_RE.match(text, self.pos)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        self.pos = end
+        lexeme = m.group(kind)
+        if kind == "pname":
+            label, local = lexeme.split(":", 1)
+            return _Token("pname", (label, _unescape_local(local)), start)
+        if kind == "punct":
+            return _Token("punct", lexeme, start)
+        if kind == "iriref":
+            value = self._unescape(lexeme[1:], start + 1, {})
+            if end == len(text):
+                self.error("unterminated IRI reference", start)
+            if text[end] != ">":
+                self.error(f"character {text[end]!r} not allowed inside IRI reference", end)
+            self.pos = end + 1
+            return _Token("iriref", value, start)
+        if kind in ("long_string", "short_string"):
+            quote = lexeme[0] * (3 if kind == "long_string" else 1)
+            value = self._unescape(lexeme[len(quote):], start + len(quote), _ESCAPES)
+            if not text.startswith(quote, end):
+                self.error("unterminated literal", start)
+            self.pos = end + len(quote)
+            return _Token("string", value, start)
+        if kind in _NUMBER_TYPES:
+            return _Token("number", (lexeme, _NUMBER_TYPES[kind]), start)
+        if kind == "name":
+            return _Token("boolean" if lexeme in ("true", "false") else "word", lexeme, start)
+        if kind == "at":
+            if lexeme == "@":
+                self.error("bad @ directive or language tag", start)
+            if lexeme in ("@prefix", "@base"):
+                return _Token("word", lexeme, start)
+            return _Token("lang", lexeme[1:], start)
+        if kind == "bnode_label":
+            label = _unescape_local(lexeme[2:])
             if not label:
-                self.error("empty blank node label", line, col)
-            return _Token("bnode_label", label, line, col)
-        if ch == "@":
-            self._advance()
-            m = _LANGTAG_RE.match(self.text, self.pos)
-            if not m:
-                self.error("bad @ directive or language tag", line, col)
-            word = m.group(0)
-            self._advance(len(word))
-            if word in ("prefix", "base"):
-                return _Token("word", "@" + word, line, col)
-            return _Token("lang", word, line, col)
-        if ch == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Token("punct", "^^", line, col)
-
-        for regex, datatype in ((_DOUBLE_RE, vocab.XSD_DOUBLE),
-                                (_DECIMAL_RE, vocab.XSD_DECIMAL),
-                                (_INTEGER_RE, vocab.XSD_INTEGER)):
-            m = regex.match(self.text, self.pos)
-            if m:
-                self._advance(len(m.group(0)))
-                return _Token("number", (m.group(0), datatype), line, col)
-
-        if ch == ":":
-            self._advance()
-            return _Token("pname", ("", self._read_local()), line, col)
-        m = _PN_PREFIX_RE.match(self.text, self.pos)
-        if m:
-            word = m.group(0)
-            # A prefix label cannot end with '.'; give trailing dots back.
-            while word.endswith("."):
-                word = word[:-1]
-            self._advance(len(word))
-            if self._peek() == ":":
-                self._advance()
-                return _Token("pname", (word, self._read_local()), line, col)
-            if word in ("true", "false"):
-                return _Token("boolean", word, line, col)
-            return _Token("word", word, line, col)
-        self.error(f"unexpected character {ch!r}")
+                self.error("empty blank node label", start)
+            return _Token("bnode_label", label, start)
+        if kind == "eof":
+            return _Token("eof", None, start)
+        if kind == "quoted":
+            self.error("quoted triples are not supported", start)
+        if kind == "trig":
+            self.error("TriG graph blocks are not supported", start)
+        self.error(f"unexpected character {lexeme!r}", start)
 
 
 class _Parser:
@@ -271,11 +200,11 @@ class _Parser:
         self.scope = new_scope()
         self.labelled: Dict[str, BlankNode] = {}
         self.anon_count = 0
+        self.depth = 0
         self.token = self.lexer.next_token()
 
     def _error(self, message: str, token: Optional[_Token] = None):
-        t = token or self.token
-        raise TurtleParseError([ParseDiagnostic(t.line, t.column, message)])
+        self.lexer.error(message, (token or self.token).offset)
 
     def _next(self) -> _Token:
         current = self.token
@@ -286,6 +215,13 @@ class _Parser:
         if self.token.kind != "punct" or self.token.value != value:
             self._error(f"expected {value!r}, found {self._describe(self.token)}")
         self._next()
+
+    def _open(self, opener: str) -> None:
+        """Consume '[' or '(', keeping the parser's recursion within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self._error(f"more than {MAX_NESTING} nested '[' or '('")
+        self._expect_punct(opener)
+        self.depth += 1
 
     @staticmethod
     def _describe(token: _Token) -> str:
@@ -305,13 +241,13 @@ class _Parser:
             self.labelled[label] = node
         return node
 
-    def _resolve(self, name: str, token: _Token) -> Iri:
+    def _iri(self, token: _Token) -> Iri:
+        """Resolve an 'iriref' or 'pname' token already consumed."""
+        name = f"<{token.value}>" if token.kind == "iriref" else "%s:%s" % token.value
         try:
             return iri_resolve(self.graph.prefixes, name, self.base)
         except (UnknownPrefixError, MissingBaseError) as exc:
-            raise TurtleParseError(
-                [ParseDiagnostic(token.line, token.column, str(exc))]
-            ) from exc
+            self._error(str(exc), token)
 
     def parse(self) -> Graph:
         while self.token.kind != "eof":
@@ -337,9 +273,7 @@ class _Parser:
         self._next()
         if self.token.kind != "iriref":
             self._error("expected namespace IRI")
-        ns_token = self._next()
-        namespace = self._resolve(f"<{ns_token.value}>", ns_token).value
-        self.graph.bind(label, namespace)
+        self.graph.bind(label, self._iri(self._next()).value)
         if not sparql:
             self._expect_punct(".")
 
@@ -347,8 +281,7 @@ class _Parser:
         self._next()
         if self.token.kind != "iriref":
             self._error("expected base IRI")
-        base_token = self._next()
-        self.base = self._resolve(f"<{base_token.value}>", base_token).value
+        self.base = self._iri(self._next()).value
         self.graph.base = self.base
         if not sparql:
             self._expect_punct(".")
@@ -365,13 +298,8 @@ class _Parser:
 
     def _subject(self) -> Term:
         t = self.token
-        if t.kind == "iriref":
-            self._next()
-            return self._resolve(f"<{t.value}>", t)
-        if t.kind == "pname":
-            self._next()
-            label, local = t.value
-            return self._resolve(f"{label}:{local}", t)
+        if t.kind in ("iriref", "pname"):
+            return self._iri(self._next())
         if t.kind == "bnode_label":
             self._next()
             return self._labelled_bnode(str(t.value))
@@ -384,15 +312,9 @@ class _Parser:
         if t.kind == "word" and t.value == "a":
             self._next()
             return iri(vocab.RDF_TYPE)
-        if t.kind == "iriref":
-            self._next()
-            return self._resolve(f"<{t.value}>", t)
-        if t.kind == "pname":
-            self._next()
-            label, local = t.value
-            return self._resolve(f"{label}:{local}", t)
+        if t.kind in ("iriref", "pname"):
+            return self._iri(self._next())
         self._error(f"expected predicate, found {self._describe(t)}")
-
     def _predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self._verb()
@@ -441,37 +363,29 @@ class _Parser:
             return Literal(lexical, language=lang)
         if self.token.kind == "punct" and self.token.value == "^^":
             self._next()
-            dt = self.token
-            if dt.kind == "iriref":
-                self._next()
-                datatype = self._resolve(f"<{dt.value}>", dt).value
-            elif dt.kind == "pname":
-                self._next()
-                label, local = dt.value
-                datatype = self._resolve(f"{label}:{local}", dt).value
-            else:
+            if self.token.kind not in ("iriref", "pname"):
                 self._error("expected datatype IRI after '^^'")
-            return Literal(lexical, datatype=datatype)
+            return Literal(lexical, datatype=self._iri(self._next()).value)
         return Literal(lexical, datatype=vocab.XSD_STRING)
 
     def _bnode_property_list(self) -> BlankNode:
-        self._expect_punct("[")
+        self._open("[")
         node = self._fresh_bnode()
-        if self.token.kind == "punct" and self.token.value == "]":
-            self._next()
-            return node
-        self._predicate_object_list(node)
+        if not (self.token.kind == "punct" and self.token.value == "]"):
+            self._predicate_object_list(node)
         self._expect_punct("]")
+        self.depth -= 1
         return node
 
     def _collection(self) -> Term:
-        self._expect_punct("(")
+        self._open("(")
         items: List[Term] = []
         while not (self.token.kind == "punct" and self.token.value == ")"):
             if self.token.kind == "eof":
                 self._error("unterminated collection")
             items.append(self._object())
         self._next()
+        self.depth -= 1
         if not items:
             return iri(vocab.RDF_NIL)
         head = self._fresh_bnode()
@@ -500,9 +414,10 @@ def parse_turtle(text: str, base: Optional[str] = None) -> Graph:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_LOCAL_OK_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-.]*$")
-_INT_SHORT_RE = re.compile(r"[+-]?\d+$")
-_DECIMAL_SHORT_RE = re.compile(r"[+-]?\d*\.\d+$")
+_LOCAL_OK_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-.]*")
+_INT_SHORT_RE = re.compile(r"[+-]?\d+")
+# A bare decimal may not start with '.', which would read as the end of a statement.
+_DECIMAL_SHORT_RE = re.compile(r"(?:[+-]\d*|\d+)\.\d+")
 
 
 def _escape_string(s: str) -> str:
@@ -539,7 +454,7 @@ def serialize_turtle(graph: Graph) -> str:
         for label, ns in namespaces:
             if value.startswith(ns):
                 local = value[len(ns):]
-                if local and (not _LOCAL_OK_RE.match(local) or local.endswith(".")):
+                if local and (not _LOCAL_OK_RE.fullmatch(local) or local.endswith(".")):
                     continue
                 if best is None or len(ns) > len(graph.prefixes[best[0]]):
                     best = (label, local)
@@ -564,9 +479,9 @@ def serialize_turtle(graph: Graph) -> str:
         if term.language:
             return f'"{_escape_string(lex)}"@{term.language}'
         dt = term.datatype
-        if dt == vocab.XSD_INTEGER and _INT_SHORT_RE.match(lex):
+        if dt == vocab.XSD_INTEGER and _INT_SHORT_RE.fullmatch(lex):
             return lex
-        if dt == vocab.XSD_DECIMAL and _DECIMAL_SHORT_RE.match(lex):
+        if dt == vocab.XSD_DECIMAL and _DECIMAL_SHORT_RE.fullmatch(lex):
             return lex
         if dt == vocab.XSD_BOOLEAN and lex in ("true", "false"):
             return lex

@@ -12,7 +12,7 @@ import provalign.cli
 from provalign.cli import run
 from provalign.fixtures import fixture_path
 from provalign.owl import extract_axioms
-from provalign.turtle import parse_turtle
+from provalign.turtle import MAX_NESTING, parse_turtle
 
 NS_FLAGS = [
     "--source-ns", "http://www.w3.org/ns/prov#",
@@ -227,6 +227,19 @@ def test_deep_nesting_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("provalign: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("opener,closer", [("[ ex:p ", " ]"), ("( ", " )")])
+def test_deep_nesting_is_a_parse_failure(tmp_path, capsys, opener, closer):
+    depth = 3000
+    deep = tmp_path / "deep.ttl"
+    deep.write_text("@prefix ex: <http://example.org/> .\nex:a ex:p "
+                    + opener * depth + "ex:b" + closer * depth + " .\n")
+    assert run(["check-coherence", "--source", str(deep)]) == 2
+    column = len("ex:a ex:p ") + len(opener) * MAX_NESTING + 1
+    assert capsys.readouterr().err == (
+        f"provalign: error: parse failure in {deep}: 2:{column}: error: "
+        f"more than {MAX_NESTING} nested '[' or '('\n")
 
 
 def test_unexpected_exception_exits_two_with_one_line(monkeypatch, capsys):

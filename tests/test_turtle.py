@@ -1,9 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from provalign import vocab
 from provalign.fixtures import FIXTURE_NAMES, INSTANCE_NAMES, fixture_text
-from provalign.rdf import BlankNode, Literal, Triple, graph_isomorphic, iri
-from provalign.turtle import ParseDiagnostic, TurtleParseError, parse_turtle, serialize_turtle
+from provalign.rdf import BlankNode, Graph, Literal, Triple, graph_isomorphic, iri, new_scope
+from provalign.turtle import (
+    MAX_NESTING,
+    ParseDiagnostic,
+    TurtleParseError,
+    parse_turtle,
+    serialize_turtle,
+)
 
 PREFIXES = """
 @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
@@ -151,6 +159,125 @@ def test_diagnostic_position_points_at_offender():
         parse_turtle('@prefix ex: <http://e/> .\nex:s ex:p "oops .')
     diag = err.value.diagnostics[0]
     assert diag.line == 2
+
+
+EX = "@prefix ex: <http://e/> .\n"
+
+
+@pytest.mark.parametrize("doc,message,line,column", [
+    (EX + 'ex:s ex:p "oops .', "unterminated literal", 2, 11),
+    (EX + 'ex:s ex:p """never\nclosed" .', "unterminated literal", 2, 11),
+    (EX + 'ex:s ex:p "line\nbreak" .', "unterminated literal", 2, 11),
+    (EX + 'ex:s ex:p "\\u12G4" .', "bad \\u escape", 2, 14),
+    (EX + 'ex:s ex:p "\\U0001F60" .', "bad \\U escape", 2, 14),
+    (EX + 'ex:s ex:p "\\q" .', "unknown escape \\q", 2, 13),
+    (EX + "ex:s ex:p <http://e/\\n> .", "unknown escape \\n in IRI reference", 2, 22),
+    (EX + 'ex:s ex:p "abc\\', "unknown escape \\", 2, 16),
+    (EX + "ex:s ex:p <http://e/a b> .", "character ' ' not allowed inside IRI reference", 2, 22),
+    (EX + "ex:s ex:p <http://e/a", "unterminated IRI reference", 2, 11),
+    (EX + "_: ex:p ex:o .", "empty blank node label", 2, 1),
+    (EX + 'ex:s ex:p "x"@ .', "bad @ directive or language tag", 2, 14),
+    (EX + "<< ex:a ex:b ex:c >> ex:p ex:o .", "quoted triples are not supported", 2, 1),
+    (EX + "{ ex:a ex:b ex:c } .", "TriG graph blocks are not supported", 2, 1),
+    (EX + "ex:s ex:p ~ .", "unexpected character '~'", 2, 11),
+    (EX + "ex:s ex:p ex:o .\nfoo:s ex:p ex:o .", "unknown prefix 'foo' in 'foo:s'", 3, 1),
+    (EX + "ex:s ex:p <rel> .", "relative IRI 'rel' with no base", 2, 11),
+    ("@prefix ex: <http://e/> .\r\nex:s ex:p ex:o .\r\nex:s ex:p ex:o ~\r\n",
+     "unexpected character '~'", 3, 16),
+    # Columns count code points: a non-BMP character or a bare '\r' is one column.
+    (EX + 'ex:s ex:p "é\U0001F600\\u00e9" , ~ .', "unexpected character '~'", 2, 24),
+    (EX + "ex:s\rex:p ~ .", "unexpected character '~'", 2, 11),
+])
+def test_parse_error_positions(doc, message, line, column):
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(doc)
+    diag = err.value.diagnostics[0]
+    assert (diag.message, diag.line, diag.column) == (message, line, column)
+
+
+def _nested(opener, closer, depth):
+    return EX + "ex:s ex:p " + f"{opener} ex:p " * depth + "ex:o" + f" {closer}" * depth + " .\n"
+
+
+@pytest.mark.parametrize("opener,closer", [("[", "]"), ("(", ")")])
+def test_nesting_bound(opener, closer):
+    graph = parse_turtle(_nested(opener, closer, MAX_NESTING))
+    assert len(graph) > MAX_NESTING
+    siblings = ", ".join([f"{opener} ex:p ex:o {closer}"] * (MAX_NESTING + 1))
+    parse_turtle(EX + f"ex:s ex:p {siblings} .")
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(_nested(opener, closer, MAX_NESTING + 1))
+    diag = err.value.diagnostics[0]
+    assert diag.message == f"more than {MAX_NESTING} nested '[' or '('"
+    # The offending opener follows "ex:s ex:p " and MAX_NESTING "<opener> ex:p " runs.
+    assert (diag.line, diag.column) == (2, 11 + 7 * MAX_NESTING)
+
+
+def test_nesting_bound_counts_mixed_openers():
+    doc = EX + "ex:s ex:p " + "[ ex:p ( " * (MAX_NESTING // 2) + "ex:o" + " ) ]" * (MAX_NESTING // 2) + " .\n"
+    parse_turtle(doc)
+    with pytest.raises(TurtleParseError):
+        parse_turtle(doc.replace("ex:o", "[ ex:p ex:o ]"))
+
+
+# IRIREF characters: anything but controls, space, '<>"{}|^`' and backslash.
+_IRI_CHARS = st.characters(blacklist_characters='<>"{}|^`\\', min_codepoint=0x21,
+                           blacklist_categories=("Cs",))
+_NAMESPACES = {"ex": "http://example.org/ns#", "exs": "http://example.org/ns#sub/",
+               "": "urn:x:"}
+_iris = st.builds(
+    lambda ns, local: iri(ns + local),
+    st.sampled_from(sorted(_NAMESPACES.values()) + ["http://other.example/"]),
+    st.text(st.sampled_from("aZ09_.-"), max_size=6) | st.text(_IRI_CHARS),
+)
+_texts = st.text(st.sampled_from('\\"\'\n\r\t\b\f\x00\x1f\x7f a.é\U0001F600') | st.characters(
+    blacklist_categories=("Cs",)))
+_sign = st.sampled_from(["", "+", "-"])
+_digits = st.text("0123456789", min_size=1, max_size=4)
+_numbers = st.one_of(
+    st.builds(lambda s, i: Literal(s + i, datatype=vocab.XSD_INTEGER), _sign, _digits),
+    st.builds(lambda s, i, f: Literal(f"{s}{i}.{f}", datatype=vocab.XSD_DECIMAL),
+              _sign, st.text("0123456789", max_size=3), _digits),
+    st.builds(lambda s, i, es, e: Literal(f"{s}{i}.{i}e{es}{e}", datatype=vocab.XSD_DOUBLE),
+              _sign, _digits, _sign, _digits),
+    st.builds(Literal, st.sampled_from(["true", "false"]), st.just(vocab.XSD_BOOLEAN)),
+)
+_lang_tags = st.builds(lambda primary, sub: primary + sub,
+                       st.text(st.sampled_from("abcXYZ"), min_size=1, max_size=8),
+                       st.sampled_from(["", "-GB", "-419", "-Latn-x1"]))
+_literals = st.one_of(
+    st.builds(Literal, _texts, st.just(vocab.XSD_STRING)),
+    st.builds(lambda s, tag: Literal(s, language=tag), _texts, _lang_tags),
+    st.builds(Literal, _texts, st.sampled_from(
+        [vocab.XSD_INTEGER, vocab.XSD_DECIMAL, vocab.XSD_BOOLEAN, vocab.XSD_DATETIME,
+         "http://example.org/ns#dt"])),
+    _numbers,
+)
+
+
+@st.composite
+def _graphs(draw):
+    scope = new_scope()
+    nodes = st.builds(lambda i: BlankNode(f"n{i}", scope), st.integers(0, 3))
+    graph = Graph(prefixes=_NAMESPACES)
+    for s, p, o in draw(st.lists(st.tuples(_iris | nodes, _iris, _iris | nodes | _literals),
+                                 max_size=8)):
+        graph.add(Triple(s, p, o))
+    return graph
+
+
+def _one_triple(obj):
+    graph = Graph(prefixes=_NAMESPACES)
+    graph.add(Triple(iri("http://example.org/ns#s"), iri("http://example.org/ns#p"), obj))
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+@example(_one_triple(Literal(".5", datatype=vocab.XSD_DECIMAL)))
+@example(_one_triple(Literal("5\n", datatype=vocab.XSD_INTEGER)))
+def test_serialize_parse_round_trip(graph):
+    assert graph_isomorphic(parse_turtle(serialize_turtle(graph)), graph)
 
 
 @pytest.mark.parametrize("name", list(FIXTURE_NAMES) + list(INSTANCE_NAMES))
