@@ -4,10 +4,11 @@ The engine precomputes a subsumption closure over every class expression
 occurring in the loaded axioms (asserted subsumptions and equivalences,
 intersection decomposition and composition, union introduction, and the
 union-subclass rule "a union is below anything all its operands are below").
-Instance reasoning then propagates memberships along that closure and applies
-the Horn-style rules for property hierarchy, inverses, domains and ranges,
-existential restrictions (with depth-bounded skolem witnesses), property
-chains, and SWRL rules, to fixpoint.
+Instance reasoning then propagates memberships along that closure, applies the
+property hierarchy, inverses, domains and ranges as each fact arrives, adds
+depth-bounded skolem witnesses for existential restrictions, and evaluates
+intersection composition, existential membership, property chains and SWRL
+rules as Horn rules in one indexed join, to fixpoint.
 
 There is deliberately no instance-level case split on unions: the engine is
 sound but incomplete relative to OWL 2 DL, which is sufficient for the clash
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import vocab
 from .owl import (
+    Atom,
     Axiom,
     ClassAtom,
     ClassExpression,
@@ -32,9 +34,9 @@ from .owl import (
     NamedClass,
     NamedProperty,
     OntologyModel,
+    PropertyAtom,
     PropertyExpression,
     SomeValuesFrom,
-    SwrlRule,
     UnionOf,
     extract_axioms,
     render_class_expression,
@@ -96,6 +98,8 @@ def _ce_key(ce: ClassExpression) -> str:
 # ---------------------------------------------------------------------------
 
 PropKey = Tuple[str, bool]  # (property IRI, inverted?)
+# An instance rule: (trace label, trace detail, body atoms, head atoms).
+Rule = Tuple[str, str, Tuple[Atom, ...], Tuple[Atom, ...]]
 
 
 def _prop_key(pe: PropertyExpression) -> PropKey:
@@ -131,14 +135,9 @@ class TBoxIndex:
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
         self.prop_keys: Set[PropKey] = set()
-        self.chains: List[Tuple[Tuple[PropKey, ...], PropKey]] = []
-        self.rules: List[SwrlRule] = []
-        self.gated_intersections: List[Intersection] = []
         self._load(models)
         self._close_classes()
         self._close_properties()
-        self.existentials: List[SomeValuesFrom] = sorted(
-            (e for e in self.universe if isinstance(e, SomeValuesFrom)), key=_ce_key)
         self.complements: List[Complement] = sorted(
             (e for e in self.universe if isinstance(e, Complement)), key=_ce_key)
 
@@ -167,13 +166,11 @@ class TBoxIndex:
         if pair[0] != pair[1]:
             self.disjoint_pairs.add(pair)  # type: ignore[arg-type]
 
-    def _gate(self, ce: ClassExpression) -> None:
-        if isinstance(ce, Intersection) and ce not in self.gated_intersections:
-            self.gated_intersections.append(ce)
-
     def _load(self, models: Sequence[OntologyModel]) -> None:
+        gated: Dict[Intersection, None] = {}
+        chains: List[Rule] = []
+        swrl: List[Rule] = []
         for model in models:
-            self.rules.extend(model.rules)
             for ax in model.axioms:
                 kind, args = ax.kind, ax.args
                 if kind == "sub-class-of":
@@ -183,7 +180,7 @@ class TBoxIndex:
                     self._see(args[0]); self._see(args[1])
                     self._edge(args[0], args[1])
                     self._edge(args[1], args[0])
-                    self._gate(args[0]); self._gate(args[1])
+                    gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
                 elif kind == "disjoint-classes":
                     self._see(args[0]); self._see(args[1])
                     self._mark_disjoint(args[0], args[1])
@@ -217,21 +214,24 @@ class TBoxIndex:
                     name, inverted = _prop_key(p)
                     (self.domains if inverted else self.ranges).setdefault(name, []).append(c)
                 elif kind == "property-chain":
-                    links = tuple(_prop_key(pe) for pe in args[0])
-                    self.chains.append((links, _prop_key(args[1])))
-                    for pe in args[0]:
-                        self._see_prop(pe)
-                    self._see_prop(args[1])
+                    chains.append(("property-chain", f"chain into {_prop_key(args[1])[0]}",
+                                   tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
+                                         for i, pe in enumerate(args[0])),
+                                   (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
                 elif kind == "class-assertion":
                     self._see(args[1])
                 elif kind == "property-assertion":
                     self._see_prop(args[0])
             for rule in model.rules:
-                for atom in rule.body + rule.head:
-                    if isinstance(atom, ClassAtom):
-                        self._see(atom.cls)
-                    else:
-                        self._see_prop(atom.prop)
+                comment = next((value.lexical for pred, value in rule.annotations
+                                if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
+                swrl.append((f"swrl-rule-{len(swrl) + 1}", comment, rule.body, rule.head))
+        for _, _, body, head in chains + swrl:
+            for atom in body + head:
+                if isinstance(atom, ClassAtom):
+                    self._see(atom.cls)
+                else:
+                    self._see_prop(atom.prop)
 
         # Structural edges and disjointness contributed by expression shapes.
         for ce in list(self.universe):
@@ -249,6 +249,18 @@ class TBoxIndex:
             values.sort(key=_ce_key)
         for values in self.ranges.values():
             values.sort(key=_ce_key)
+
+        # Instance rules, in firing order: intersection composition, existential
+        # membership, property chains, then SWRL rules.
+        self.rules: List[Rule] = [
+            ("intersection-composition", "", tuple(ClassAtom(op, "x") for op in ce.operands),
+             (ClassAtom(ce, "x"),)) for ce in gated]
+        self.rules += [("existential-membership", "",
+                        (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
+                        (ClassAtom(ce, "x"),))
+                       for ce in sorted((e for e in self.universe if isinstance(e, SomeValuesFrom)),
+                                        key=_ce_key)]
+        self.rules += chains + swrl
 
     # -- closures --------------------------------------------------------------
 
@@ -309,7 +321,6 @@ class TBoxIndex:
                 if not extra <= current:
                     current |= extra
                     changed = True
-        self._prop_reach = reach
         self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
         for key, sups in reach.items():
             name, inverted = key
@@ -406,6 +417,10 @@ class _Engine:
         self.memberships: Dict[Term, Set[ClassExpression]] = {}
         self.prop_set: Set[Tuple[str, Term, Term]] = set()
         self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
+        # Join indexes, in insertion order: the members of each class expression,
+        # and the prop_index positions of each (property, inverted?, subject).
+        self.members_of: Dict[ClassExpression, List[Term]] = {}
+        self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
         self.traces: Dict[FactKey, Trace] = {}
         self.depths: Dict[Term, int] = {}
         self.skolem_memo: Set[Tuple[Term, SomeValuesFrom]] = set()
@@ -429,6 +444,7 @@ class _Engine:
         def expand(ce, rule, premises, detail):
             self._bump()
             members.add(ce)
+            self.members_of.setdefault(ce, []).append(x)
             self.traces[class_fact(x, ce)] = Trace(rule, premises, detail)
             premise = (class_fact(x, ce),)
             for sup in self.tbox.supers(ce):
@@ -448,7 +464,10 @@ class _Engine:
                 return
             self._bump()
             self.prop_set.add((name, s, o))
-            self.prop_index.setdefault(name, []).append((s, o))
+            facts = self.prop_index.setdefault(name, [])
+            self.links.setdefault((name, False, s), []).append(len(facts))
+            self.links.setdefault((name, True, o), []).append(len(facts))
+            facts.append((s, o))
             self.traces[prop_fact(name, s, o)] = Trace(rule, premises, detail)
             premise = (prop_fact(name, s, o),)
             for sup in self.tbox.named_prop_supers(name):
@@ -467,27 +486,11 @@ class _Engine:
 
     # -- rule passes -----------------------------------------------------------
 
-    def _pass_compose_intersections(self) -> bool:
-        changed = False
-        for inter in self.tbox.gated_intersections:
-            ops = inter.operands
-            for x in list(self.memberships.keys()):
-                members = self.memberships[x]
-                if inter in members:
-                    continue
-                if all(op in members for op in ops):
-                    premises = tuple(class_fact(x, op) for op in ops)
-                    changed |= self.add_class(x, inter, "intersection-composition", premises)
-        return changed
-
     def _pass_skolemize(self) -> bool:
         changed = False
-        pending: List[Tuple[Term, SomeValuesFrom]] = []
-        for x in list(self.memberships.keys()):
-            for ce in self.memberships[x]:
-                if isinstance(ce, SomeValuesFrom) and (x, ce) not in self.skolem_memo:
-                    pending.append((x, ce))
-        pending.sort(key=lambda pair: (term_sort_key(pair[0]), _ce_key(pair[1])))
+        pending = sorted(((x, ce) for x, members in self.memberships.items() for ce in members
+                          if isinstance(ce, SomeValuesFrom) and (x, ce) not in self.skolem_memo),
+                         key=lambda pair: (term_sort_key(pair[0]), _ce_key(pair[1])))
         for x, ce in pending:
             self.skolem_memo.add((x, ce))
             depth = self.depths.get(x, 0) + 1
@@ -498,127 +501,84 @@ class _Engine:
                 (repr(term_sort_key(x)) + "|" + _ce_key(ce)).encode("utf-8")).hexdigest()[:16]
             witness = Iri("urn:skolem:" + digest)
             self.depths[witness] = depth
-            premise = (class_fact(x, ce),)
+            premise, detail = (class_fact(x, ce),), f"witness for {_ce_key(ce)}"
             name, inverted = _prop_key(ce.prop)
-            if inverted:
-                changed |= self.add_prop(name, witness, x, "existential-witness", premise,
-                                         detail=f"witness for {_ce_key(ce)}")
-            else:
-                changed |= self.add_prop(name, x, witness, "existential-witness", premise,
-                                         detail=f"witness for {_ce_key(ce)}")
-            changed |= self.add_class(witness, ce.filler, "existential-witness", premise,
-                                      detail=f"witness for {_ce_key(ce)}")
+            s, o = (witness, x) if inverted else (x, witness)
+            changed |= self.add_prop(name, s, o, "existential-witness", premise, detail)
+            changed |= self.add_class(witness, ce.filler, "existential-witness", premise, detail)
         return changed
 
-    def _pass_existential_membership(self) -> bool:
-        # p(x, y) and y : D  =>  x : (p some D), for restrictions in the universe.
-        changed = False
-        for ce in self.tbox.existentials:
-            name, inverted = _prop_key(ce.prop)
-            facts = self.prop_index.get(name, ())
-            for s, o in list(facts):
-                x, y = (o, s) if inverted else (s, o)
-                if isinstance(y, Literal) or isinstance(x, Literal):
-                    continue
-                if ce in self.memberships.get(x, ()):
-                    continue
-                if ce.filler in self.memberships.get(y, ()):
-                    premises = (prop_fact(name, s, o), class_fact(y, ce.filler))
-                    changed |= self.add_class(x, ce, "existential-membership", premises)
-        return changed
+    def _pass_join(self) -> bool:
+        """Fire each instance rule, in order, for every way its body holds.
 
-    def _pass_chains(self) -> bool:
+        Body atoms are matched depth first, in body order. A rule whose first atom
+        has no facts is skipped. Class facts are read as they stand; property
+        facts as they stood when the rule's turn began, so a rule joins its own
+        property conclusions only in the next round.
+        """
         changed = False
-        for links, sup in self.tbox.chains:
-            # walks: (start, current end, premise facts)
-            walks: List[Tuple[Term, Term, Tuple[FactKey, ...]]] = []
-            first_name, first_inv = links[0]
-            for s, o in list(self.prop_index.get(first_name, ())):
-                x, y = (o, s) if first_inv else (s, o)
-                walks.append((x, y, (prop_fact(first_name, s, o),)))
-            for name, inverted in links[1:]:
-                next_walks: List[Tuple[Term, Term, Tuple[FactKey, ...]]] = []
-                facts = list(self.prop_index.get(name, ()))
-                for x, y, premises in walks:
-                    for s, o in facts:
-                        a, b = (o, s) if inverted else (s, o)
-                        if a == y:
-                            next_walks.append((x, b, premises + (prop_fact(name, s, o),)))
-                walks = next_walks
-            sup_name, sup_inv = sup
-            for x, z, premises in walks:
-                if isinstance(x, Literal) or isinstance(z, Literal):
+        for label, detail, body, head in self.tbox.rules:
+            first = body[0]
+            if (first.cls not in self.members_of if isinstance(first, ClassAtom)
+                    else _prop_key(first.prop)[0] not in self.prop_index):
+                continue
+            names = {_prop_key(atom.prop)[0] for atom in body if isinstance(atom, PropertyAtom)}
+            limits = {name: len(self.prop_index.get(name, ())) for name in names}
+            stack = [self._extend(first, {}, (), limits)]
+            while stack:
+                step = next(stack[-1], None)
+                if step is None:
+                    stack.pop()
                     continue
-                s, o = (z, x) if sup_inv else (x, z)
-                changed |= self.add_prop(sup_name, s, o, "property-chain", premises,
-                                         detail=f"chain into {sup_name}")
-        return changed
-
-    def _pass_swrl(self) -> bool:
-        changed = False
-        for index, rule in enumerate(self.tbox.rules):
-            label = ""
-            for pred, value in rule.annotations:
-                if pred == vocab.RDFS_COMMENT and isinstance(value, Literal):
-                    label = value.lexical
-                    break
-            bindings: List[Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = [({}, ())]
-            for atom in rule.body:
-                next_bindings: List[Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = []
-                if isinstance(atom, ClassAtom):
-                    for binding, premises in bindings:
-                        bound = binding.get(atom.var)
-                        if bound is not None:
-                            if atom.cls in self.memberships.get(bound, ()):
-                                next_bindings.append(
-                                    (binding, premises + (class_fact(bound, atom.cls),)))
-                        else:
-                            for x in sorted(self.memberships.keys(), key=term_sort_key):
-                                if atom.cls in self.memberships[x]:
-                                    nb = dict(binding)
-                                    nb[atom.var] = x
-                                    next_bindings.append(
-                                        (nb, premises + (class_fact(x, atom.cls),)))
-                else:
-                    name, inverted = _prop_key(atom.prop)
-                    facts = sorted(self.prop_index.get(name, ()),
-                                   key=lambda so: (term_sort_key(so[0]), term_sort_key(so[1])))
-                    for binding, premises in bindings:
-                        for s, o in facts:
-                            a, b = (o, s) if inverted else (s, o)
-                            if binding.get(atom.var1, a) != a or binding.get(atom.var2, b) != b:
-                                continue
-                            nb = dict(binding)
-                            nb[atom.var1] = a
-                            nb[atom.var2] = b
-                            next_bindings.append((nb, premises + (prop_fact(name, s, o),)))
-                bindings = next_bindings
-                if not bindings:
-                    break
-            rule_name = f"swrl-rule-{index + 1}"
-            for binding, premises in bindings:
-                for atom in rule.head:
+                binding, premises = step
+                if len(premises) < len(body):
+                    stack.append(self._extend(body[len(premises)], binding, premises, limits))
+                    continue
+                for atom in head:
                     if isinstance(atom, ClassAtom):
-                        changed |= self.add_class(binding[atom.var], atom.cls,
-                                                  rule_name, premises, detail=label)
-                    else:
-                        name, inverted = _prop_key(atom.prop)
-                        a, b = binding[atom.var1], binding[atom.var2]
-                        s, o = (b, a) if inverted else (a, b)
-                        if isinstance(s, Literal):
-                            continue
-                        changed |= self.add_prop(name, s, o, rule_name, premises, detail=label)
+                        changed |= self.add_class(binding[atom.var], atom.cls, label, premises, detail)
+                        continue
+                    name, inverted = _prop_key(atom.prop)
+                    a, b = binding[atom.var1], binding[atom.var2]
+                    s, o = (b, a) if inverted else (a, b)
+                    if not isinstance(s, Literal) and not isinstance(o, Literal):
+                        changed |= self.add_prop(name, s, o, label, premises, detail)
         return changed
+
+    def _extend(self, atom: Atom, binding: Dict[str, Term], premises: Tuple[FactKey, ...],
+                limits: Dict[str, int]) -> Iterator[Tuple[Dict[str, Term], Tuple[FactKey, ...]]]:
+        """Each extension of ``binding`` and ``premises`` by one fact that matches
+        ``atom``, in insertion order; ``limits`` caps each property's positions."""
+        if isinstance(atom, ClassAtom):
+            x = binding.get(atom.var)
+            if x is None:
+                for y in self.members_of.get(atom.cls, ()):
+                    yield {**binding, atom.var: y}, premises + (class_fact(y, atom.cls),)
+            elif atom.cls in self.memberships.get(x, ()):
+                yield binding, premises + (class_fact(x, atom.cls),)
+            return
+        name, inverted = _prop_key(atom.prop)
+        facts, limit = self.prop_index.get(name, ()), limits[name]
+        a, b = binding.get(atom.var1), binding.get(atom.var2)
+        if a is not None:
+            positions: Iterable[int] = self.links.get((name, inverted, a), ())
+        elif b is not None:
+            positions = self.links.get((name, not inverted, b), ())
+        else:
+            positions = range(limit)
+        for position in positions:
+            if position >= limit:
+                break
+            s, o = facts[position]
+            x, y = (o, s) if inverted else (s, o)
+            if binding.get(atom.var2, y) == y and (atom.var1 != atom.var2 or x == y):
+                yield {**binding, atom.var1: x, atom.var2: y}, premises + (prop_fact(name, s, o),)
 
     def run(self) -> None:
         changed = True
         while changed:
-            changed = False
-            changed |= self._pass_compose_intersections()
-            changed |= self._pass_skolemize()
-            changed |= self._pass_existential_membership()
-            changed |= self._pass_chains()
-            changed |= self._pass_swrl()
+            changed = self._pass_skolemize()
+            changed |= self._pass_join()
 
 
 def _close(models: Sequence[OntologyModel], tbox: TBoxIndex, skolem_depth: int,

@@ -68,8 +68,8 @@ _ESCAPES = {
     '"': '"', "'": "'", "\\": "\\",
 }
 
-# PN_LOCAL: word chars, digits, '-', ':', '%', '\' escapes; dots only medially.
-_LOCAL = r"(?:[\wÀ-￿\-:%]+|\.(?=[\wÀ-￿\-:%.])|\\[\s\S]?)*"
+# PN_LOCAL: word chars, digits, '-', ':', '%' HEX HEX, '\' escapes; dots only medially.
+_LOCAL = r"(?:[\wÀ-￿\-:]+|%[0-9A-Fa-f]{2}|\.(?=[\wÀ-￿\-:.]|%[0-9A-Fa-f]{2})|\\[\s\S]?)*"
 # A prefix label cannot end with '.'.
 _PREFIX = r"[A-Za-zÀ-￿](?:[\wÀ-￿.\-]*[\wÀ-￿\-])?"
 
@@ -131,6 +131,8 @@ class _Lexer:
         def decode(m: "re.Match[str]") -> str:
             esc = m.group(1)
             if len(esc) > 1:
+                if int(esc[1:], 16) > 0x10FFFF:
+                    self.error(f"escape \\{esc} is beyond U+10FFFF", offset + m.start())
                 return chr(int(esc[1:], 16))
             if esc in ("u", "U"):
                 self.error(f"bad \\{esc} escape", offset + m.end())

@@ -1,18 +1,23 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from provalign import reasoner, vocab
 from provalign.fixtures import load_model
 from provalign.owl import (
     Axiom,
+    ClassAtom,
     Intersection,
     NamedClass,
     NamedProperty,
     OntologyModel,
+    SomeValuesFrom,
     extract_axioms,
 )
-from provalign.rdf import Literal, iri
+from provalign.rdf import Literal, iri, term_sort_key
 from provalign.reasoner import (
     FactCapExceededError,
     UnknownFactError,
@@ -411,6 +416,7 @@ class RecursiveEngine(reasoner._Engine):
             return False
         self._bump()
         members.add(ce)
+        self.members_of.setdefault(ce, []).append(x)
         self.traces[class_fact(x, ce)] = reasoner.Trace(rule, premises, detail)
         for sup in self.tbox.supers(ce):
             if sup not in members:
@@ -423,7 +429,10 @@ class RecursiveEngine(reasoner._Engine):
             return False
         self._bump()
         self.prop_set.add((name, s, o))
-        self.prop_index.setdefault(name, []).append((s, o))
+        facts = self.prop_index.setdefault(name, [])
+        self.links.setdefault((name, False, s), []).append(len(facts))
+        self.links.setdefault((name, True, o), []).append(len(facts))
+        facts.append((s, o))
         self.traces[prop_fact(name, s, o)] = reasoner.Trace(rule, premises, detail)
         premise = (prop_fact(name, s, o),)
         for sup in self.tbox.named_prop_supers(name):
@@ -460,3 +469,243 @@ def test_has_prop_answers_from_the_closure():
     assert not kb.has_prop(EX + "r", iri(EX + "b"), iri(EX + "c"))
     assert not kb.has_prop(EX + "p", iri(EX + "a"), iri(EX + "c"))
     assert not kb.has_prop(EX + "missing", iri(EX + "a"), iri(EX + "b"))
+
+
+# -- instance rules: the one join against the five-pass engine -------------------
+
+SWRL_VARS = "ex:x a swrl:Variable . ex:y a swrl:Variable . ex:z a swrl:Variable .\n"
+
+
+def swrl_rule(comment, body, head):
+    """Turtle for one swrl:Imp; an atom is ("ex:C", "x") or ("ex:p", "x", "y")."""
+    def atom(a):
+        if len(a) == 2:
+            return f"[ a swrl:ClassAtom ; swrl:classPredicate {a[0]} ; swrl:argument1 ex:{a[1]} ]"
+        return (f"[ a swrl:IndividualPropertyAtom ; swrl:propertyPredicate {a[0]} ; "
+                f"swrl:argument1 ex:{a[1]} ; swrl:argument2 ex:{a[2]} ]")
+    return (f'[] a swrl:Imp ; rdfs:comment "{comment}" ;\n'
+            f"    swrl:body ( {' '.join(map(atom, body))} ) ;\n"
+            f"    swrl:head ( {' '.join(map(atom, head))} ) .\n")
+
+
+def ex(name):
+    return iri(EX + name)
+
+
+def test_join_traces_for_each_rule_kind():
+    kb = kb_of(SWRL_VARS + """
+    ex:I owl:equivalentClass [ owl:intersectionOf ( ex:A ex:B ex:C ) ] .
+    [ a owl:Restriction ; owl:onProperty [ owl:inverseOf ex:p ] ; owl:someValuesFrom ex:D ]
+        rdfs:subClassOf ex:E .
+    ex:t owl:propertyChainAxiom ( ex:p [ owl:inverseOf ex:r ] ex:s ) .
+    """ + swrl_rule("two steps", [("ex:p", "x", "y"), ("ex:q", "y", "z")], [("ex:g", "x", "z")]),
+        """ex:i a ex:A , ex:B , ex:C . ex:a a ex:D ; ex:p ex:b . ex:b ex:q ex:e .
+        ex:c ex:r ex:b ; ex:s ex:d .""")
+    a, b, c, d, e, i = (ex(n) for n in "abcdei")
+    named = {n: NamedClass(ex(n)) for n in "ABCD"}
+    inter = Intersection((named["A"], named["B"], named["C"]))
+    some = next(ce for ce in kb.tbox.universe if isinstance(ce, SomeValuesFrom))
+    assert kb.traces[class_fact(i, inter)] == reasoner.Trace(
+        "intersection-composition",
+        (class_fact(i, named["A"]), class_fact(i, named["B"]), class_fact(i, named["C"])))
+    assert kb.traces[class_fact(b, some)] == reasoner.Trace(
+        "existential-membership", (prop_fact(EX + "p", a, b), class_fact(a, named["D"])))
+    assert kb.traces[prop_fact(EX + "t", a, d)] == reasoner.Trace(
+        "property-chain",
+        (prop_fact(EX + "p", a, b), prop_fact(EX + "r", c, b), prop_fact(EX + "s", c, d)),
+        f"chain into {EX}t")
+    assert kb.traces[prop_fact(EX + "g", a, e)] == reasoner.Trace(
+        "swrl-rule-1", (prop_fact(EX + "p", a, b), prop_fact(EX + "q", b, e)), "two steps")
+
+
+def test_literal_heads_derive_nothing():
+    chain = kb_of("ex:t owl:propertyChainAxiom ( ex:p ex:q ) .",
+                  'ex:a ex:p ex:b . ex:b ex:q "1" .')
+    assert EX + "t" not in chain.prop_index
+    rules = kb_of(SWRL_VARS + swrl_rule("copy", [("ex:p", "x", "y")], [("ex:q", "x", "y")])
+                  + swrl_rule("type", [("ex:p", "x", "y")], [("ex:C", "x")]), 'ex:a ex:p "1" .')
+    assert EX + "q" not in rules.prop_index
+    assert rules.traces[class_fact(ex("a"), NamedClass(ex("C")))] == reasoner.Trace(
+        "swrl-rule-2", (prop_fact(EX + "p", ex("a"), Literal("1", datatype=vocab.XSD_STRING)),),
+        "type")
+
+
+def test_swrl_atom_with_one_variable_twice_matches_loops_only():
+    kb = kb_of(SWRL_VARS + swrl_rule("loop", [("ex:p", "x", "x")], [("ex:C", "x")]),
+               "ex:a ex:p ex:b . ex:c ex:p ex:c .")
+    assert not has_class(kb, EX + "a", EX + "C") and not has_class(kb, EX + "b", EX + "C")
+    assert has_class(kb, EX + "c", EX + "C")
+
+
+class FivePassEngine(reasoner._Engine):
+    """The engine as five full-rescan rule passes, as a reference for the join.
+
+    With ``as_parent`` its SWRL pass takes each atom's facts in term order and
+    lets a property head copy a literal object, as the five-pass engine did.
+    Without, it takes them in insertion order, which only decides which of
+    several derivations a trace records, and a literal head derives nothing,
+    as in the join.
+    """
+
+    def __init__(self, tbox, skolem_depth, fact_cap, models, as_parent):
+        super().__init__(tbox, skolem_depth, fact_cap)
+        self.as_parent = as_parent
+        self.gated = []
+        for model in models:
+            for ax in model.axioms:
+                if ax.kind == "equivalent-classes":
+                    self.gated += [ce for ce in ax.args
+                                   if isinstance(ce, Intersection) and ce not in self.gated]
+        self.existentials = sorted((ce for ce in tbox.universe if isinstance(ce, SomeValuesFrom)),
+                                   key=reasoner._ce_key)
+        self.chains = [(tuple(reasoner._prop_key(pe) for pe in ax.args[0]),
+                        reasoner._prop_key(ax.args[1]))
+                       for model in models for ax in model.axioms if ax.kind == "property-chain"]
+        self.swrl = [rule for model in models for rule in model.rules]
+
+    def run(self):
+        changed = True
+        while changed:
+            changed = self._pass_compose_intersections()
+            changed |= self._pass_skolemize()
+            changed |= self._pass_existential_membership()
+            changed |= self._pass_chains()
+            changed |= self._pass_swrl()
+
+    def _pass_compose_intersections(self):
+        changed = False
+        for inter in self.gated:
+            for x in list(self.memberships):
+                members = self.memberships[x]
+                if inter not in members and all(op in members for op in inter.operands):
+                    premises = tuple(class_fact(x, op) for op in inter.operands)
+                    changed |= self.add_class(x, inter, "intersection-composition", premises)
+        return changed
+
+    def _pass_existential_membership(self):
+        changed = False
+        for ce in self.existentials:
+            name, inverted = reasoner._prop_key(ce.prop)
+            for s, o in list(self.prop_index.get(name, ())):
+                x, y = (o, s) if inverted else (s, o)
+                if isinstance(x, Literal) or isinstance(y, Literal):
+                    continue
+                if ce not in self.memberships.get(x, ()) and ce.filler in self.memberships.get(y, ()):
+                    premises = (prop_fact(name, s, o), class_fact(y, ce.filler))
+                    changed |= self.add_class(x, ce, "existential-membership", premises)
+        return changed
+
+    def _pass_chains(self):
+        changed = False
+        for links, (sup, sup_inverted) in self.chains:
+            # walks: (start, current end, premise facts)
+            walks = []
+            first_name, first_inverted = links[0]
+            for s, o in list(self.prop_index.get(first_name, ())):
+                x, y = (o, s) if first_inverted else (s, o)
+                walks.append((x, y, (prop_fact(first_name, s, o),)))
+            for name, inverted in links[1:]:
+                facts = list(self.prop_index.get(name, ()))
+                walks = [(x, b, premises + (prop_fact(name, s, o),))
+                         for x, y, premises in walks for s, o in facts
+                         for a, b in [(o, s) if inverted else (s, o)] if a == y]
+            for x, z, premises in walks:
+                if not isinstance(x, Literal) and not isinstance(z, Literal):
+                    s, o = (z, x) if sup_inverted else (x, z)
+                    changed |= self.add_prop(sup, s, o, "property-chain", premises,
+                                             detail=f"chain into {sup}")
+        return changed
+
+    def _pass_swrl(self):
+        changed = False
+        for index, rule in enumerate(self.swrl):
+            label = next((value.lexical for pred, value in rule.annotations
+                          if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
+            bindings = [({}, ())]
+            for atom in rule.body:
+                extended = []
+                if isinstance(atom, ClassAtom):
+                    members = [f[1] for f in self.traces if f[0] == "class" and f[2] == atom.cls]
+                    if self.as_parent:
+                        members.sort(key=term_sort_key)
+                    for binding, premises in bindings:
+                        for x in ([binding[atom.var]] if atom.var in binding else members):
+                            if atom.cls in self.memberships.get(x, ()):
+                                extended.append(({**binding, atom.var: x},
+                                                 premises + (class_fact(x, atom.cls),)))
+                else:
+                    name, inverted = reasoner._prop_key(atom.prop)
+                    facts = list(self.prop_index.get(name, ()))
+                    if self.as_parent:
+                        facts.sort(key=lambda so: (term_sort_key(so[0]), term_sort_key(so[1])))
+                    for binding, premises in bindings:
+                        for s, o in facts:
+                            a, b = (o, s) if inverted else (s, o)
+                            if binding.get(atom.var1, a) == a and binding.get(atom.var2, b) == b \
+                                    and (atom.var1 != atom.var2 or a == b):
+                                extended.append(({**binding, atom.var1: a, atom.var2: b},
+                                                 premises + (prop_fact(name, s, o),)))
+                bindings = extended
+            for binding, premises in bindings:
+                for atom in rule.head:
+                    if isinstance(atom, ClassAtom):
+                        changed |= self.add_class(binding[atom.var], atom.cls,
+                                                  f"swrl-rule-{index + 1}", premises, label)
+                        continue
+                    name, inverted = reasoner._prop_key(atom.prop)
+                    a, b = binding[atom.var1], binding[atom.var2]
+                    s, o = (b, a) if inverted else (a, b)
+                    if not isinstance(s, Literal) and (self.as_parent or not isinstance(o, Literal)):
+                        changed |= self.add_prop(name, s, o, f"swrl-rule-{index + 1}",
+                                                 premises, label)
+        return changed
+
+
+ALL_RULE_KINDS = model_of(SWRL_VARS + """
+ex:I owl:equivalentClass [ owl:intersectionOf ( ex:A ex:B ex:C ) ] .
+[ a owl:Restriction ; owl:onProperty [ owl:inverseOf ex:p ] ; owl:someValuesFrom ex:D ]
+    rdfs:subClassOf ex:E .
+[ a owl:Restriction ; owl:onProperty ex:q ; owl:someValuesFrom ex:E ] rdfs:subClassOf ex:B .
+ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:s ; owl:someValuesFrom ex:D ] .
+ex:t owl:propertyChainAxiom ( ex:p [ owl:inverseOf ex:r ] ex:s ) .
+ex:p owl:propertyChainAxiom ( ex:p ex:p ) .
+ex:t rdfs:subPropertyOf ex:q .
+ex:r owl:inverseOf ex:u .
+ex:q rdfs:range ex:C .
+ex:u rdfs:domain ex:A .
+""" + swrl_rule("two steps", [("ex:p", "x", "y"), ("ex:q", "y", "z")], [("ex:r", "x", "z")])
+    + swrl_rule("class first", [("ex:E", "x"), ("ex:s", "x", "y")], [("ex:C", "y")]))
+
+_INDIVIDUALS = [f"ex:i{k}" for k in range(5)]
+_ASSERTIONS = st.one_of(
+    st.tuples(st.sampled_from(_INDIVIDUALS), st.just("a"),
+              st.sampled_from(["ex:A", "ex:B", "ex:C", "ex:D", "ex:E"])),
+    st.tuples(st.sampled_from(_INDIVIDUALS), st.sampled_from(["ex:p", "ex:q", "ex:r", "ex:s", "ex:u"]),
+              st.sampled_from(_INDIVIDUALS + ['"1"'])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ASSERTIONS, max_size=12))
+# Each example below fails an engine that breaks one ordering the five passes
+# kept: the join seeing its own property conclusions in the same turn, chains
+# before existentials, the join before skolemization, and a first property
+# atom taken subject by subject rather than in insertion order.
+@example([("ex:i1", "ex:p", "ex:i2"), ("ex:i2", "ex:p", "ex:i1"), ("ex:i2", "ex:r", "ex:i1"),
+          ("ex:i0", "ex:p", "ex:i1"), ("ex:i2", "ex:p", "ex:i0")])
+@example([("ex:i0", "a", "ex:A"), ("ex:i1", "a", "ex:D"), ("ex:i0", "ex:p", "ex:i3"),
+          ("ex:i1", "ex:p", "ex:i2"), ("ex:i2", "ex:p", "ex:i0"), ("ex:i3", "ex:q", "ex:i0")])
+@example([("ex:i0", "ex:p", "ex:i1"), ("ex:i0", "ex:r", "ex:i0"), ("ex:i1", "ex:p", "ex:i0")])
+@example([("ex:i0", "ex:p", "ex:i1"), ("ex:i0", "ex:q", "ex:i0"), ("ex:i1", "ex:p", "ex:i0")])
+def test_join_matches_five_pass_engine(assertions):
+    abox = parse_turtle(HEADER + "".join(f"{s} {p} {o} .\n" for s, p, o in assertions))
+    models = [ALL_RULE_KINDS, extract_axioms(abox)]
+    references = []
+    for as_parent in (True, False):
+        with mock.patch.object(reasoner, "_Engine", lambda tbox, depth, cap: FivePassEngine(
+                tbox, depth, cap, models, as_parent)):
+            references.append(materialize(models))
+
+    def closure(kb):
+        return kb.traces, kb.derived_count, kb.skolem_budget_exceeded
+
+    assert closure(materialize(models)) in [closure(reference) for reference in references]

@@ -137,6 +137,11 @@ def test_sparql_style_directives():
     assert Triple(iri("http://e/s"), iri("http://e/p"), iri("http://b/rel")) in g
 
 
+def test_percent_escapes_in_local_names():
+    g = parse_turtle("@prefix ex: <http://e/> .\nex:a%7A ex:p ex:b.%41 .")
+    assert Triple(iri("http://e/a%7A"), iri("http://e/p"), iri("http://e/b.%41")) in g
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ("ex:s ex:p ex:o .", "unknown prefix"),
     ('@prefix ex: <http://e/> . ex:s ex:p "unterminated .', "unterminated literal"),
@@ -187,6 +192,9 @@ EX = "@prefix ex: <http://e/> .\n"
     # Columns count code points: a non-BMP character or a bare '\r' is one column.
     (EX + 'ex:s ex:p "é\U0001F600\\u00e9" , ~ .', "unexpected character '~'", 2, 24),
     (EX + "ex:s\rex:p ~ .", "unexpected character '~'", 2, 11),
+    (EX + 'ex:s ex:p "\\U00110000" .', "escape \\U00110000 is beyond U+10FFFF", 2, 12),
+    # PLX allows '%' only before two hex digits.
+    (EX + "ex:a%zz ex:p ex:o .", "unexpected character '%'", 2, 5),
 ])
 def test_parse_error_positions(doc, message, line, column):
     with pytest.raises(TurtleParseError) as err:
