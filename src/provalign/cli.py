@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from . import vocab
-from .alignment import Alignment, _group, extract_mappings, export_sssom
+from .alignment import Alignment, NamespaceOverlapError, _group, extract_mappings, export_sssom
 from .checks import (
     alignment_stats,
     check_coherence,
@@ -26,7 +26,7 @@ from .checks import (
     report_text,
 )
 from .matcher import UnknownPropertyError, suggest_property_mappings
-from .owl import NamedClass, NamedProperty, OntologyModel, extract_axioms, merge_models
+from .owl import NamedClass, NamedProperty, OntologyModel, OwlError, extract_axioms, merge_models
 from .rdf import BlankNode, Graph, Literal, iri, new_scope
 from .reasoner import FactCapExceededError, entailed_taxonomy
 from .turtle import TurtleParseError, parse_turtle, serialize_turtle
@@ -113,7 +113,11 @@ class _Inputs:
     def models(self, paths: Sequence[str]) -> List[OntologyModel]:
         for p in paths:
             if p not in self._models:
-                self._models[p] = extract_axioms(_load_graph(p), source_label=os.path.basename(p))
+                graph = _load_graph(p)
+                try:
+                    self._models[p] = extract_axioms(graph, source_label=os.path.basename(p))
+                except OwlError as exc:
+                    raise UsageError(f"OWL extraction failure in {p}: {exc}") from exc
         return [self._models[p] for p in paths]
 
     @cached_property
@@ -128,7 +132,10 @@ class _Inputs:
     def alignment(self) -> Alignment:
         _require(self.args, "alignment", "source-ns", "target-ns")
         merged = merge_models(self.models(self.args.alignment), source_label="alignment")
-        return extract_mappings(merged, self.args.source_ns, self.args.target_ns)
+        try:
+            return extract_mappings(merged, self.args.source_ns, self.args.target_ns)
+        except NamespaceOverlapError as exc:
+            raise UsageError(f"cannot read the mappings in {', '.join(self.args.alignment)}: {exc}") from exc
 
     @cached_property
     def stack(self) -> List[OntologyModel]:

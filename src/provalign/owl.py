@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
 from .rdf import BlankNode, Graph, Iri, Literal, Term, Triple, iri, new_scope, term_sort_key, triple_sort_key
+from .turtle import MAX_NESTING
 
 
 class OwlError(Exception):
@@ -446,11 +447,15 @@ class _Extractor:
             items.append(first)
             node = rest
 
-    def class_expression(self, node: Term, _visiting: Optional[Set[Term]] = None) -> ClassExpression:
+    def class_expression(self, node: Term, _visiting: Optional[Set[Term]] = None,
+                         _depth: int = 0) -> ClassExpression:
+        """The expression rooted at ``node``, at most ``turtle.MAX_NESTING`` deep."""
         if isinstance(node, Literal):
             raise MalformedExpressionError("literal in class expression position")
         if isinstance(node, Iri):
             return NamedClass(node)
+        if _depth >= MAX_NESTING:
+            raise MalformedExpressionError(f"class expression nested deeper than {MAX_NESTING} levels")
         visiting = _visiting if _visiting is not None else set()
         if node in visiting:
             raise MalformedExpressionError("cyclic class expression structure")
@@ -461,7 +466,7 @@ class _Extractor:
             items = self.read_list(list_head)
             if not items:
                 raise MalformedExpressionError("empty operand list in class expression")
-            return tuple(self.class_expression(i, visiting) for i in items)
+            return tuple(self.class_expression(i, visiting, _depth + 1) for i in items)
 
         if vocab.OWL_INTERSECTION_OF in props:
             head = props[vocab.OWL_INTERSECTION_OF][0]
@@ -485,7 +490,7 @@ class _Extractor:
             operand = props[vocab.OWL_COMPLEMENT_OF][0]
             self.consume(node, vocab.OWL_COMPLEMENT_OF, operand)
             self._consume_expression_type(node)
-            return Complement(self.class_expression(operand, visiting))
+            return Complement(self.class_expression(operand, visiting, _depth + 1))
         if vocab.OWL_ON_PROPERTY in props:
             prop_node = props[vocab.OWL_ON_PROPERTY][0]
             filler = props.get(vocab.OWL_SOME_VALUES_FROM)
@@ -496,7 +501,7 @@ class _Extractor:
             self.consume(node, vocab.OWL_SOME_VALUES_FROM, filler[0])
             self._consume_expression_type(node)
             return SomeValuesFrom(self.property_expression(prop_node),
-                                  self.class_expression(filler[0], visiting))
+                                  self.class_expression(filler[0], visiting, _depth + 1))
         raise UnsupportedExpressionError("blank node does not root a supported class expression")
 
     def _consume_expression_type(self, node: Term) -> None:
@@ -505,14 +510,18 @@ class _Extractor:
                 self.consume(node, vocab.RDF_TYPE, obj)
 
     def property_expression(self, node: Term) -> PropertyExpression:
-        if isinstance(node, Iri):
-            return NamedProperty(node)
-        if isinstance(node, BlankNode):
+        """A named property under a chain of ``owl:inverseOf`` blank nodes, normalized."""
+        inverted, seen = False, set()
+        while isinstance(node, BlankNode) and node not in seen:
             inv = self.graph.object(node, vocab.OWL_INVERSE_OF)
-            if inv is not None:
-                self.consume(node, vocab.OWL_INVERSE_OF, inv)
-                return inverse_of(self.property_expression(inv))
-        raise MalformedExpressionError("node does not root a property expression")
+            if inv is None:
+                break
+            seen.add(node)
+            self.consume(node, vocab.OWL_INVERSE_OF, inv)
+            node, inverted = inv, not inverted
+        if not isinstance(node, Iri):
+            raise MalformedExpressionError("node does not root a property expression")
+        return inverse_of(NamedProperty(node)) if inverted else NamedProperty(node)
 
     # -- passes --------------------------------------------------------------
 

@@ -1,46 +1,31 @@
 """Forward-chaining materialization over the supported OWL fragment plus SWRL.
 
-The engine precomputes a subsumption closure over every class expression
-occurring in the loaded axioms (asserted subsumptions and equivalences,
-intersection decomposition and composition, union introduction, and the
-union-subclass rule "a union is below anything all its operands are below").
-Instance reasoning then propagates memberships along that closure, applies the
-property hierarchy, inverses, domains and ranges as each fact arrives, adds
-depth-bounded skolem witnesses for existential restrictions, and evaluates
+The engine precomputes a subsumption closure over every class expression in
+the loaded axioms (asserted subsumptions and equivalences, intersection
+decomposition and composition, union introduction, and "a union is below
+anything all its operands are below"). Each arriving fact then propagates
+through precompiled steps: superclasses, the property hierarchy, inverses,
+domains and ranges. Existential restrictions that no known successor already
+satisfies get depth-bounded skolem witnesses (a restricted chase), and
 intersection composition, existential membership, property chains and SWRL
-rules as Horn rules in one indexed join, to fixpoint.
+rules run as Horn rules in one indexed, semi-naive join, to fixpoint.
 
 There is deliberately no instance-level case split on unions: the engine is
-sound but incomplete relative to OWL 2 DL, which is sufficient for the clash
-patterns this toolkit checks. Every derived fact records the rule and premise
-facts that produced it, so verdicts can be explained.
+sound but incomplete relative to OWL 2 DL, which suffices for the clash
+patterns checked here. Every fact records the rule and premises behind it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import vocab
-from .owl import (
-    Atom,
-    Axiom,
-    ClassAtom,
-    ClassExpression,
-    Complement,
-    DisjointUnionOf,
-    Intersection,
-    NamedClass,
-    NamedProperty,
-    OntologyModel,
-    PropertyAtom,
-    PropertyExpression,
-    SomeValuesFrom,
-    UnionOf,
-    extract_axioms,
-    render_class_expression,
-)
+from .owl import (Atom, Axiom, ClassAtom, ClassExpression, Complement, DisjointUnionOf, Intersection,
+                  NamedClass, NamedProperty, OntologyModel, PropertyAtom, PropertyExpression,
+                  SomeValuesFrom, UnionOf, extract_axioms, render_class_expression)
 from .rdf import Graph, Iri, Literal, Term, term_sort_key
 
 
@@ -114,13 +99,10 @@ def _flip(key: PropKey) -> PropKey:
 
 def _subexpressions(ce: ClassExpression) -> Iterable[ClassExpression]:
     yield ce
-    if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
-        for op in ce.operands:
-            yield from _subexpressions(op)
-    elif isinstance(ce, Complement):
-        yield from _subexpressions(ce.operand)
-    elif isinstance(ce, SomeValuesFrom):
-        yield from _subexpressions(ce.filler)
+    for sub in (ce.operands if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)) else
+                (ce.operand,) if isinstance(ce, Complement) else
+                (ce.filler,) if isinstance(ce, SomeValuesFrom) else ()):
+        yield from _subexpressions(sub)
 
 
 class TBoxIndex:
@@ -134,7 +116,7 @@ class TBoxIndex:
         self.ranges: Dict[str, List[ClassExpression]] = {}
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
-        self.prop_keys: Set[PropKey] = set()
+        self._prop_steps: Dict[str, Tuple[Tuple[object, bool, str, str], ...]] = {}
         self._load(models)
         self._close_classes()
         self._close_properties()
@@ -144,15 +126,7 @@ class TBoxIndex:
     # -- loading -------------------------------------------------------------
 
     def _see(self, ce: ClassExpression) -> None:
-        for sub in _subexpressions(ce):
-            self.universe.add(sub)
-            if isinstance(sub, SomeValuesFrom):
-                self._see_prop(sub.prop)
-
-    def _see_prop(self, pe: PropertyExpression) -> None:
-        key = _prop_key(pe)
-        self.prop_keys.add(key)
-        self.prop_keys.add(_flip(key))
+        self.universe.update(_subexpressions(ce))
 
     def _edge(self, a: ClassExpression, b: ClassExpression) -> None:
         self.edges.setdefault(a, set()).add(b)
@@ -170,49 +144,43 @@ class TBoxIndex:
         gated: Dict[Intersection, None] = {}
         chains: List[Rule] = []
         swrl: List[Rule] = []
+        # Each model's class and property assertions, kept for every closure.
+        self._assertions: List[Tuple[OntologyModel, List[Axiom]]] = []
         for model in models:
+            kept: List[Axiom] = []
+            self._assertions.append((model, kept))
             for ax in model.axioms:
                 kind, args = ax.kind, ax.args
-                if kind == "sub-class-of":
+                if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
                     self._see(args[0]); self._see(args[1])
-                    self._edge(args[0], args[1])
-                elif kind == "equivalent-classes":
-                    self._see(args[0]); self._see(args[1])
-                    self._edge(args[0], args[1])
-                    self._edge(args[1], args[0])
-                    gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
-                elif kind == "disjoint-classes":
-                    self._see(args[0]); self._see(args[1])
-                    self._mark_disjoint(args[0], args[1])
+                    if kind == "disjoint-classes":
+                        self._mark_disjoint(args[0], args[1])
+                    else:
+                        self._edge(args[0], args[1])
+                    if kind == "equivalent-classes":
+                        self._edge(args[1], args[0])
+                        gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
                 elif kind == "disjoint-union":
                     union = DisjointUnionOf(args[1])
                     self._see(args[0]); self._see(union)
                     self._edge(args[0], union)
                     self._edge(union, args[0])
-                elif kind == "sub-property-of":
-                    self._prop_edge(_prop_key(args[0]), _prop_key(args[1]))
-                    self._see_prop(args[0]); self._see_prop(args[1])
-                elif kind == "equivalent-properties":
+                elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
                     a, b = _prop_key(args[0]), _prop_key(args[1])
-                    self._prop_edge(a, b); self._prop_edge(b, a)
-                    self._see_prop(args[0]); self._see_prop(args[1])
-                elif kind == "inverse-properties":
-                    a, b = _prop_key(args[0]), _prop_key(args[1])
-                    self._prop_edge(_flip(a), b); self._prop_edge(b, _flip(a))
-                    self._see_prop(args[0]); self._see_prop(args[1])
-                    if not a[1] and not b[1]:
+                    if kind == "inverse-properties":
+                        a = _flip(a)
+                    self._prop_edge(a, b)
+                    if kind != "sub-property-of":
+                        self._prop_edge(b, a)
+                    if kind == "inverse-properties" and a[1] and not b[1]:
                         self.inverse_pairs.setdefault(a[0], set()).add(b[0])
                         self.inverse_pairs.setdefault(b[0], set()).add(a[0])
-                elif kind == "property-domain":
+                elif kind in ("property-domain", "property-range"):
                     p, c = args
-                    self._see(c); self._see_prop(p)
+                    self._see(c)
                     name, inverted = _prop_key(p)
-                    (self.ranges if inverted else self.domains).setdefault(name, []).append(c)
-                elif kind == "property-range":
-                    p, c = args
-                    self._see(c); self._see_prop(p)
-                    name, inverted = _prop_key(p)
-                    (self.domains if inverted else self.ranges).setdefault(name, []).append(c)
+                    ranges = (kind == "property-range") != inverted
+                    (self.ranges if ranges else self.domains).setdefault(name, []).append(c)
                 elif kind == "property-chain":
                     chains.append(("property-chain", f"chain into {_prop_key(args[1])[0]}",
                                    tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
@@ -220,8 +188,9 @@ class TBoxIndex:
                                    (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
                 elif kind == "class-assertion":
                     self._see(args[1])
+                    kept.append(ax)
                 elif kind == "property-assertion":
-                    self._see_prop(args[0])
+                    kept.append(ax)
             for rule in model.rules:
                 comment = next((value.lexical for pred, value in rule.annotations
                                 if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
@@ -230,8 +199,6 @@ class TBoxIndex:
             for atom in body + head:
                 if isinstance(atom, ClassAtom):
                     self._see(atom.cls)
-                else:
-                    self._see_prop(atom.prop)
 
         # Structural edges and disjointness contributed by expression shapes.
         for ce in list(self.universe):
@@ -242,12 +209,10 @@ class TBoxIndex:
                 for op in ce.operands:
                     self._edge(op, ce)
                 if isinstance(ce, DisjointUnionOf):
-                    for i in range(len(ce.operands)):
-                        for j in range(i + 1, len(ce.operands)):
-                            self._mark_disjoint(ce.operands[i], ce.operands[j])
-        for values in self.domains.values():
-            values.sort(key=_ce_key)
-        for values in self.ranges.values():
+                    for i, a in enumerate(ce.operands):
+                        for b in ce.operands[i + 1:]:
+                            self._mark_disjoint(a, b)
+        for values in [*self.domains.values(), *self.ranges.values()]:
             values.sort(key=_ce_key)
 
         # Instance rules, in firing order: intersection composition, existential
@@ -261,6 +226,11 @@ class TBoxIndex:
                        for ce in sorted((e for e in self.universe if isinstance(e, SomeValuesFrom)),
                                         key=_ce_key)]
         self.rules += chains + swrl
+        # Trigger index: the rules that read each class expression or property.
+        self.readers: Dict[object, Tuple[int, ...]] = {}
+        for index, (_, _, body, _) in enumerate(self.rules):
+            for predicate in {a.cls if isinstance(a, ClassAtom) else _prop_key(a.prop)[0] for a in body}:
+                self.readers[predicate] = self.readers.get(predicate, ()) + (index,)
 
     # -- closures --------------------------------------------------------------
 
@@ -303,31 +273,20 @@ class TBoxIndex:
                     for y in [y for y in reach[b] if all(y in reach[op] for op in u.operands)]:
                         link(u, y)
         self._reach = reach
-        keys = {ce: _ce_key(ce) for ce in self.universe}
+        self._keys = keys = {ce: _ce_key(ce) for ce in self.universe}
         self._supers_sorted: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {
             ce: tuple(sorted(sups - {ce}, key=keys.__getitem__)) for ce, sups in reach.items()}
 
     def _close_properties(self) -> None:
-        reach: Dict[PropKey, Set[PropKey]] = {
-            k: {k} | self.prop_edges.get(k, set()) for k in set(self.prop_edges) | self.prop_keys}
-        changed = True
-        while changed:
-            changed = False
-            for k in reach:
-                current = reach[k]
-                extra: Set[PropKey] = set()
-                for sup in current:
-                    extra |= reach.get(sup, set())
-                if not extra <= current:
-                    current |= extra
-                    changed = True
         self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
-        for key, sups in reach.items():
-            name, inverted = key
-            if inverted:
-                continue
-            named = sorted(q for q, inv in sups if not inv and q != name)
-            self._named_prop_supers[name] = tuple(named)
+        for key in [k for k in self.prop_edges if not k[1]]:
+            reach, stack = {key}, [key]
+            while stack:
+                for sup in self.prop_edges.get(stack.pop(), ()):
+                    if sup not in reach:
+                        reach.add(sup)
+                        stack.append(sup)
+            self._named_prop_supers[key[0]] = tuple(sorted(q for q, inv in reach if not inv and q != key[0]))
 
     # -- queries ---------------------------------------------------------------
 
@@ -342,6 +301,32 @@ class TBoxIndex:
 
     def named_prop_supers(self, name: str) -> Tuple[str, ...]:
         return self._named_prop_supers.get(name, ())
+
+    def key(self, ce: ClassExpression) -> str:
+        """``_ce_key(ce)``, rendered once per universe expression."""
+        return self._keys.get(ce) or _ce_key(ce)
+
+    def prop_steps(self, name: str) -> Tuple[Tuple[object, bool, str, str], ...]:
+        """What a fact of property ``name`` propagates to, in order, as (property
+        or class, onto the flipped pair or the object?, rule, trace detail): its
+        super-properties, inverses, domains and ranges."""
+        steps = self._prop_steps.get(name)
+        if steps is None:
+            steps = self._prop_steps[name] = tuple(
+                [(sup, False, "subproperty", f"{name} is below {sup}") for sup in self.named_prop_supers(name)]
+                + [(q, True, "inverse", f"{q} is the inverse of {name}")
+                   for q in sorted(self.inverse_pairs.get(name, ()))]
+                + [(c, False, "domain", f"domain of {name}") for c in self.domains.get(name, ())]
+                + [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())])
+        return steps
+
+    def assertions(self, models: Sequence[OntologyModel]) -> Iterator[Axiom]:
+        """The class and property assertions of ``models``, in order; the models
+        this index was built from are not rescanned."""
+        for model in models:
+            kept = next((axioms for known, axioms in self._assertions if known is model), None)
+            yield from kept if kept is not None else (
+                ax for ax in model.axioms if ax.kind in ("class-assertion", "property-assertion"))
 
     def named_classes(self) -> List[NamedClass]:
         return sorted((ce for ce in self.universe if isinstance(ce, NamedClass)
@@ -371,18 +356,28 @@ class Clash:
                 tuple(_ce_key(p) for p in self.participants))
 
 
-@dataclass
 class ClosedKB:
     """Fixpoint of asserted plus derived facts, with derivation traces."""
 
-    tbox: TBoxIndex
-    memberships: Dict[Term, Set[ClassExpression]]
-    prop_index: Dict[str, List[Tuple[Term, Term]]]
-    prop_set: Set[Tuple[str, Term, Term]]
-    traces: Dict[FactKey, Trace]
-    skolem_depths: Dict[Term, int]
-    skolem_budget_exceeded: bool
-    derived_count: int
+    def __init__(self, tbox: TBoxIndex, skolem_depth: int, fact_cap: int):
+        self.tbox = tbox
+        self.max_depth = skolem_depth
+        self.fact_cap = fact_cap
+        self.memberships: Dict[Term, Set[ClassExpression]] = {}
+        self.prop_set: Set[Tuple[str, Term, Term]] = set()
+        self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
+        self.traces: Dict[FactKey, Trace] = {}
+        self.skolem_depths: Dict[Term, int] = {}
+        self.skolem_budget_exceeded = False
+        self.derived_count = 0
+        # Join indexes, in insertion order: the members of each class expression,
+        # and the prop_index positions of each (property, inverted?, subject).
+        self.members_of: Dict[ClassExpression, List[Term]] = {}
+        self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
+        self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
+        self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
+        self.dirty: Set[int] = set()  # rules with a body fact newer than their last turn
+        self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
         return ce in self.memberships.get(individual, ())
@@ -397,175 +392,191 @@ class ClosedKB:
         return list(self.traces.keys())
 
 
-def _depth_first(expand, first: Tuple) -> None:
-    """Run ``expand(*first)`` and, nested as recursion would, ``expand(*step)`` for each
-    step it yields; each ``expand`` is a generator that records its step when first advanced."""
-    stack = [expand(*first)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-        else:
-            stack.append(expand(*step))
+class _Engine(ClosedKB):
+    """Brings a ClosedKB to its fixpoint: fact propagation, skolemization, the join."""
 
-
-class _Engine:
-    def __init__(self, tbox: TBoxIndex, skolem_depth: int, fact_cap: int):
-        self.tbox = tbox
-        self.max_depth = skolem_depth
-        self.fact_cap = fact_cap
-        self.memberships: Dict[Term, Set[ClassExpression]] = {}
-        self.prop_set: Set[Tuple[str, Term, Term]] = set()
-        self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
-        # Join indexes, in insertion order: the members of each class expression,
-        # and the prop_index positions of each (property, inverted?, subject).
-        self.members_of: Dict[ClassExpression, List[Term]] = {}
-        self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
-        self.traces: Dict[FactKey, Trace] = {}
-        self.depths: Dict[Term, int] = {}
-        self.skolem_memo: Set[Tuple[Term, SomeValuesFrom]] = set()
-        self.skolem_budget_exceeded = False
-        self.derived_count = 0
-
-    def _bump(self) -> None:
+    def _record(self, fact: FactKey, trace: Trace) -> None:
+        """Count, index and trace one new fact, and wake the rules that read it."""
         self.derived_count += 1
         if self.derived_count > self.fact_cap:
             raise FactCapExceededError(
                 f"derived-fact cap of {self.fact_cap} exceeded; closure aborted")
+        self.traces[fact] = trace
+        # Only the facts that some rule reads go into the join indexes.
+        readers = self.tbox.readers.get(fact[2] if fact[0] == "class" else fact[1])
+        if fact[0] == "class":
+            _, x, ce = fact
+            self.memberships.setdefault(x, set()).add(ce)
+            if isinstance(ce, SomeValuesFrom):
+                self.fresh.append(fact)
+            if readers:
+                self.members_of.setdefault(ce, []).append(x)
+        else:
+            _, name, s, o = fact
+            self.prop_set.add((name, s, o))
+            facts = self.prop_index.setdefault(name, [])
+            if readers:
+                self.links.setdefault((name, False, s), []).append(len(facts))
+                self.links.setdefault((name, True, o), []).append(len(facts))
+            facts.append((s, o))
+        if readers:
+            self.serial[fact] = len(self.traces) - 1
+            self.dirty.update(readers)
 
     def add_class(self, x: Term, ce: ClassExpression, rule: str,
                   premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        if isinstance(x, Literal):
+        if isinstance(x, Literal) or ce in self.memberships.get(x, ()):
             return False
-        members = self.memberships.setdefault(x, set())
-        if ce in members:
-            return False
-
-        def expand(ce, rule, premises, detail):
-            self._bump()
-            members.add(ce)
-            self.members_of.setdefault(ce, []).append(x)
-            self.traces[class_fact(x, ce)] = Trace(rule, premises, detail)
-            premise = (class_fact(x, ce),)
-            for sup in self.tbox.supers(ce):
+        fact, supers, key = class_fact(x, ce), self.tbox.supers, self.tbox.key
+        self._record(fact, Trace(rule, premises, detail))
+        members = self.memberships[x]
+        # Depth first along the sorted superexpressions, as recursion would go.
+        stack = [(fact, key(ce) + " is below ", iter(supers(ce)))]
+        while stack:
+            premise, below, pending = stack[-1]
+            for sup in pending:
                 if sup not in members:
-                    yield sup, "subsumption", premise, f"{_ce_key(ce)} is below {_ce_key(sup)}"
-
-        _depth_first(expand, (ce, rule, premises, detail))
+                    fact = class_fact(x, sup)
+                    self._record(fact, Trace("subsumption", (premise,), below + key(sup)))
+                    stack.append((fact, key(sup) + " is below ", iter(supers(sup))))
+                    break
+            else:
+                stack.pop()
         return True
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
         if (name, s, o) in self.prop_set:
             return False
-
-        def expand(name, s, o, rule, premises, detail):
-            if (name, s, o) in self.prop_set:
-                return
-            self._bump()
-            self.prop_set.add((name, s, o))
-            facts = self.prop_index.setdefault(name, [])
-            self.links.setdefault((name, False, s), []).append(len(facts))
-            self.links.setdefault((name, True, o), []).append(len(facts))
-            facts.append((s, o))
-            self.traces[prop_fact(name, s, o)] = Trace(rule, premises, detail)
-            premise = (prop_fact(name, s, o),)
-            for sup in self.tbox.named_prop_supers(name):
-                yield sup, s, o, "subproperty", premise, f"{name} is below {sup}"
-            if not isinstance(o, Literal):
-                for q in sorted(self.tbox.inverse_pairs.get(name, ())):
-                    yield q, o, s, "inverse", premise, f"{q} is the inverse of {name}"
-            for c in self.tbox.domains.get(name, ()):
-                self.add_class(s, c, "domain", premise, detail=f"domain of {name}")
-            if not isinstance(o, Literal):
-                for c in self.tbox.ranges.get(name, ()):
-                    self.add_class(o, c, "range", premise, detail=f"range of {name}")
-
-        _depth_first(expand, (name, s, o, rule, premises, detail))
+        fact, steps = prop_fact(name, s, o), self.tbox.prop_steps
+        self._record(fact, Trace(rule, premises, detail))
+        # Depth first along the precompiled steps, as recursion would go; a
+        # literal object gets no inverse and no range.
+        stack = [(fact, iter(steps(name)))]
+        while stack:
+            premise, pending = stack[-1]
+            _, _, s, o = premise
+            for target, flipped, step_rule, why in pending:
+                if flipped and isinstance(o, Literal):
+                    continue
+                a, b = (o, s) if flipped else (s, o)
+                if not isinstance(target, str):
+                    self.add_class(a, target, step_rule, (premise,), why)
+                elif (target, a, b) not in self.prop_set:
+                    fact = prop_fact(target, a, b)
+                    self._record(fact, Trace(step_rule, (premise,), why))
+                    stack.append((fact, iter(steps(target))))
+                    break
+            else:
+                stack.pop()
         return True
 
     # -- rule passes -----------------------------------------------------------
 
     def _pass_skolemize(self) -> bool:
+        """Witness each new existential membership, in term order, unless the
+        individual already has a successor in the filler (the restricted chase)."""
         changed = False
-        pending = sorted(((x, ce) for x, members in self.memberships.items() for ce in members
-                          if isinstance(ce, SomeValuesFrom) and (x, ce) not in self.skolem_memo),
-                         key=lambda pair: (term_sort_key(pair[0]), _ce_key(pair[1])))
-        for x, ce in pending:
-            self.skolem_memo.add((x, ce))
-            depth = self.depths.get(x, 0) + 1
+        fresh, self.fresh = self.fresh, []
+        fresh.sort(key=lambda fact: (term_sort_key(fact[1]), self.tbox.key(fact[2])))
+        for premise in fresh:
+            _, x, ce = premise
+            name, inverted = _prop_key(ce.prop)
+            facts = self.prop_index.get(name, ())
+            if any(ce.filler in self.memberships.get(facts[position][not inverted], ())
+                   for position in self.links.get((name, inverted, x), ())):
+                continue
+            depth = self.skolem_depths.get(x, 0) + 1
             if depth > self.max_depth:
                 self.skolem_budget_exceeded = True
                 continue
-            digest = hashlib.sha1(
-                (repr(term_sort_key(x)) + "|" + _ce_key(ce)).encode("utf-8")).hexdigest()[:16]
-            witness = Iri("urn:skolem:" + digest)
-            self.depths[witness] = depth
-            premise, detail = (class_fact(x, ce),), f"witness for {_ce_key(ce)}"
-            name, inverted = _prop_key(ce.prop)
+            key = self.tbox.key(ce)
+            witness = Iri("urn:skolem:" + hashlib.sha1(
+                (repr(term_sort_key(x)) + "|" + key).encode("utf-8")).hexdigest()[:16])
+            self.skolem_depths[witness], detail = depth, "witness for " + key
             s, o = (witness, x) if inverted else (x, witness)
-            changed |= self.add_prop(name, s, o, "existential-witness", premise, detail)
-            changed |= self.add_class(witness, ce.filler, "existential-witness", premise, detail)
+            changed |= self.add_prop(name, s, o, "existential-witness", (premise,), detail)
+            changed |= self.add_class(witness, ce.filler, "existential-witness", (premise,), detail)
         return changed
 
-    def _pass_join(self) -> bool:
-        """Fire each instance rule, in order, for every way its body holds.
+    def _turn(self, index: int) -> None:
+        """Fire one rule for each way its body holds with a fact newer than its last turn.
 
-        Body atoms are matched depth first, in body order. A rule whose first atom
-        has no facts is skipped. Class facts are read as they stand; property
-        facts as they stood when the rule's turn began, so a rule joins its own
-        property conclusions only in the next round.
+        Semi-naive: for each atom i with new facts, the matches that take a new
+        fact for atom i and any facts for the others. They fire in the order of
+        the naive join (body atoms depth first, facts in insertion order), that
+        is of their facts' serial numbers. Class facts are read as they stand, so
+        a fired head can queue a later match; property facts as the turn began.
         """
-        changed = False
-        for label, detail, body, head in self.tbox.rules:
-            first = body[0]
-            if (first.cls not in self.members_of if isinstance(first, ClassAtom)
-                    else _prop_key(first.prop)[0] not in self.prop_index):
-                continue
-            names = {_prop_key(atom.prop)[0] for atom in body if isinstance(atom, PropertyAtom)}
-            limits = {name: len(self.prop_index.get(name, ())) for name in names}
-            stack = [self._extend(first, {}, (), limits)]
-            while stack:
-                step = next(stack[-1], None)
-                if step is None:
-                    stack.pop()
-                    continue
+        label, detail, body, head = self.tbox.rules[index]
+        sizes = [len(self.members_of.get(atom.cls, ()) if isinstance(atom, ClassAtom)
+                     else self.prop_index.get(_prop_key(atom.prop)[0], ())) for atom in body]
+        if not all(sizes):  # an atom without facts: nothing can match yet
+            return
+        marks, self.marks[index] = self.marks.get(index, [0] * len(body)), sizes
+        queue: Dict[Tuple[int, ...], Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = {}
+        for i in range(len(body)):
+            if marks[i] < sizes[i] and all(marks[:i]):  # else term j < i has these
+                self._match(body, i, marks[i], sizes, queue, ())
+        order, fired, seen = sorted(queue), 0, list(sizes)  # seen: class facts already read
+        while fired < len(order):
+            key, fired = order[fired], fired + 1
+            binding, premises = queue[key]
+            for atom in head:
+                if isinstance(atom, ClassAtom):
+                    self.add_class(binding[atom.var], atom.cls, label, premises, detail)
+                elif not any(isinstance(binding[var], Literal) for var in (atom.var1, atom.var2)):
+                    (name, inverted), a, b = _prop_key(atom.prop), binding[atom.var1], binding[atom.var2]
+                    self.add_prop(name, *((b, a) if inverted else (a, b)), label, premises, detail)
+            for i, atom in enumerate(body):
+                if index in self.dirty and isinstance(atom, ClassAtom) and len(
+                        self.members_of.get(atom.cls, ())) > seen[i]:
+                    later = self._match(body, i, seen[i], sizes, queue, key)
+                    seen[i] = len(self.members_of[atom.cls])
+                    order[fired:] = sorted(order[fired:] + later)
+
+    def _match(self, body: Tuple[Atom, ...], first: int, start: int, sizes: List[int],
+               queue: Dict, after: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        """Queue each new match of ``body`` that sorts after ``after`` under its key, and
+        return the keys: atom ``first`` first, from position ``start`` of its facts,
+        then the rest in body order; property atoms read below their ``sizes``."""
+        rest, added = [j for j in range(len(body)) if j != first], []
+        stack = [self._extend(body[first], {}, (), sizes[first], start)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+            elif len(step[1]) < len(body):
+                j = rest[len(step[1]) - 1]
+                stack.append(self._extend(body[j], *step, sizes[j]))
+            else:
                 binding, premises = step
-                if len(premises) < len(body):
-                    stack.append(self._extend(body[len(premises)], binding, premises, limits))
-                    continue
-                for atom in head:
-                    if isinstance(atom, ClassAtom):
-                        changed |= self.add_class(binding[atom.var], atom.cls, label, premises, detail)
-                        continue
-                    name, inverted = _prop_key(atom.prop)
-                    a, b = binding[atom.var1], binding[atom.var2]
-                    s, o = (b, a) if inverted else (a, b)
-                    if not isinstance(s, Literal) and not isinstance(o, Literal):
-                        changed |= self.add_prop(name, s, o, label, premises, detail)
-        return changed
+                if first:
+                    premises = premises[1:first + 1] + premises[:1] + premises[first + 1:]
+                key = tuple(map(self.serial.__getitem__, premises))
+                if key > after and key not in queue:
+                    queue[key] = binding, premises
+                    added.append(key)
+        return added
 
     def _extend(self, atom: Atom, binding: Dict[str, Term], premises: Tuple[FactKey, ...],
-                limits: Dict[str, int]) -> Iterator[Tuple[Dict[str, Term], Tuple[FactKey, ...]]]:
+                limit: int, start: int = 0) -> Iterator[Tuple[Dict[str, Term], Tuple[FactKey, ...]]]:
         """Each extension of ``binding`` and ``premises`` by one fact that matches
-        ``atom``, in insertion order; ``limits`` caps each property's positions."""
+        ``atom``, in insertion order: property facts below position ``limit``, and
+        for an unbound atom from position ``start``."""
         if isinstance(atom, ClassAtom):
             x = binding.get(atom.var)
             if x is None:
-                for y in self.members_of.get(atom.cls, ()):
+                for y in islice(self.members_of.get(atom.cls, ()), start, None):
                     yield {**binding, atom.var: y}, premises + (class_fact(y, atom.cls),)
             elif atom.cls in self.memberships.get(x, ()):
                 yield binding, premises + (class_fact(x, atom.cls),)
             return
         name, inverted = _prop_key(atom.prop)
-        facts, limit = self.prop_index.get(name, ()), limits[name]
-        a, b = binding.get(atom.var1), binding.get(atom.var2)
-        if a is not None:
-            positions: Iterable[int] = self.links.get((name, inverted, a), ())
-        elif b is not None:
-            positions = self.links.get((name, not inverted, b), ())
-        else:
-            positions = range(limit)
+        facts, a, b = self.prop_index.get(name, ()), binding.get(atom.var1), binding.get(atom.var2)
+        positions: Iterable[int] = (self.links.get((name, inverted, a), ()) if a is not None else
+                                    self.links.get((name, not inverted, b), ()) if b is not None else
+                                    range(start, limit))
         for position in positions:
             if position >= limit:
                 break
@@ -575,37 +586,29 @@ class _Engine:
                 yield {**binding, atom.var1: x, atom.var2: y}, premises + (prop_fact(name, s, o),)
 
     def run(self) -> None:
-        changed = True
-        while changed:
-            changed = self._pass_skolemize()
-            changed |= self._pass_join()
+        """Skolemize, then give each rule with a body fact newer than its last turn
+        a turn, in rule order; until no new fact is left."""
+        while self.fresh or self.dirty:
+            self._pass_skolemize()
+            index = 0
+            while (index := min((r for r in self.dirty if r >= index), default=-1)) >= 0:
+                self.dirty.discard(index)
+                self._turn(index)
+                index += 1
 
 
 def _close(models: Sequence[OntologyModel], tbox: TBoxIndex, skolem_depth: int,
            fact_cap: int) -> ClosedKB:
     """Load the models' assertions and run the engine to fixpoint."""
     engine = _Engine(tbox, skolem_depth, fact_cap)
-    for model in models:
-        for ax in model.axioms:
-            if ax.kind == "class-assertion":
-                engine.add_class(ax.args[0], ax.args[1], "asserted", ())
-            elif ax.kind == "property-assertion":
-                name, inverted = _prop_key(ax.args[0])
-                s, o = ax.args[1], ax.args[2]
-                if inverted:
-                    s, o = o, s
-                engine.add_prop(name, s, o, "asserted", ())
+    for ax in tbox.assertions(models):
+        if ax.kind == "class-assertion":
+            engine.add_class(ax.args[0], ax.args[1], "asserted", ())
+        else:
+            (name, inverted), s, o = _prop_key(ax.args[0]), ax.args[1], ax.args[2]
+            engine.add_prop(name, *((o, s) if inverted else (s, o)), "asserted", ())
     engine.run()
-    return ClosedKB(
-        tbox=tbox,
-        memberships=engine.memberships,
-        prop_index=engine.prop_index,
-        prop_set=engine.prop_set,
-        traces=engine.traces,
-        skolem_depths=engine.depths,
-        skolem_budget_exceeded=engine.skolem_budget_exceeded,
-        derived_count=engine.derived_count,
-    )
+    return engine
 
 
 def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *,
@@ -628,16 +631,14 @@ def check_clash(kb: ClosedKB) -> List[Clash]:
     """All contradictions present in a completed closure (collect-all)."""
     clashes: List[Clash] = []
     nothing = NamedClass(Iri(vocab.OWL_NOTHING))
+    pairs = sorted(kb.tbox.disjoint_pairs, key=lambda p: (_ce_key(p[0]), _ce_key(p[1])))
     for x in kb.individuals():
         members = kb.memberships[x]
-        for a, b in sorted(kb.tbox.disjoint_pairs, key=lambda p: (_ce_key(p[0]), _ce_key(p[1]))):
-            if a in members and b in members:
-                clashes.append(Clash("disjointness-violation", x, (a, b),
-                                     (class_fact(x, a), class_fact(x, b))))
-        for comp in kb.tbox.complements:
-            if comp in members and comp.operand in members:
-                clashes.append(Clash("complement-violation", x, (comp.operand, comp),
-                                     (class_fact(x, comp.operand), class_fact(x, comp))))
+        clashes += [Clash("disjointness-violation", x, (a, b), (class_fact(x, a), class_fact(x, b)))
+                    for a, b in pairs if a in members and b in members]
+        clashes += [Clash("complement-violation", x, (c.operand, c),
+                          (class_fact(x, c.operand), class_fact(x, c)))
+                    for c in kb.tbox.complements if c in members and c.operand in members]
         if nothing in members:
             clashes.append(Clash("nothing-membership", x, (nothing,),
                                  (class_fact(x, nothing),)))
@@ -656,8 +657,7 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     The probe and its skolem descendants live only in this closure and are
     discarded afterwards.
     """
-    seed = OntologyModel(source_label="probe-seed")
-    seed.axioms = [Axiom("class-assertion", (_PROBE, ce))]
+    seed = OntologyModel(axioms=[Axiom("class-assertion", (_PROBE, ce))], source_label="probe-seed")
     probed = list(models) + [seed]
     if tbox is None or ce not in tbox.universe:
         tbox = TBoxIndex(probed)

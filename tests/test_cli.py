@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -283,3 +284,76 @@ def test_deep_subclass_chain_exits_zero(tmp_path, capsys):
     assert run(["check-consistency", "--source", str(chain),
                 "--instances", str(instances)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _load_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    return err
+
+
+def test_single_operand_disjoint_union_is_a_load_error(tmp_path, capsys):
+    bad = tmp_path / "union.ttl"
+    bad.write_text("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                   "@prefix ex: <http://example.org/u#> .\nex:C owl:disjointUnionOf ( ex:A ) .\n")
+    err = _load_error(["check-coherence", "--source", str(bad)], capsys)
+    assert f"OWL extraction failure in {bad}: owl:disjointUnionOf needs at least two operands" in err
+
+
+def test_expression_nesting_past_the_bound_is_a_load_error(tmp_path, capsys):
+    # Labelled blank nodes nest expressions without nesting Turtle syntax.
+    def chain(depth, node, link, last):
+        return "".join(f"{node}{k} {link} {f'{node}{k + 1}' if k + 1 < depth else last} .\n"
+                       for k in range(depth))
+
+    header = ("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+              "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+              "@prefix ex: <http://example.org/n#> .\n")
+    for depth, expect in ((MAX_NESTING, 0), (3000, 2)):
+        deep = tmp_path / f"deep{depth}.ttl"
+        deep.write_text(header + "ex:A rdfs:subClassOf _:r0 .\n" + "".join(
+            f"_:r{k} a owl:Restriction ; owl:onProperty ex:p .\n" for k in range(depth))
+            + chain(depth, "_:r", "owl:someValuesFrom", "ex:D"))
+        if expect == 0:
+            assert run(["check-coherence", "--source", str(deep)]) == 0
+            continue
+        err = _load_error(["check-coherence", "--source", str(deep)], capsys)
+        assert f"OWL extraction failure in {deep}: class expression nested deeper than 128" in err
+    inverses = tmp_path / "inverses.ttl"
+    inverses.write_text(header + "ex:r rdfs:subPropertyOf _:q0 .\n"
+                        + chain(3000, "_:q", "owl:inverseOf", "ex:p"))
+    assert run(["check-coherence", "--source", str(inverses)]) == 0
+
+
+def test_overlapping_namespaces_are_a_usage_error(capsys):
+    err = _load_error(["export-sssom", "--alignment", fix("align-paper.ttl"),
+                       "--source-ns", "http://www.w3.org/ns/", "--target-ns", NS_FLAGS[1]], capsys)
+    assert f"cannot read the mappings in {fix('align-paper.ttl')}" in err
+
+
+def _generated_request(workload, workdir):
+    """The first request of a perfbench workload, generated under ``workdir``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fixtures = str(Path(provalign.__file__).resolve().parent / "fixtures")
+    return workloads.generate(workload, 1, str(workdir), fixtures)[0]
+
+
+@pytest.mark.parametrize("workload", ["prov-trace", "coherence-ladder"])
+def test_generated_reports_identical_across_hash_seeds(tmp_path, workload):
+    # Set iteration feeds the closure's scheduling (dirty rules, fresh existentials).
+    request = _generated_request(workload, tmp_path)
+    argv = request["argv"][:request["argv"].index("--out")]
+    package_root = str(Path(provalign.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-m", "provalign.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == request["answer"]["exit"], done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

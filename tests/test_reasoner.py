@@ -1,4 +1,5 @@
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from provalign.owl import (
     NamedClass,
     NamedProperty,
     OntologyModel,
+    PropertyAtom,
     SomeValuesFrom,
     extract_axioms,
 )
@@ -126,6 +128,47 @@ def test_skolem_depth_bound_reports_budget():
     assert kb.skolem_budget_exceeded
     depths = [d for d in kb.skolem_depths.values()]
     assert depths and max(depths) == 3
+
+
+def test_real_successor_needs_no_witness():
+    kb = kb_of("""
+    ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:q ; owl:someValuesFrom ex:E ] .
+    [ a owl:Restriction ; owl:onProperty ex:q ; owl:someValuesFrom ex:E ] rdfs:subClassOf ex:B .
+    """, "ex:a a ex:A ; ex:q ex:b . ex:b a ex:E . ex:c a ex:A .")
+    assert has_class(kb, EX + "a", EX + "B")
+    assert [o for s, o in kb.prop_index[EX + "q"] if s == iri(EX + "a")] == [iri(EX + "b")]
+    # an individual without a real successor still gets its witness
+    witnesses = [o for s, o in kb.prop_index[EX + "q"] if s == iri(EX + "c")]
+    assert len(witnesses) == 1 and kb.has_class(witnesses[0], NamedClass(iri(EX + "E")))
+
+
+def existential_path(links):
+    """``(p some D) <= D`` over an ``ex:p`` path whose last individual is a D."""
+    abox = "".join(f"ex:a{i} ex:p ex:a{i + 1} .\n" for i in range(links)) + f"ex:a{links} a ex:D ."
+    return [model_of("""
+    [ a owl:Restriction ; owl:onProperty ex:p ; owl:someValuesFrom ex:D ] rdfs:subClassOf ex:D .
+    """), extract_axioms(parse_turtle(HEADER + abox))]
+
+
+def test_existential_path_closure_grows_linearly():
+    from test_acceptance import Budget
+
+    seconds = {}
+    for links in (800, 3200):
+        models = existential_path(links)
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            kb = materialize(models)
+            runs.append(time.perf_counter() - start)
+        seconds[links] = min(runs)
+        # every link is derived once, each membership from its real successor
+        assert kb.derived_count == 3 * links + 1 and not kb.skolem_budget_exceeded
+        assert has_class(kb, EX + "a0", EX + "D")
+    with Budget("3,200-link existential path", 5.0):
+        materialize(existential_path(3200))
+    # One round per link: quadratic work would take 16 times as long.
+    assert seconds[3200] < 8 * seconds[800], seconds
 
 
 def test_existential_subclass_rule():
@@ -414,10 +457,7 @@ class RecursiveEngine(reasoner._Engine):
         members = self.memberships.setdefault(x, set())
         if ce in members:
             return False
-        self._bump()
-        members.add(ce)
-        self.members_of.setdefault(ce, []).append(x)
-        self.traces[class_fact(x, ce)] = reasoner.Trace(rule, premises, detail)
+        self._record(class_fact(x, ce), reasoner.Trace(rule, premises, detail))
         for sup in self.tbox.supers(ce):
             if sup not in members:
                 self.add_class(x, sup, "subsumption", (class_fact(x, ce),),
@@ -427,13 +467,7 @@ class RecursiveEngine(reasoner._Engine):
     def add_prop(self, name, s, o, rule, premises, detail=""):
         if (name, s, o) in self.prop_set:
             return False
-        self._bump()
-        self.prop_set.add((name, s, o))
-        facts = self.prop_index.setdefault(name, [])
-        self.links.setdefault((name, False, s), []).append(len(facts))
-        self.links.setdefault((name, True, o), []).append(len(facts))
-        facts.append((s, o))
-        self.traces[prop_fact(name, s, o)] = reasoner.Trace(rule, premises, detail)
+        self._record(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
         premise = (prop_fact(name, s, o),)
         for sup in self.tbox.named_prop_supers(name):
             self.add_prop(sup, s, o, "subproperty", premise, detail=f"{name} is below {sup}")
@@ -709,3 +743,83 @@ def test_join_matches_five_pass_engine(assertions):
         return kb.traces, kb.derived_count, kb.skolem_budget_exceeded
 
     assert closure(materialize(models)) in [closure(reference) for reference in references]
+
+
+# -- the semi-naive join against the naive join ------------------------------------
+
+class NaiveJoinEngine(reasoner._Engine):
+    """Every rule in every pass over every fact, firing as it matches, as a reference
+    for the semi-naive join: class facts read as they stand, property facts as
+    each rule's turn began."""
+
+    def run(self):
+        changed = True
+        while changed:
+            count = len(self.traces)
+            self._pass_skolemize()
+            for label, detail, body, head in self.tbox.rules:
+                limits = [len(self.prop_index.get(reasoner._prop_key(atom.prop)[0], ()))
+                          if isinstance(atom, PropertyAtom) else 0 for atom in body]
+                stack = [self._extend(body[0], {}, (), limits[0])]
+                while stack:
+                    step = next(stack[-1], None)
+                    if step is None:
+                        stack.pop()
+                    elif len(step[1]) < len(body):
+                        stack.append(self._extend(body[len(step[1])], *step, limits[len(step[1])]))
+                    else:
+                        self._fire(head, *step, label, detail)
+            changed = len(self.traces) > count
+
+    def _fire(self, head, binding, premises, label, detail):
+        for atom in head:
+            if isinstance(atom, ClassAtom):
+                self.add_class(binding[atom.var], atom.cls, label, premises, detail)
+                continue
+            name, inverted = reasoner._prop_key(atom.prop)
+            a, b = binding[atom.var1], binding[atom.var2]
+            if not isinstance(a, Literal) and not isinstance(b, Literal):
+                self.add_prop(name, *((b, a) if inverted else (a, b)), label, premises, detail)
+
+
+# Rules whose heads feed their own bodies, so the order within a turn matters.
+SELF_FEEDING = model_of(SWRL_VARS + """
+[ a owl:Restriction ; owl:onProperty ex:p ; owl:someValuesFrom ex:D ] rdfs:subClassOf ex:D .
+[ a owl:Restriction ; owl:onProperty [ owl:inverseOf ex:q ] ; owl:someValuesFrom ex:E ]
+    rdfs:subClassOf ex:A .
+ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:s ; owl:someValuesFrom ex:B ] .
+ex:I owl:equivalentClass [ owl:intersectionOf ( ex:A ex:B ) ] .
+ex:I rdfs:subClassOf ex:E .
+ex:r owl:propertyChainAxiom ( ex:p ex:q ) .
+ex:p owl:propertyChainAxiom ( ex:p ex:p ) .
+ex:r rdfs:subPropertyOf ex:s .
+ex:s owl:inverseOf ex:u .
+ex:u rdfs:domain ex:B .
+ex:q rdfs:range ex:E .
+""" + swrl_rule("spread", [("ex:D", "x"), ("ex:q", "x", "y")], [("ex:D", "y")])
+    + swrl_rule("three", [("ex:E", "x"), ("ex:s", "x", "y"), ("ex:A", "y")], [("ex:I", "y")])
+    + swrl_rule("back", [("ex:B", "x"), ("ex:p", "y", "x")], [("ex:q", "x", "y"), ("ex:A", "y")]))
+
+_SELF_FEEDING_ASSERTIONS = st.one_of(
+    st.tuples(st.sampled_from(_INDIVIDUALS), st.just("a"),
+              st.sampled_from(["ex:A", "ex:B", "ex:D", "ex:E", "ex:I"])),
+    st.tuples(st.sampled_from(_INDIVIDUALS), st.sampled_from(["ex:p", "ex:q", "ex:r", "ex:s", "ex:u"]),
+              st.sampled_from(_INDIVIDUALS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SELF_FEEDING_ASSERTIONS, max_size=16))
+# The examples fail a join that reads class facts only as they stood when the
+# rule's turn began, and one that fires a turn's matches term by term rather
+# than in the naive order.
+@example([("ex:i1", "a", "ex:D"), ("ex:i0", "ex:p", "ex:i1"), ("ex:i1", "ex:p", "ex:i0")])
+@example([("ex:i0", "a", "ex:B"), ("ex:i0", "ex:p", "ex:i0"), ("ex:i1", "ex:p", "ex:i0")])
+def test_semi_naive_join_keeps_the_naive_order(assertions):
+    abox = parse_turtle(HEADER + "".join(f"{s} {p} {o} .\n" for s, p, o in assertions))
+    models = [SELF_FEEDING, extract_axioms(abox)]
+    kb = materialize(models, skolem_depth=2)
+    with mock.patch.object(reasoner, "_Engine", NaiveJoinEngine):
+        reference = materialize(models, skolem_depth=2)
+    assert list(kb.traces.items()) == list(reference.traces.items())
+    assert (kb.derived_count, kb.skolem_budget_exceeded) == (
+        reference.derived_count, reference.skolem_budget_exceeded)
