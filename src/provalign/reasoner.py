@@ -23,9 +23,24 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import vocab
-from .owl import (Atom, Axiom, ClassAtom, ClassExpression, Complement, DisjointUnionOf, Intersection,
-                  NamedClass, NamedProperty, OntologyModel, PropertyAtom, PropertyExpression,
-                  SomeValuesFrom, UnionOf, extract_axioms, render_class_expression)
+from .owl import (
+    Atom,
+    Axiom,
+    ClassAtom,
+    ClassExpression,
+    Complement,
+    DisjointUnionOf,
+    Intersection,
+    NamedClass,
+    NamedProperty,
+    OntologyModel,
+    PropertyAtom,
+    PropertyExpression,
+    SomeValuesFrom,
+    UnionOf,
+    extract_axioms,
+    render_class_expression,
+)
 from .rdf import Graph, Iri, Literal, Term, term_sort_key
 
 
@@ -99,10 +114,13 @@ def _flip(key: PropKey) -> PropKey:
 
 def _subexpressions(ce: ClassExpression) -> Iterable[ClassExpression]:
     yield ce
-    for sub in (ce.operands if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)) else
-                (ce.operand,) if isinstance(ce, Complement) else
-                (ce.filler,) if isinstance(ce, SomeValuesFrom) else ()):
-        yield from _subexpressions(sub)
+    if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
+        for op in ce.operands:
+            yield from _subexpressions(op)
+    elif isinstance(ce, Complement):
+        yield from _subexpressions(ce.operand)
+    elif isinstance(ce, SomeValuesFrom):
+        yield from _subexpressions(ce.filler)
 
 
 class TBoxIndex:
@@ -151,36 +169,43 @@ class TBoxIndex:
             self._assertions.append((model, kept))
             for ax in model.axioms:
                 kind, args = ax.kind, ax.args
-                if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
+                if kind == "sub-class-of":
                     self._see(args[0]); self._see(args[1])
-                    if kind == "disjoint-classes":
-                        self._mark_disjoint(args[0], args[1])
-                    else:
-                        self._edge(args[0], args[1])
-                    if kind == "equivalent-classes":
-                        self._edge(args[1], args[0])
-                        gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
+                    self._edge(args[0], args[1])
+                elif kind == "equivalent-classes":
+                    self._see(args[0]); self._see(args[1])
+                    self._edge(args[0], args[1])
+                    self._edge(args[1], args[0])
+                    gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
+                elif kind == "disjoint-classes":
+                    self._see(args[0]); self._see(args[1])
+                    self._mark_disjoint(args[0], args[1])
                 elif kind == "disjoint-union":
                     union = DisjointUnionOf(args[1])
                     self._see(args[0]); self._see(union)
                     self._edge(args[0], union)
                     self._edge(union, args[0])
-                elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
+                elif kind == "sub-property-of":
+                    self._prop_edge(_prop_key(args[0]), _prop_key(args[1]))
+                elif kind == "equivalent-properties":
                     a, b = _prop_key(args[0]), _prop_key(args[1])
-                    if kind == "inverse-properties":
-                        a = _flip(a)
-                    self._prop_edge(a, b)
-                    if kind != "sub-property-of":
-                        self._prop_edge(b, a)
-                    if kind == "inverse-properties" and a[1] and not b[1]:
+                    self._prop_edge(a, b); self._prop_edge(b, a)
+                elif kind == "inverse-properties":
+                    a, b = _prop_key(args[0]), _prop_key(args[1])
+                    self._prop_edge(_flip(a), b); self._prop_edge(b, _flip(a))
+                    if not a[1] and not b[1]:
                         self.inverse_pairs.setdefault(a[0], set()).add(b[0])
                         self.inverse_pairs.setdefault(b[0], set()).add(a[0])
-                elif kind in ("property-domain", "property-range"):
+                elif kind == "property-domain":
                     p, c = args
                     self._see(c)
                     name, inverted = _prop_key(p)
-                    ranges = (kind == "property-range") != inverted
-                    (self.ranges if ranges else self.domains).setdefault(name, []).append(c)
+                    (self.ranges if inverted else self.domains).setdefault(name, []).append(c)
+                elif kind == "property-range":
+                    p, c = args
+                    self._see(c)
+                    name, inverted = _prop_key(p)
+                    (self.domains if inverted else self.ranges).setdefault(name, []).append(c)
                 elif kind == "property-chain":
                     chains.append(("property-chain", f"chain into {_prop_key(args[1])[0]}",
                                    tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
@@ -209,10 +234,12 @@ class TBoxIndex:
                 for op in ce.operands:
                     self._edge(op, ce)
                 if isinstance(ce, DisjointUnionOf):
-                    for i, a in enumerate(ce.operands):
-                        for b in ce.operands[i + 1:]:
-                            self._mark_disjoint(a, b)
-        for values in [*self.domains.values(), *self.ranges.values()]:
+                    for i in range(len(ce.operands)):
+                        for j in range(i + 1, len(ce.operands)):
+                            self._mark_disjoint(ce.operands[i], ce.operands[j])
+        for values in self.domains.values():
+            values.sort(key=_ce_key)
+        for values in self.ranges.values():
             values.sort(key=_ce_key)
 
         # Instance rules, in firing order: intersection composition, existential
@@ -328,11 +355,6 @@ class TBoxIndex:
             yield from kept if kept is not None else (
                 ax for ax in model.axioms if ax.kind in ("class-assertion", "property-assertion"))
 
-    def named_classes(self) -> List[NamedClass]:
-        return sorted((ce for ce in self.universe if isinstance(ce, NamedClass)
-                       and ce.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING)),
-                      key=_ce_key)
-
 
 @dataclass
 class Taxonomy:
@@ -359,10 +381,8 @@ class Clash:
 class ClosedKB:
     """Fixpoint of asserted plus derived facts, with derivation traces."""
 
-    def __init__(self, tbox: TBoxIndex, skolem_depth: int, fact_cap: int):
+    def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
-        self.max_depth = skolem_depth
-        self.fact_cap = fact_cap
         self.memberships: Dict[Term, Set[ClassExpression]] = {}
         self.prop_set: Set[Tuple[str, Term, Term]] = set()
         self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
@@ -370,14 +390,6 @@ class ClosedKB:
         self.skolem_depths: Dict[Term, int] = {}
         self.skolem_budget_exceeded = False
         self.derived_count = 0
-        # Join indexes, in insertion order: the members of each class expression,
-        # and the prop_index positions of each (property, inverted?, subject).
-        self.members_of: Dict[ClassExpression, List[Term]] = {}
-        self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
-        self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
-        self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
-        self.dirty: Set[int] = set()  # rules with a body fact newer than their last turn
-        self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
         return ce in self.memberships.get(individual, ())
@@ -394,6 +406,19 @@ class ClosedKB:
 
 class _Engine(ClosedKB):
     """Brings a ClosedKB to its fixpoint: fact propagation, skolemization, the join."""
+
+    def __init__(self, tbox: TBoxIndex, skolem_depth: int, fact_cap: int):
+        super().__init__(tbox)
+        self.max_depth = skolem_depth
+        self.fact_cap = fact_cap
+        # Join indexes, in insertion order: the members of each class expression,
+        # and the prop_index positions of each (property, inverted?, subject).
+        self.members_of: Dict[ClassExpression, List[Term]] = {}
+        self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
+        self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
+        self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
+        self.dirty: Set[int] = set()  # rules with a body fact newer than their last turn
+        self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
     def _record(self, fact: FactKey, trace: Trace) -> None:
         """Count, index and trace one new fact, and wake the rules that read it."""
@@ -475,18 +500,20 @@ class _Engine(ClosedKB):
 
     def _pass_skolemize(self) -> bool:
         """Witness each new existential membership, in term order, unless the
-        individual already has a successor in the filler (the restricted chase)."""
+        individual already has a successor in the filler whose skolem depth is
+        at most the witness's (the restricted chase): that successor's own
+        witnesses reach at least as deep, so it derives all the witness would."""
         changed = False
         fresh, self.fresh = self.fresh, []
         fresh.sort(key=lambda fact: (term_sort_key(fact[1]), self.tbox.key(fact[2])))
         for premise in fresh:
             _, x, ce = premise
             name, inverted = _prop_key(ce.prop)
-            facts = self.prop_index.get(name, ())
-            if any(ce.filler in self.memberships.get(facts[position][not inverted], ())
-                   for position in self.links.get((name, inverted, x), ())):
+            facts, depth = self.prop_index.get(name, ()), self.skolem_depths.get(x, 0) + 1
+            successors = (facts[position][not inverted] for position in self.links.get((name, inverted, x), ()))
+            if any(ce.filler in self.memberships.get(y, ()) and self.skolem_depths.get(y, 0) <= depth
+                   for y in successors):
                 continue
-            depth = self.skolem_depths.get(x, 0) + 1
             if depth > self.max_depth:
                 self.skolem_budget_exceeded = True
                 continue
@@ -634,11 +661,14 @@ def check_clash(kb: ClosedKB) -> List[Clash]:
     pairs = sorted(kb.tbox.disjoint_pairs, key=lambda p: (_ce_key(p[0]), _ce_key(p[1])))
     for x in kb.individuals():
         members = kb.memberships[x]
-        clashes += [Clash("disjointness-violation", x, (a, b), (class_fact(x, a), class_fact(x, b)))
-                    for a, b in pairs if a in members and b in members]
-        clashes += [Clash("complement-violation", x, (c.operand, c),
-                          (class_fact(x, c.operand), class_fact(x, c)))
-                    for c in kb.tbox.complements if c in members and c.operand in members]
+        for a, b in pairs:
+            if a in members and b in members:
+                clashes.append(Clash("disjointness-violation", x, (a, b),
+                                     (class_fact(x, a), class_fact(x, b))))
+        for comp in kb.tbox.complements:
+            if comp in members and comp.operand in members:
+                clashes.append(Clash("complement-violation", x, (comp.operand, comp),
+                                     (class_fact(x, comp.operand), class_fact(x, comp))))
         if nothing in members:
             clashes.append(Clash("nothing-membership", x, (nothing,),
                                  (class_fact(x, nothing),)))
@@ -670,11 +700,11 @@ def entailed_taxonomy(models: Sequence[OntologyModel],
     if tbox is None:
         tbox = TBoxIndex(list(models))
     taxonomy = Taxonomy()
-    named = tbox.named_classes()
+    named = {ce for ce in tbox.universe if isinstance(ce, NamedClass)
+             and ce.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING)}
     for c in named:
-        for sup in tbox.supers(c):
-            if isinstance(sup, NamedClass) and sup.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING):
-                taxonomy.subclass_pairs.add((c.iri.value, sup.iri.value))
+        for sup in named.intersection(tbox.supers(c)):
+            taxonomy.subclass_pairs.add((c.iri.value, sup.iri.value))
     for a, b in list(taxonomy.subclass_pairs):
         if (b, a) in taxonomy.subclass_pairs:
             taxonomy.equivalent_class_pairs.add(tuple(sorted((a, b))))  # type: ignore[arg-type]

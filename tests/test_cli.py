@@ -286,6 +286,33 @@ def test_deep_subclass_chain_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+
+def test_shallow_witness_kept_beside_a_deeper_successor(tmp_path):
+    # The chain gives x a p-successor in D at skolem depth 2, whose q-witnesses
+    # stop at the default depth of 3 before reaching G. The witness for
+    # (p some D) sits at depth 1, so its own chain reaches G and the clash.
+    onto = tmp_path / "onto.ttl"
+    onto.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix ex: <http://example.org/w#> .\n"
+        "ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:r ; owl:someValuesFrom ex:B ] .\n"
+        "ex:B rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:s ; owl:someValuesFrom ex:C ] .\n"
+        "ex:p owl:propertyChainAxiom ( ex:r ex:s ) .\n"
+        "ex:C rdfs:subClassOf ex:D .\n"
+        "[ a owl:Restriction ; owl:onProperty ex:p ; owl:someValuesFrom ex:D ] rdfs:subClassOf ex:H .\n"
+        "ex:D rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:q ; owl:someValuesFrom ex:F ] .\n"
+        "ex:F rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:q ; owl:someValuesFrom ex:G ] .\n"
+        "ex:G rdfs:subClassOf owl:Nothing .\n")
+    instances = tmp_path / "instances.ttl"
+    instances.write_text("@prefix ex: <http://example.org/w#> .\nex:a a ex:A .\n")
+    coherence = run_json(["check-coherence", "--source", str(onto)], tmp_path, 1)
+    assert {"unsatisfiable_class": "http://example.org/w#A"} in coherence["findings"]
+    consistency = run_json(["check-consistency", "--source", str(onto),
+                            "--instances", str(instances)], tmp_path, 1)
+    assert [f["kind"] for f in consistency["findings"]] == ["nothing-membership"]
+
+
 def _load_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
