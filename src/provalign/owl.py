@@ -12,6 +12,7 @@ irrelevant to verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
@@ -44,17 +45,18 @@ class UnsupportedAtomError(OwlError):
 # ---------------------------------------------------------------------------
 
 class _CachedHash:
-    """Holds the dataclass field-tuple hash, computed once at construction:
-    nested expressions are hashed on every set lookup."""
+    """Holds a hash of the class and its dataclass fields, computed once at
+    construction: nested expressions are hashed on every set lookup."""
 
     __slots__ = ("_hash",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f) for f in self.__match_args__)))
+        object.__setattr__(self, "_hash", hash((self.__class__, self._field_values(self))))
 
 
 def _expression(cls):
     cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_values = attrgetter(*cls.__match_args__)
     cls.__hash__ = lambda self: self._hash
     return cls
 
@@ -63,31 +65,49 @@ def _expression(cls):
 class NamedClass(_CachedHash):
     iri: Iri
 
+    def __repr__(self) -> str:
+        return f"NamedClass(iri={self.iri!r})"
+
 
 @_expression
 class Intersection(_CachedHash):
     operands: Tuple["ClassExpression", ...]
+
+    def __repr__(self) -> str:
+        return f"Intersection(operands={self.operands!r})"
 
 
 @_expression
 class UnionOf(_CachedHash):
     operands: Tuple["ClassExpression", ...]
 
+    def __repr__(self) -> str:
+        return f"UnionOf(operands={self.operands!r})"
+
 
 @_expression
 class DisjointUnionOf(_CachedHash):
     operands: Tuple["ClassExpression", ...]
+
+    def __repr__(self) -> str:
+        return f"DisjointUnionOf(operands={self.operands!r})"
 
 
 @_expression
 class Complement(_CachedHash):
     operand: "ClassExpression"
 
+    def __repr__(self) -> str:
+        return f"Complement(operand={self.operand!r})"
+
 
 @_expression
 class SomeValuesFrom(_CachedHash):
     prop: "PropertyExpression"
     filler: "ClassExpression"
+
+    def __repr__(self) -> str:
+        return f"SomeValuesFrom(prop={self.prop!r}, filler={self.filler!r})"
 
 
 ClassExpression = Union[NamedClass, Intersection, UnionOf, DisjointUnionOf, Complement, SomeValuesFrom]
@@ -97,10 +117,16 @@ ClassExpression = Union[NamedClass, Intersection, UnionOf, DisjointUnionOf, Comp
 class NamedProperty:
     iri: Iri
 
+    def __repr__(self) -> str:
+        return f"NamedProperty(iri={self.iri!r})"
+
 
 @dataclass(frozen=True, slots=True)
 class InverseProperty:
     operand: NamedProperty
+
+    def __repr__(self) -> str:
+        return f"InverseProperty(operand={self.operand!r})"
 
 
 PropertyExpression = Union[NamedProperty, InverseProperty]
@@ -413,6 +439,9 @@ class _Extractor:
         self.consumed: Set[Triple] = set()
         self.axiom_index: Dict[Tuple, Axiom] = {}
         self.swrl_variables: Set[Term] = set()
+        # One expression object per named class and property.
+        self.named_classes: Dict[Iri, NamedClass] = {}
+        self.named_properties: Dict[Iri, NamedProperty] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -428,6 +457,12 @@ class _Extractor:
             self.axiom_index[key] = existing.with_annotations(axiom.annotations)
 
     # -- lists and expressions ---------------------------------------------
+
+    def named_class(self, node: Iri) -> NamedClass:
+        return self.named_classes.get(node) or self.named_classes.setdefault(node, NamedClass(node))
+
+    def named_property(self, node: Iri) -> NamedProperty:
+        return self.named_properties.get(node) or self.named_properties.setdefault(node, NamedProperty(node))
 
     def read_list(self, node: Term) -> List[Term]:
         items: List[Term] = []
@@ -453,7 +488,7 @@ class _Extractor:
         if isinstance(node, Literal):
             raise MalformedExpressionError("literal in class expression position")
         if isinstance(node, Iri):
-            return NamedClass(node)
+            return self.named_class(node)
         if _depth >= MAX_NESTING:
             raise MalformedExpressionError(f"class expression nested deeper than {MAX_NESTING} levels")
         visiting = _visiting if _visiting is not None else set()
@@ -521,7 +556,8 @@ class _Extractor:
             node, inverted = inv, not inverted
         if not isinstance(node, Iri):
             raise MalformedExpressionError("node does not root a property expression")
-        return inverse_of(NamedProperty(node)) if inverted else NamedProperty(node)
+        named = self.named_property(node)
+        return inverse_of(named) if inverted else named
 
     # -- passes --------------------------------------------------------------
 
@@ -537,21 +573,21 @@ class _Extractor:
 
     def _declarations(self) -> None:
         """Record entity declarations up front so later passes can consult them."""
-        for t in self.graph.triples:
-            if t.predicate.value != vocab.RDF_TYPE or not isinstance(t.object, Iri):
+        targets = {
+            "class": self.model.declared_classes,
+            "object_property": self.model.declared_object_properties,
+            "data_property": self.model.declared_data_properties,
+            "annotation_property": self.model.declared_annotation_properties,
+            "individual": self.model.declared_individuals,
+        }
+        for t in self.graph.with_predicate(vocab.RDF_TYPE):
+            if not isinstance(t.object, Iri):
                 continue
             decl = _DECLARATION_TYPES.get(t.object.value)
             if decl is None:
                 continue
             if isinstance(t.subject, Iri):
-                target = {
-                    "class": self.model.declared_classes,
-                    "object_property": self.model.declared_object_properties,
-                    "data_property": self.model.declared_data_properties,
-                    "annotation_property": self.model.declared_annotation_properties,
-                    "individual": self.model.declared_individuals,
-                }[decl]
-                target.add(t.subject.value)
+                targets[decl].add(t.subject.value)
             if decl != "data_property":
                 # Data-property declarations stay visible as unmodeled content:
                 # their mapping semantics are out of scope.
@@ -746,25 +782,26 @@ class _Extractor:
                     self.add_axiom(Axiom("disjoint-classes", (classes[i], classes[j])))
 
     def _plain_triples(self) -> None:
-        for t in sorted(self.graph.triples, key=triple_sort_key):
-            if t in self.consumed:
+        consumed = self.consumed
+        for t in sorted(self.graph.triples - consumed, key=triple_sort_key):
+            if t in consumed:
                 continue
-            s, p, o = t.subject, t.predicate.value, t.object
             try:
-                handled = self._plain_triple(s, p, o)
+                handled = self._plain_triple(t.subject, t.predicate, t.object)
             except UnsupportedExpressionError:
                 handled = False  # outside the fragment: keep the triple unmodeled
             if handled:
-                self.consume(s, p, o)
+                consumed.add(t)
 
-    def _plain_triple(self, s: Term, p: str, o: Term) -> bool:
+    def _plain_triple(self, s: Term, predicate: Iri, o: Term) -> bool:
+        p = predicate.value
         if p == vocab.RDF_TYPE:
             return self._type_triple(s, o)
         if p == vocab.OWL_DISJOINT_UNION_OF and isinstance(s, Iri):
             ops = tuple(self.class_expression(x) for x in self.read_list(o))
             if len(ops) < 2:
                 raise MalformedExpressionError("owl:disjointUnionOf needs at least two operands")
-            self.add_axiom(Axiom("disjoint-union", (NamedClass(s), ops)))
+            self.add_axiom(Axiom("disjoint-union", (self.named_class(s), ops)))
             return True
         if p == vocab.OWL_INVERSE_OF and isinstance(s, BlankNode):
             return False  # anonymous inverse: consumed by expression decoding when referenced
@@ -779,7 +816,7 @@ class _Extractor:
         if isinstance(s, Literal):
             return False
         # Everything else with a non-vocabulary predicate is a property assertion.
-        self.add_axiom(Axiom("property-assertion", (NamedProperty(iri(p)), s, o)))
+        self.add_axiom(Axiom("property-assertion", (self.named_property(predicate), s, o)))
         return True
 
     def _type_triple(self, s: Term, o: Term) -> bool:
@@ -788,7 +825,7 @@ class _Extractor:
                 return False  # handled by the declarations pass
             if _is_builtin(o.value):
                 return False
-            self.add_axiom(Axiom("class-assertion", (s, NamedClass(o))))
+            self.add_axiom(Axiom("class-assertion", (s, self.named_class(o))))
             return True
         if isinstance(o, BlankNode):
             ce = self.class_expression(o)
@@ -798,8 +835,7 @@ class _Extractor:
 
     def _finish(self) -> None:
         self.model.axioms = sorted(self.axiom_index.values(), key=lambda a: repr((a.kind, a.args)))
-        self.model.unmodeled = sorted(
-            (t for t in self.graph.triples if t not in self.consumed), key=triple_sort_key)
+        self.model.unmodeled = sorted(self.graph.triples - self.consumed, key=triple_sort_key)
 
 
 def extract_axioms(graph: Graph, source_label: str = "") -> OntologyModel:

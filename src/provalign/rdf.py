@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from urllib.parse import urljoin
 
@@ -34,13 +34,32 @@ class IsomorphismLimitError(RdfError):
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+_IRIS: Dict[str, "Iri"] = {}
 
-    def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise RdfError(f"IRI is not absolute: {self.value!r}")
+
+class Iri:
+    """An absolute IRI. Instances are interned, so ``Iri(v) is iri(v)`` and
+    equality and hashing are by identity."""
+
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: str) -> "Iri":
+        term = _IRIS.get(value)
+        if term is None:
+            if not _SCHEME_RE.match(value):
+                raise RdfError(f"IRI is not absolute: {value!r}")
+            term = object.__new__(cls)
+            object.__setattr__(term, "value", value)
+            # setdefault keeps one object per IRI when two threads race here.
+            term = _IRIS.setdefault(value, term)
+        return term
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (Iri, (self.value,))
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
@@ -75,16 +94,9 @@ class Literal:
 
 Term = Iri | BlankNode | Literal
 
-_IRI_CACHE: Dict[str, Iri] = {}
-
-
 def iri(value: str) -> Iri:
-    """Interned IRI constructor; repeated calls return the same object."""
-    cached = _IRI_CACHE.get(value)
-    if cached is None:
-        cached = Iri(value)
-        _IRI_CACHE[value] = cached
-    return cached
+    """Interned IRI constructor; the same object as ``Iri(value)``."""
+    return _IRIS.get(value) or Iri(value)
 
 
 _scope_counter = itertools.count(1)
@@ -95,17 +107,52 @@ def new_scope() -> int:
     return next(_scope_counter)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class _TripleSlots:
+    """Triple's fields. Triple refuses attribute assignment, so its
+    constructor stores through these slots' descriptors."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.predicate, Iri):
-            raise RdfError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        if isinstance(self.subject, Literal):
+    __slots__ = ("subject", "predicate", "object", "_hash")
+
+
+_set_subject = _TripleSlots.subject.__set__
+_set_predicate = _TripleSlots.predicate.__set__
+_set_object = _TripleSlots.object.__set__
+_set_hash = _TripleSlots._hash.__set__
+
+
+class Triple(_TripleSlots):
+    """An RDF statement. Immutable; its hash is computed once, at construction."""
+
+    __slots__ = ()
+    __match_args__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+        if predicate.__class__ is not Iri:
+            raise RdfError(f"triple predicate must be an IRI, got {predicate!r}")
+        if subject.__class__ is Literal:
             raise RdfError("triple subject cannot be a literal")
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
+        _set_hash(self, hash((subject, predicate, object)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return (self._hash == other._hash and self.predicate is other.predicate
+                and self.subject == other.subject and self.object == other.object)
+
+    def __reduce__(self):
+        return (Triple, (self.subject, self.predicate, self.object))
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self.subject!r}, predicate={self.predicate!r}, object={self.object!r})"
 
     def terms(self) -> Tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
@@ -113,15 +160,17 @@ class Triple:
 
 def term_sort_key(t: Term) -> Tuple:
     """Total order over terms: IRIs, then blank nodes, then literals."""
-    if isinstance(t, Iri):
+    if t.__class__ is Iri:
         return (0, t.value)
-    if isinstance(t, BlankNode):
+    if t.__class__ is BlankNode:
         return (1, t.scope, t.node_id)
     return (2, t.lexical, t.datatype or "", t.language or "")
 
 
 def triple_sort_key(t: Triple) -> Tuple:
-    return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
+    s, o = t.subject, t.object
+    return ((0, s.value) if s.__class__ is Iri else term_sort_key(s), (0, t.predicate.value),
+            (0, o.value) if o.__class__ is Iri else term_sort_key(o))
 
 
 class Graph:
@@ -132,6 +181,7 @@ class Graph:
         self.prefixes: Dict[str, str] = dict(prefixes or {})
         self.base: Optional[str] = base
         self._spo: Optional[Dict[Term, Dict[str, List[Term]]]] = None
+        self._by_predicate: Dict[str, List[Triple]] = {}
 
     def add(self, t: Triple) -> None:
         self.triples.add(t)
@@ -152,17 +202,35 @@ class Graph:
     def __contains__(self, t: Triple) -> bool:
         return t in self.triples
 
+    def _index(self) -> None:
+        """Build, in one pass, the subject -> predicate IRI -> sorted objects
+        index and the predicate IRI -> triples index."""
+        spo: Dict[Term, Dict[str, List[Term]]] = {}
+        by_predicate: Dict[str, List[Triple]] = {}
+        for t in self.triples:
+            p = t.predicate.value
+            spo.setdefault(t.subject, {}).setdefault(p, []).append(t.object)
+            by_predicate.setdefault(p, []).append(t)
+        for props in spo.values():
+            for objects in props.values():
+                if len(objects) > 1:
+                    objects.sort(key=term_sort_key)
+        # _spo marks the indexes as built, so it is set last: a thread that
+        # sees it also sees the predicate index.
+        self._by_predicate = by_predicate
+        self._spo = spo
+
     def spo(self) -> Dict[Term, Dict[str, List[Term]]]:
         """Subject -> predicate IRI -> object list index, built on first use."""
         if self._spo is None:
-            index: Dict[Term, Dict[str, List[Term]]] = {}
-            for t in self.triples:
-                index.setdefault(t.subject, {}).setdefault(t.predicate.value, []).append(t.object)
-            for props in index.values():
-                for objects in props.values():
-                    objects.sort(key=term_sort_key)
-            self._spo = index
+            self._index()
         return self._spo
+
+    def with_predicate(self, predicate: str) -> List[Triple]:
+        """The triples whose predicate is ``predicate``, in no set order."""
+        if self._spo is None:
+            self._index()
+        return self._by_predicate.get(predicate, [])
 
     def objects(self, subject: Term, predicate: str) -> List[Term]:
         return self.spo().get(subject, {}).get(predicate, [])
@@ -172,11 +240,7 @@ class Graph:
         return values[0] if values else None
 
     def subjects_with(self, predicate: str, obj: Optional[Term] = None) -> List[Term]:
-        found = [
-            t.subject
-            for t in self.triples
-            if t.predicate.value == predicate and (obj is None or t.object == obj)
-        ]
+        found = [t.subject for t in self.with_predicate(predicate) if obj is None or t.object == obj]
         found.sort(key=term_sort_key)
         return found
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import vocab
 from .owl import (
@@ -68,8 +68,7 @@ def prop_fact(prop_iri: str, subject: Term, obj: Term) -> FactKey:
     return ("prop", prop_iri, subject, obj)
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(NamedTuple):
     rule: str
     premises: Tuple[FactKey, ...]
     detail: str = ""

@@ -56,13 +56,6 @@ class TurtleParseError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass
-class _Token:
-    kind: str  # iriref pname bnode_label string lang number boolean punct word eof
-    value: object
-    offset: int
-
-
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -74,22 +67,29 @@ _LOCAL = r"(?:[\wÀ-￿\-:]+|%[0-9A-Fa-f]{2}|\.(?=[\wÀ-￿\-:.]|%[0-9A-Fa-f]{2}
 _PREFIX = r"[A-Za-zÀ-￿](?:[\wÀ-￿.\-]*[\wÀ-￿\-])?"
 
 # One alternative per token kind, tried in this order at the current offset.
-# IRI and string bodies are matched permissively (any escape, no terminator)
-# so that a bad escape is reported before a missing terminator.
+# "iri" and "string" match the common escape-free, terminated forms whole.
+# Everything else falls through to the permissive "iriref", "long_string" and
+# "short_string" bodies (any escape, no terminator), so that a bad escape is
+# reported before a missing terminator. The most frequent kinds, "pname" and
+# "punct", come first: no alternative they precede can match a character
+# they start with, except "decimal" and "double" at '.', which stay behind
+# "punct".
 _TOKEN_KINDS = (
+    ("pname", f"(?:{_PREFIX})?:{_LOCAL}"),
+    ("punct", r"[.;,\[\]()]|\^\^"),
     ("eof", r"\Z"),
     ("quoted", r"<<"),
     ("trig", r"[{}]"),
-    ("punct", r"[.;,\[\]()]|\^\^"),
+    ("iri", r"<[^>\\ \n\t\r<\"{}|^`]*>"),
     ("iriref", r"<(?:[^>\\ \n\t\r<\"{}|^`]+|\\[\s\S]?)*"),
     ("long_string", r'"""(?:[^"\\]+|"(?!"")|\\[\s\S]?)*|\'\'\'(?:[^\'\\]+|\'(?!\'\')|\\[\s\S]?)*'),
+    ("string", r'"[^"\\\n]*"|\'[^\'\\\n]*\''),
     ("short_string", r'"(?:[^"\\\n]+|\\[\s\S]?)*|\'(?:[^\'\\\n]+|\\[\s\S]?)*'),
     ("bnode_label", "_:" + _LOCAL),
     ("at", r"@(?:[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?"),
     ("double", r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)"),
     ("decimal", r"[+-]?\d*\.\d+"),
     ("integer", r"[+-]?\d+"),
-    ("pname", f"(?:{_PREFIX})?:{_LOCAL}"),
     ("name", _PREFIX),
     ("other", r"[\s\S]"),
 )
@@ -101,21 +101,52 @@ _NUMBER_TYPES = {"double": vocab.XSD_DOUBLE, "decimal": vocab.XSD_DECIMAL,
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[\s\S]?)")
 _LOCAL_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
+_RDF_TYPE = iri(vocab.RDF_TYPE)
+_RDF_FIRST = iri(vocab.RDF_FIRST)
+_RDF_REST = iri(vocab.RDF_REST)
+_RDF_NIL = iri(vocab.RDF_NIL)
+
 
 def _unescape_local(local: str) -> str:
     """Drop the backslash of each '\\' escape in a local name or label."""
     return _LOCAL_ESCAPE_RE.sub(r"\1", local) if "\\" in local else local
 
 
-class _Lexer:
-    """Turtle tokenizer. Tokens carry only their offset into the text;
-    line and column are worked out when a diagnostic is raised."""
+class _Parser:
+    """Recursive descent over a streaming tokenizer.
 
-    def __init__(self, text: str):
+    The current token is ``kind``, ``value`` and ``start``, its offset into
+    the text. A punctuation token is its own kind. A prefixed name's value is
+    its lexeme, resolved when it is used. A lexical error is raised when its
+    token becomes current, and line and column are worked out only when a
+    diagnostic is raised.
+    """
+
+    def __init__(self, text: str, base: Optional[str]):
         self.text = text
         self.pos = 0
+        self.graph = Graph(base=base)
+        self.triples = self.graph.triples
+        self.base = base
+        self.scope = new_scope()
+        self.labelled: Dict[str, BlankNode] = {}
+        # Resolved names: prefixed-name lexemes under the current prefixes,
+        # IRI references under the current base.
+        self.pnames: Dict[str, Iri] = {}
+        self.irirefs: Dict[str, Iri] = {}
+        self.anon_count = 0
+        self.depth = 0
+        self.kind = ""
+        self.value: object = None
+        self.start = 0
+        self._advance()
 
-    def error(self, message: str, offset: int):
+    # -- tokens ------------------------------------------------------------
+
+    def _error(self, message: str, offset: Optional[int] = None):
+        """Raise a diagnostic at ``offset``, by default the current token's."""
+        if offset is None:
+            offset = self.start
         # Columns count code points, so a '\r' before the offset is a column.
         line_start = self.text.rfind("\n", 0, offset) + 1
         line = self.text.count("\n", 0, line_start) + 1
@@ -132,104 +163,119 @@ class _Lexer:
             esc = m.group(1)
             if len(esc) > 1:
                 if int(esc[1:], 16) > 0x10FFFF:
-                    self.error(f"escape \\{esc} is beyond U+10FFFF", offset + m.start())
+                    self._error(f"escape \\{esc} is beyond U+10FFFF", offset + m.start())
                 return chr(int(esc[1:], 16))
             if esc in ("u", "U"):
-                self.error(f"bad \\{esc} escape", offset + m.end())
+                self._error(f"bad \\{esc} escape", offset + m.end())
             if esc not in table:
                 where = "" if table else " in IRI reference"
-                self.error(f"unknown escape \\{esc}{where}", offset + m.start() + 1)
+                self._error(f"unknown escape \\{esc}{where}", offset + m.start() + 1)
             return table[esc]
 
         return _ESCAPE_RE.sub(decode, body)
 
-    def next_token(self) -> _Token:
+    def _advance(self) -> None:
+        """Make the next token current."""
         text = self.text
         m = _TOKEN_RE.match(text, self.pos)
         kind = m.lastgroup
         start, end = m.span(kind)
+        self.start = start
         self.pos = end
-        lexeme = m.group(kind)
         if kind == "pname":
-            label, local = lexeme.split(":", 1)
-            return _Token("pname", (label, _unescape_local(local)), start)
-        if kind == "punct":
-            return _Token("punct", lexeme, start)
+            self.kind = kind
+            self.value = text[start:end]
+        elif kind == "punct":
+            self.kind = self.value = text[start:end]
+        elif kind == "name":
+            lexeme = self.value = text[start:end]
+            self.kind = "boolean" if lexeme == "true" or lexeme == "false" else "word"
+        elif kind == "iri":
+            self.kind = "iriref"
+            self.value = text[start + 1:end - 1]
+        elif kind == "string":
+            self.kind = kind
+            self.value = text[start + 1:end - 1]
+        else:
+            self._advance_rare(kind, start, end)
+
+    def _advance_rare(self, kind: str, start: int, end: int) -> None:
+        text = self.text
+        lexeme = text[start:end]
         if kind == "iriref":
             value = self._unescape(lexeme[1:], start + 1, {})
             if end == len(text):
-                self.error("unterminated IRI reference", start)
+                self._error("unterminated IRI reference", start)
             if text[end] != ">":
-                self.error(f"character {text[end]!r} not allowed inside IRI reference", end)
+                self._error(f"character {text[end]!r} not allowed inside IRI reference", end)
             self.pos = end + 1
-            return _Token("iriref", value, start)
-        if kind in ("long_string", "short_string"):
+            self.kind, self.value = "iriref", value
+        elif kind in ("long_string", "short_string"):
             quote = lexeme[0] * (3 if kind == "long_string" else 1)
             value = self._unescape(lexeme[len(quote):], start + len(quote), _ESCAPES)
             if not text.startswith(quote, end):
-                self.error("unterminated literal", start)
+                self._error("unterminated literal", start)
             self.pos = end + len(quote)
-            return _Token("string", value, start)
-        if kind in _NUMBER_TYPES:
-            return _Token("number", (lexeme, _NUMBER_TYPES[kind]), start)
-        if kind == "name":
-            return _Token("boolean" if lexeme in ("true", "false") else "word", lexeme, start)
-        if kind == "at":
+            self.kind, self.value = "string", value
+        elif kind in _NUMBER_TYPES:
+            self.kind, self.value = "number", (lexeme, _NUMBER_TYPES[kind])
+        elif kind == "at":
             if lexeme == "@":
-                self.error("bad @ directive or language tag", start)
+                self._error("bad @ directive or language tag", start)
             if lexeme in ("@prefix", "@base"):
-                return _Token("word", lexeme, start)
-            return _Token("lang", lexeme[1:], start)
-        if kind == "bnode_label":
+                self.kind, self.value = "word", lexeme
+            else:
+                self.kind, self.value = "lang", lexeme[1:]
+        elif kind == "bnode_label":
             label = _unescape_local(lexeme[2:])
             if not label:
-                self.error("empty blank node label", start)
-            return _Token("bnode_label", label, start)
-        if kind == "eof":
-            return _Token("eof", None, start)
-        if kind == "quoted":
-            self.error("quoted triples are not supported", start)
-        if kind == "trig":
-            self.error("TriG graph blocks are not supported", start)
-        self.error(f"unexpected character {lexeme!r}", start)
+                self._error("empty blank node label", start)
+            self.kind, self.value = "bnode_label", label
+        elif kind == "eof":
+            self.kind, self.value = "eof", None
+        elif kind == "quoted":
+            self._error("quoted triples are not supported", start)
+        elif kind == "trig":
+            self._error("TriG graph blocks are not supported", start)
+        else:
+            self._error(f"unexpected character {lexeme!r}", start)
 
+    def _describe(self) -> str:
+        if self.kind == "eof":
+            return "end of input"
+        if self.kind == "pname":
+            label, local = self.value.split(":", 1)
+            return repr((label, _unescape_local(local)))
+        return repr(self.value)
 
-class _Parser:
-    def __init__(self, text: str, base: Optional[str]):
-        self.lexer = _Lexer(text)
-        self.graph = Graph(base=base)
-        self.base = base
-        self.scope = new_scope()
-        self.labelled: Dict[str, BlankNode] = {}
-        self.anon_count = 0
-        self.depth = 0
-        self.token = self.lexer.next_token()
-
-    def _error(self, message: str, token: Optional[_Token] = None):
-        self.lexer.error(message, (token or self.token).offset)
-
-    def _next(self) -> _Token:
-        current = self.token
-        self.token = self.lexer.next_token()
-        return current
-
-    def _expect_punct(self, value: str) -> None:
-        if self.token.kind != "punct" or self.token.value != value:
-            self._error(f"expected {value!r}, found {self._describe(self.token)}")
-        self._next()
+    def _expect(self, punct: str) -> None:
+        if self.kind != punct:
+            self._error(f"expected {punct!r}, found {self._describe()}")
+        self._advance()
 
     def _open(self, opener: str) -> None:
         """Consume '[' or '(', keeping the parser's recursion within MAX_NESTING."""
         if self.depth == MAX_NESTING:
             self._error(f"more than {MAX_NESTING} nested '[' or '('")
-        self._expect_punct(opener)
+        self._expect(opener)
         self.depth += 1
 
-    @staticmethod
-    def _describe(token: _Token) -> str:
-        if token.kind == "eof":
-            return "end of input"
-        return repr(token.value)
+    def _iri(self) -> Iri:
+        """Resolve the current 'iriref' or 'pname' token and move past it."""
+        kind, value, start = self.kind, self.value, self.start
+        self._advance()
+        resolved = self.pnames if kind == "pname" else self.irirefs
+        term = resolved.get(value)
+        if term is None:
+            name = _unescape_local(value) if kind == "pname" else f"<{value}>"
+            try:
+                term = iri_resolve(self.graph.prefixes, name, self.base)
+            except (UnknownPrefixError, MissingBaseError) as exc:
+                self._error(str(exc), start)
+            resolved[value] = term
+        return term
+
+    # -- grammar -----------------------------------------------------------
 
     def _fresh_bnode(self) -> BlankNode:
         node = BlankNode(f"b{self.anon_count}", self.scope)
@@ -243,18 +289,10 @@ class _Parser:
             self.labelled[label] = node
         return node
 
-    def _iri(self, token: _Token) -> Iri:
-        """Resolve an 'iriref' or 'pname' token already consumed."""
-        name = f"<{token.value}>" if token.kind == "iriref" else "%s:%s" % token.value
-        try:
-            return iri_resolve(self.graph.prefixes, name, self.base)
-        except (UnknownPrefixError, MissingBaseError) as exc:
-            self._error(str(exc), token)
-
     def parse(self) -> Graph:
-        while self.token.kind != "eof":
-            if self.token.kind == "word":
-                word = str(self.token.value)
+        while self.kind != "eof":
+            if self.kind == "word":
+                word = self.value
                 if word == "@prefix" or word.lower() == "prefix":
                     self._directive_prefix(sparql=not word.startswith("@"))
                     continue
@@ -262,36 +300,38 @@ class _Parser:
                     self._directive_base(sparql=not word.startswith("@"))
                     continue
             self._triples()
-            self._expect_punct(".")
+            self._expect(".")
         return self.graph
 
     def _directive_prefix(self, sparql: bool) -> None:
-        self._next()
-        if self.token.kind != "pname":
+        self._advance()
+        if self.kind != "pname":
             self._error("expected prefix label ending in ':'")
-        label, local = self.token.value
-        if local:
+        label, local = self.value.split(":", 1)
+        if _unescape_local(local):
             self._error("prefix label must end with ':'")
-        self._next()
-        if self.token.kind != "iriref":
+        self._advance()
+        if self.kind != "iriref":
             self._error("expected namespace IRI")
-        self.graph.bind(label, self._iri(self._next()).value)
+        self.graph.bind(label, self._iri().value)
+        self.pnames.clear()
         if not sparql:
-            self._expect_punct(".")
+            self._expect(".")
 
     def _directive_base(self, sparql: bool) -> None:
-        self._next()
-        if self.token.kind != "iriref":
+        self._advance()
+        if self.kind != "iriref":
             self._error("expected base IRI")
-        self.base = self._iri(self._next()).value
+        self.base = self._iri().value
         self.graph.base = self.base
+        self.irirefs.clear()
         if not sparql:
-            self._expect_punct(".")
+            self._expect(".")
 
     def _triples(self) -> None:
-        if self.token.kind == "punct" and self.token.value == "[":
+        if self.kind == "[":
             subject = self._bnode_property_list()
-            if self.token.kind == "punct" and self.token.value == ".":
+            if self.kind == ".":
                 return  # bare [ ... ] . statement
             self._predicate_object_list(subject)
             return
@@ -299,107 +339,110 @@ class _Parser:
         self._predicate_object_list(subject)
 
     def _subject(self) -> Term:
-        t = self.token
-        if t.kind in ("iriref", "pname"):
-            return self._iri(self._next())
-        if t.kind == "bnode_label":
-            self._next()
-            return self._labelled_bnode(str(t.value))
-        if t.kind == "punct" and t.value == "(":
+        kind = self.kind
+        if kind == "pname" or kind == "iriref":
+            return self._iri()
+        if kind == "bnode_label":
+            label = self.value
+            self._advance()
+            return self._labelled_bnode(label)
+        if kind == "(":
             return self._collection()
-        self._error(f"expected subject, found {self._describe(t)}")
+        self._error(f"expected subject, found {self._describe()}")
 
     def _verb(self) -> Iri:
-        t = self.token
-        if t.kind == "word" and t.value == "a":
-            self._next()
-            return iri(vocab.RDF_TYPE)
-        if t.kind in ("iriref", "pname"):
-            return self._iri(self._next())
-        self._error(f"expected predicate, found {self._describe(t)}")
+        kind = self.kind
+        if kind == "pname" or kind == "iriref":
+            return self._iri()
+        if kind == "word" and self.value == "a":
+            self._advance()
+            return _RDF_TYPE
+        self._error(f"expected predicate, found {self._describe()}")
+
     def _predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self._verb()
             self._object_list(subject, predicate)
-            if self.token.kind == "punct" and self.token.value == ";":
-                self._next()
-                # Trailing ';' before '.' or ']' is legal.
-                while self.token.kind == "punct" and self.token.value == ";":
-                    self._next()
-                if self.token.kind == "punct" and self.token.value in (".", "]"):
-                    return
-                continue
-            return
+            if self.kind != ";":
+                return
+            self._advance()
+            # Trailing ';' before '.' or ']' is legal.
+            while self.kind == ";":
+                self._advance()
+            if self.kind == "." or self.kind == "]":
+                return
 
     def _object_list(self, subject: Term, predicate: Iri) -> None:
+        add = self.triples.add
         while True:
-            obj = self._object()
-            self.graph.add(Triple(subject, predicate, obj))
-            if self.token.kind == "punct" and self.token.value == ",":
-                self._next()
-                continue
-            return
+            add(Triple(subject, predicate, self._object()))
+            if self.kind != ",":
+                return
+            self._advance()
 
     def _object(self) -> Term:
-        t = self.token
-        if t.kind == "punct" and t.value == "[":
+        kind = self.kind
+        if kind == "pname" or kind == "iriref":
+            return self._iri()
+        if kind == "[":
             return self._bnode_property_list()
-        if t.kind == "punct" and t.value == "(":
-            return self._collection()
-        if t.kind == "string":
+        if kind == "string":
             return self._string_literal()
-        if t.kind == "number":
-            self._next()
-            lexical, datatype = t.value
+        if kind == "number":
+            lexical, datatype = self.value
+            self._advance()
             return Literal(lexical, datatype=datatype)
-        if t.kind == "boolean":
-            self._next()
-            return Literal(str(t.value), datatype=vocab.XSD_BOOLEAN)
+        if kind == "boolean":
+            lexical = self.value
+            self._advance()
+            return Literal(lexical, datatype=vocab.XSD_BOOLEAN)
         return self._subject()
 
     def _string_literal(self) -> Literal:
-        t = self._next()
-        lexical = str(t.value)
-        if self.token.kind == "lang":
-            lang = str(self._next().value)
+        lexical = self.value
+        self._advance()
+        if self.kind == "lang":
+            lang = self.value
+            self._advance()
             return Literal(lexical, language=lang)
-        if self.token.kind == "punct" and self.token.value == "^^":
-            self._next()
-            if self.token.kind not in ("iriref", "pname"):
+        if self.kind == "^^":
+            self._advance()
+            if self.kind != "iriref" and self.kind != "pname":
                 self._error("expected datatype IRI after '^^'")
-            return Literal(lexical, datatype=self._iri(self._next()).value)
+            return Literal(lexical, datatype=self._iri().value)
         return Literal(lexical, datatype=vocab.XSD_STRING)
 
     def _bnode_property_list(self) -> BlankNode:
         self._open("[")
         node = self._fresh_bnode()
-        if not (self.token.kind == "punct" and self.token.value == "]"):
+        if self.kind != "]":
             self._predicate_object_list(node)
-        self._expect_punct("]")
+        self._expect("]")
         self.depth -= 1
         return node
 
     def _collection(self) -> Term:
         self._open("(")
         items: List[Term] = []
-        while not (self.token.kind == "punct" and self.token.value == ")"):
-            if self.token.kind == "eof":
+        while self.kind != ")":
+            if self.kind == "eof":
                 self._error("unterminated collection")
             items.append(self._object())
-        self._next()
+        self._advance()
         self.depth -= 1
         if not items:
-            return iri(vocab.RDF_NIL)
+            return _RDF_NIL
+        add = self.triples.add
         head = self._fresh_bnode()
         current = head
         for i, item in enumerate(items):
-            self.graph.add(Triple(current, iri(vocab.RDF_FIRST), item))
+            add(Triple(current, _RDF_FIRST, item))
             if i + 1 < len(items):
                 nxt = self._fresh_bnode()
-                self.graph.add(Triple(current, iri(vocab.RDF_REST), nxt))
+                add(Triple(current, _RDF_REST, nxt))
                 current = nxt
             else:
-                self.graph.add(Triple(current, iri(vocab.RDF_REST), iri(vocab.RDF_NIL)))
+                add(Triple(current, _RDF_REST, _RDF_NIL))
         return head
 
 

@@ -1,7 +1,11 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+import provalign
 from provalign import vocab
-from provalign.fixtures import fixture_text
+from provalign.fixtures import FIXTURE_NAMES, INSTANCE_NAMES, fixture_text
 from provalign.owl import (
     Axiom,
     ClassAtom,
@@ -24,7 +28,7 @@ from provalign.owl import (
     parse_class_expression,
     signature,
 )
-from provalign.rdf import BlankNode, Graph, Literal, iri
+from provalign.rdf import BlankNode, Graph, Literal, iri, triple_sort_key
 from provalign.turtle import parse_turtle
 
 HEADER = """
@@ -50,6 +54,38 @@ def model_of(body):
 
 def axioms_of_kind(model, kind):
     return [a for a in model.axioms if a.kind == kind]
+
+
+@pytest.fixture(scope="module")
+def perfbench_inputs(tmp_path_factory):
+    """The Turtle files of seed 1 of every perfbench workload."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fixtures = str(Path(provalign.__file__).resolve().parent / "fixtures")
+    paths = set()
+    for workload in sorted(workloads.GENERATORS):
+        workdir = tmp_path_factory.mktemp(workload)
+        for request in workloads.generate(workload, 1, str(workdir), fixtures):
+            paths.update(p for p in request["files"] if str(p).startswith(str(workdir)))
+    return sorted(paths)
+
+
+def _assert_model_order(model):
+    assert model.axioms == sorted(model.axioms, key=lambda a: repr((a.kind, a.args)))
+    assert model.unmodeled == sorted(model.unmodeled, key=triple_sort_key)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + INSTANCE_NAMES)
+def test_fixture_model_is_in_canonical_order(name):
+    _assert_model_order(extract_axioms(parse_turtle(fixture_text(name))))
+
+
+def test_perfbench_models_are_in_canonical_order(perfbench_inputs):
+    assert len(perfbench_inputs) >= 10
+    for path in perfbench_inputs:
+        _assert_model_order(extract_axioms(parse_turtle(Path(path).read_text(encoding="utf-8"))))
 
 
 def test_empty_graph_gives_empty_model():

@@ -11,6 +11,7 @@ from provalign.rdf import (
     IsomorphismLimitError,
     Literal,
     MissingBaseError,
+    RdfError,
     Triple,
     UnknownPrefixError,
     graph_isomorphic,
@@ -56,8 +57,35 @@ def test_resolve_is_deterministic():
 
 
 def test_iri_must_be_absolute():
-    with pytest.raises(Exception):
+    with pytest.raises(RdfError):
         Iri("no-scheme-here")
+    with pytest.raises(RdfError):
+        iri("relative/path")
+
+
+def test_iris_are_interned():
+    value = "http://example.org/interned#a"
+    assert Iri(value) is iri(value)
+    assert iri(value) is Iri(value)
+    assert Iri(value) == iri(value) and hash(Iri(value)) == hash(iri(value))
+    assert Iri("http://e/a") != Iri("http://e/b")
+
+
+def test_iri_value_cannot_be_assigned():
+    term = iri("http://e/frozen")
+    with pytest.raises(AttributeError):
+        term.value = "http://e/other"
+    assert term.value == "http://e/frozen"
+    assert iri("http://e/frozen") is term
+
+
+def test_triple_is_frozen_and_hashes_by_value():
+    t = Triple(iri("http://e/s"), iri("http://e/p"), Literal("x"))
+    with pytest.raises(AttributeError):
+        t.object = Literal("y")
+    twin = Triple(iri("http://e/s"), iri("http://e/p"), Literal("x"))
+    assert t == twin and hash(t) == hash(twin) and twin in {t}
+    assert t != Triple(iri("http://e/s"), iri("http://e/p"), Literal("y"))
 
 
 def test_literal_cannot_have_datatype_and_language():

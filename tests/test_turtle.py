@@ -195,6 +195,12 @@ EX = "@prefix ex: <http://e/> .\n"
     (EX + 'ex:s ex:p "\\U00110000" .', "escape \\U00110000 is beyond U+10FFFF", 2, 12),
     # PLX allows '%' only before two hex digits.
     (EX + "ex:a%zz ex:p ex:o .", "unexpected character '%'", 2, 5),
+    # A token's escapes are decoded only when the parser reaches it, so a
+    # syntax error wins over a bad escape on a later line.
+    (EX + 'ex:s ex:p ex:o ex:x .\nex:s ex:p "\\U00110000" .\n',
+     "expected '.', found ('ex', 'x')", 2, 16),
+    (EX + 'ex:s ex:p ex:o ;\n  ex:q .\nex:t ex:p "\\U00110000" .\n',
+     "expected subject, found '.'", 3, 8),
 ])
 def test_parse_error_positions(doc, message, line, column):
     with pytest.raises(TurtleParseError) as err:
