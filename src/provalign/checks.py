@@ -26,6 +26,7 @@ from .alignment import (
 )
 from .owl import (
     Axiom,
+    ClassExpression,
     NamedClass,
     NamedProperty,
     OntologyModel,
@@ -381,20 +382,15 @@ def _equiv_pairs(t: Taxonomy) -> Set[Tuple[str, str]]:
 
 
 def _named_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:
-    out: Set[Tuple[str, str]] = set()
-    classes = [NamedClass(iri(n)) for n in sorted(names)]
-    for i, c in enumerate(classes):
-        if c not in tbox.universe:
-            continue
-        for d in classes[i + 1:]:
-            if d not in tbox.universe:
-                continue
-            for a, b in tbox.disjoint_pairs:
-                if (tbox.subsumed(c, a) and tbox.subsumed(d, b)) or \
-                   (tbox.subsumed(c, b) and tbox.subsumed(d, a)):
-                    out.add((c.iri.value, d.iri.value))
-                    break
-    return out
+    """Pairs of distinct ``names``, ordered by name, under the two sides of a disjoint pair."""
+    below: Dict[ClassExpression, List[str]] = {}
+    for n in names:
+        c = NamedClass(iri(n))
+        if c in tbox.universe:
+            for ce in (c, *tbox.supers(c)):
+                below.setdefault(ce, []).append(n)
+    return {(c, d) if c < d else (d, c) for a, b in tbox.disjoint_pairs
+            for c in below.get(a, ()) for d in below.get(b, ()) if c != d}
 
 
 def check_conservativity(o1: OntologyModel, o2: Sequence[OntologyModel],

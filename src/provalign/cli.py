@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from . import vocab
@@ -40,7 +40,20 @@ DEFAULT_FACT_CAP = 1_000_000
 FACT_CAP_ENV = "PROVALIGN_FACT_CAP"
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer no smaller than ``floor``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="provalign",
         description="Verify ontology alignments: totality, coherence, consistency, conservativity.",
@@ -59,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instances", metavar="PATH")
         p.add_argument("--source-ns", action="append", default=[], metavar="IRI")
         p.add_argument("--target-ns", action="append", default=[], metavar="IRI")
-        p.add_argument("--skolem-depth", type=int, default=3, metavar="N")
-        p.add_argument("--fact-cap", type=int, default=None, metavar="N")
+        p.add_argument("--skolem-depth", type=_at_least(0), default=3, metavar="N")
+        p.add_argument("--fact-cap", type=_at_least(1), default=None, metavar="N")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH")
         if name == "suggest":
@@ -93,9 +106,12 @@ def _fact_cap(args) -> int:
     env = os.environ.get(FACT_CAP_ENV)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise UsageError(f"{FACT_CAP_ENV} must be an integer, got {env!r}") from exc
+        if cap < 1:
+            raise UsageError(f"{FACT_CAP_ENV} must be at least 1, got {cap}")
+        return cap
     return DEFAULT_FACT_CAP
 
 
@@ -156,8 +172,11 @@ class _Inputs:
 
 def _write(args, payload: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

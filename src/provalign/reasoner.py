@@ -41,7 +41,7 @@ from .owl import (
     extract_axioms,
     render_class_expression,
 )
-from .rdf import Graph, Iri, Literal, Term, term_sort_key
+from .rdf import BlankNode, Graph, Iri, Literal, Term, term_sort_key
 
 
 class ReasonerError(Exception):
@@ -416,6 +416,7 @@ class _Engine(ClosedKB):
         self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
         self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
         self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
+        self.scopes: Dict[int, int] = {}  # blank-node scopes in the order skolemization meets them
         self.dirty: Set[int] = set()  # rules with a body fact newer than their last turn
         self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
@@ -516,9 +517,13 @@ class _Engine(ClosedKB):
             if depth > self.max_depth:
                 self.skolem_budget_exceeded = True
                 continue
+            # A blank node is named by the rank of its scope in this closure, not
+            # by the process-wide scope, so a rerun mints the same witnesses.
+            term = (1, self.scopes.setdefault(x.scope, len(self.scopes)), x.node_id) \
+                if isinstance(x, BlankNode) else term_sort_key(x)
             key = self.tbox.key(ce)
             witness = Iri("urn:skolem:" + hashlib.sha1(
-                (repr(term_sort_key(x)) + "|" + key).encode("utf-8")).hexdigest()[:16])
+                (repr(term) + "|" + key).encode("utf-8")).hexdigest()[:16])
             self.skolem_depths[witness], detail = depth, "witness for " + key
             s, o = (witness, x) if inverted else (x, witness)
             changed |= self.add_prop(name, s, o, "existential-witness", (premise,), detail)

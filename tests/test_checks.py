@@ -215,7 +215,7 @@ def test_paper_alignment_conservative_both_sides(prov, targets, alignment):
     assert report.new_subsumptions == []
     assert report.new_equivalences == []
     # the alignment does entail new disjointness between source terms
-    assert report.new_disjointness_count > 0
+    assert report.new_disjointness_count == 25
     assert report.as_dict()["status"] == "pass"
 
 

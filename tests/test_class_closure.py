@@ -1,11 +1,13 @@
-"""The worklist class closure in ``TBoxIndex`` against a full-rescan fixpoint."""
+"""The worklist class closure in ``TBoxIndex`` against a full-rescan fixpoint,
+and conservativity's named disjoint pairs against a nested scan over it."""
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from provalign.checks import _named_disjoint_pairs
 from provalign.fixtures import load_model
 from provalign.owl import (
     Axiom,
@@ -17,7 +19,9 @@ from provalign.owl import (
     OntologyModel,
     SomeValuesFrom,
     UnionOf,
+    merged_signature,
 )
+from provalign import vocab
 from provalign.rdf import iri
 from provalign.reasoner import TBoxIndex, _ce_key
 
@@ -95,3 +99,48 @@ def test_worklist_closure_equals_rescan_fixpoint(generated):
 ])
 def test_worklist_closure_equals_rescan_fixpoint_on_fixtures(names):
     assert_matches_reference(TBoxIndex([load_model(name) for name in names]))
+
+
+def reference_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:
+    """Every pair of named classes tested against every disjoint pair."""
+    out: Set[Tuple[str, str]] = set()
+    classes = [NamedClass(iri(n)) for n in sorted(names)]
+    for i, c in enumerate(classes):
+        if c not in tbox.universe:
+            continue
+        for d in classes[i + 1:]:
+            if d not in tbox.universe:
+                continue
+            for a, b in tbox.disjoint_pairs:
+                if (tbox.subsumed(c, a) and tbox.subsumed(d, b)) or \
+                   (tbox.subsumed(c, b) and tbox.subsumed(d, a)):
+                    out.add((c.iri.value, d.iri.value))
+                    break
+    return out
+
+
+# Most generated disjointness is between complex expressions with no named
+# class below them, so named pairs are mixed in. ``names`` is a random subset
+# of the generated names and owl:Thing, plus one name that no axiom mentions.
+named_disjoint = st.tuples(names, names).map(lambda ab: Axiom("disjoint-classes", ab))
+name_sets = st.sets(st.sampled_from([EX + n for n in "ABCDEF"] + [vocab.OWL_THING]), min_size=2).map(
+    lambda chosen: chosen | {EX + "Z"})
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(axioms, named_disjoint), max_size=8), name_sets)
+def test_named_disjoint_pairs_equal_nested_scan(generated, chosen):
+    tbox = TBoxIndex([OntologyModel(axioms=generated)])
+    assert _named_disjoint_pairs(tbox, chosen) == reference_disjoint_pairs(tbox, chosen)
+
+
+@pytest.mark.parametrize("names", [
+    ["prov-mini.ttl", "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-paper.ttl"],
+    ["bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-plan-incoherent.ttl"],
+])
+def test_named_disjoint_pairs_equal_nested_scan_on_fixtures(names):
+    models = [load_model(name) for name in names]
+    tbox = TBoxIndex(models)
+    chosen = merged_signature(models[:-1])["classes"]
+    expected = reference_disjoint_pairs(tbox, chosen)
+    assert expected and _named_disjoint_pairs(tbox, chosen) == expected

@@ -10,6 +10,7 @@ import pytest
 
 import provalign
 import provalign.cli
+from provalign import rdf
 from provalign.cli import run
 from provalign.fixtures import fixture_path
 from provalign.owl import extract_axioms
@@ -195,6 +196,10 @@ def test_fact_cap_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PROVALIGN_FACT_CAP", "not-a-number")
     assert run(["check-consistency", *stack_flags(),
                 "--instances", fix("instances/fig9.ttl")]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("PROVALIGN_FACT_CAP", "0")
+    assert run(["check-coherence", "--source", fix("prov-mini.ttl")]) == 2
+    assert capsys.readouterr().err == "provalign: error: PROVALIGN_FACT_CAP must be at least 1, got 0\n"
 
 
 def test_fact_cap_flag_overrides_env(monkeypatch, tmp_path):
@@ -357,6 +362,73 @@ def test_overlapping_namespaces_are_a_usage_error(capsys):
     err = _load_error(["export-sssom", "--alignment", fix("align-paper.ttl"),
                        "--source-ns", "http://www.w3.org/ns/", "--target-ns", NS_FLAGS[1]], capsys)
     assert f"cannot read the mappings in {fix('align-paper.ttl')}" in err
+
+
+def _witness_stack(tmp_path, individuals):
+    """An existential whose filler clashes, and ``individuals`` blank nodes in A."""
+    onto = tmp_path / "witness.ttl"
+    onto.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix ex: <http://example.org/w#> .\n"
+        "ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:p ; owl:someValuesFrom ex:B ] .\n"
+        "ex:B rdfs:subClassOf ex:C .\n"
+        "ex:C owl:disjointWith ex:B .\n")
+    instances = tmp_path / f"witness-instances{individuals}.ttl"
+    instances.write_text("@prefix ex: <http://example.org/w#> .\n" + "[ a ex:A ] .\n" * individuals)
+    return ["check-consistency", "--source", str(onto), "--instances", str(instances)]
+
+
+def test_blank_node_witnesses_identical_across_runs(tmp_path, capsys):
+    argv = _witness_stack(tmp_path, 1)
+    outputs, table = [], []
+    for _ in range(3):
+        assert run(argv) == 1
+        outputs.append(capsys.readouterr().out)
+        table.append(len(rdf._IRIS))
+    assert "urn:skolem:" in outputs[0]
+    assert outputs[1] == outputs[2] == outputs[0]
+    # Each run parses a new blank-node scope but mints no new witness IRI.
+    assert table[1] == table[2] == table[0]
+
+
+def test_blank_nodes_of_one_file_get_distinct_witnesses(tmp_path):
+    doc = run_json(_witness_stack(tmp_path, 2), tmp_path, 1)
+    witnesses = [f["individual"] for f in doc["findings"]]
+    assert len(witnesses) == 2 and len(set(witnesses)) == 2
+    assert all(w.startswith("urn:skolem:") for w in witnesses)
+
+
+def test_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    alone = ["check-coherence", "--source", fix("prov-mini.ttl"), "--format", "json"]
+    package_root = str(Path(provalign.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "provalign.cli", *alone],
+                          env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True)
+    assert run(["check-coherence", "--source", fix("bfo-mini.ttl"), "--source", fix("cco-mini.ttl"),
+                "--format", "json"]) == 0
+    capsys.readouterr()
+    assert run(alone) == done.returncode == 0
+    assert capsys.readouterr().out == done.stdout
+
+
+@pytest.mark.parametrize("flag,value,floor", [("--skolem-depth", "-1", 0), ("--fact-cap", "-3", 1)])
+def test_flag_below_its_floor_is_a_usage_error(tmp_path, capsys, flag, value, floor):
+    argv = _witness_stack(tmp_path, 1)
+    assert run([*argv, flag, value]) == 2
+    assert f"argument {flag}: must be at least {floor}, got {value}" in capsys.readouterr().err
+
+
+def test_skolem_depth_zero_still_runs(tmp_path):
+    # No witness at depth 0, so the clash below ex:A's existential goes unseen.
+    assert run([*_witness_stack(tmp_path, 1), "--skolem-depth", "0"]) == 0
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    assert run(["check-coherence", "--source", fix("prov-mini.ttl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"provalign: error: cannot write {out}: ")
+    assert "internal error" not in err
 
 
 def _generated_request(workload, workdir):
