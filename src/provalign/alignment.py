@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
@@ -20,16 +20,11 @@ from .owl import (
     ClassAtom,
     ClassExpression,
     DisjointUnionOf,
-    InverseProperty,
-    NamedClass,
-    NamedProperty,
     OntologyModel,
     PropertyExpression,
     SwrlRule,
     class_expression_names,
     property_name,
-    render_class_expression,
-    render_property_expression,
     _Encoder,
 )
 from .rdf import Graph, Iri, Literal, Term, iri, new_scope
@@ -74,17 +69,13 @@ MappingSide = Union[ClassExpression, PropertyExpression, Term, Tuple[str, ...]]
 def render_side(side: MappingSide) -> str:
     if isinstance(side, tuple):
         return " ".join(side)
-    if isinstance(side, (NamedClass,)):
-        return side.iri.value
-    if isinstance(side, (NamedProperty, InverseProperty)):
-        return render_property_expression(side)
     if isinstance(side, Iri):
         return side.value
     if isinstance(side, Literal):
         return side.lexical
     if isinstance(side, Term):
         return repr(side)
-    return render_class_expression(side)
+    return side.text
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ deliberately not used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alignment import Alignment, EQUIVALENT_CLASS, SUB_CLASS_OF
 from .owl import (
@@ -85,25 +85,24 @@ def _check_known(prop: str, models: Sequence[OntologyModel]) -> None:
 
 
 def _resolve_domain_range(prop: str, tbox: TBoxIndex) -> Tuple[ClassExpression, ClassExpression]:
-    def resolve(name: str, slot: int, visited: Set[str]) -> Optional[ClassExpression]:
-        if name in visited:
-            return None
-        visited.add(name)
-        declared = _pick((tbox.domains if slot == 0 else tbox.ranges).get(name, ()))
-        if declared is not None:
-            return declared
-        supers = sorted(q for q, inverted in tbox.prop_edges.get((name, False), ()) if not inverted)
-        for sup in supers:
-            found = resolve(sup, slot, visited)
-            if found is not None:
-                return found
-        for inv in sorted(tbox.inverse_pairs.get(name, ())):
-            found = resolve(inv, 1 - slot, visited)
-            if found is not None:
-                return found
+    def resolve(slot: int) -> Optional[ClassExpression]:
+        # Depth first, in preorder: a property's own declaration, then its sorted
+        # named super-properties, then its sorted inverses with the slot flipped.
+        stack, visited = [(prop, slot)], set()
+        while stack:
+            name, slot = stack.pop()
+            if name in visited:
+                continue
+            visited.add(name)
+            declared = _pick((tbox.domains if slot == 0 else tbox.ranges).get(name, ()))
+            if declared is not None:
+                return declared
+            stack += [(inv, 1 - slot) for inv in sorted(tbox.inverse_pairs.get(name, ()), reverse=True)]
+            stack += [(sup, slot) for sup in sorted((q for q, inverted in tbox.prop_edges.get((name, False), ())
+                                                     if not inverted), reverse=True)]
         return None
 
-    return resolve(prop, 0, set()) or THING, resolve(prop, 1, set()) or THING
+    return resolve(0) or THING, resolve(1) or THING
 
 
 def effective_domain_range(prop: str, models: Sequence[OntologyModel]) -> Tuple[ClassExpression, ClassExpression]:

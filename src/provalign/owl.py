@@ -11,8 +11,7 @@ irrelevant to verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
@@ -44,89 +43,93 @@ class UnsupportedAtomError(OwlError):
 # Expressions
 # ---------------------------------------------------------------------------
 
-class _CachedHash:
-    """Holds a hash of the class and its dataclass fields, computed once at
-    construction: nested expressions are hashed on every set lookup."""
-
-    __slots__ = ("_hash",)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.__class__, self._field_values(self))))
+# Every class and property expression, keyed by its class and fields.
+_EXPRESSIONS: Dict[tuple, "_Expression"] = {}
 
 
-def _expression(cls):
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_values = attrgetter(*cls.__match_args__)
-    cls.__hash__ = lambda self: self._hash
-    return cls
+class _Expression:
+    """A class or property expression. Instances are interned, as ``rdf.Iri``
+    is: equal expressions are one object, so equality and hashing are by
+    identity, and ``text``, the compact rendering, is built once from the
+    operands' ``text``."""
+
+    __slots__ = ("text",)
+    __match_args__: Tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        expr = _EXPRESSIONS.get(key)
+        if expr is None:
+            expr = object.__new__(cls)
+            text = cls._render(*fields)  # a wrong field count raises TypeError here
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(expr, name, value)
+            object.__setattr__(expr, "text", text)
+            # setdefault keeps one object per expression when two threads race here.
+            expr = _EXPRESSIONS.setdefault(key, expr)
+        return expr
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@_expression
-class NamedClass(_CachedHash):
+class NamedClass(_Expression):
+    __slots__ = __match_args__ = ("iri",)
     iri: Iri
-
-    def __repr__(self) -> str:
-        return f"NamedClass(iri={self.iri!r})"
+    _render = staticmethod(lambda iri: iri.value)
 
 
-@_expression
-class Intersection(_CachedHash):
+class Intersection(_Expression):
+    __slots__ = __match_args__ = ("operands",)
     operands: Tuple["ClassExpression", ...]
-
-    def __repr__(self) -> str:
-        return f"Intersection(operands={self.operands!r})"
+    _render = staticmethod(lambda operands: "(" + " and ".join(o.text for o in operands) + ")")
 
 
-@_expression
-class UnionOf(_CachedHash):
+class UnionOf(_Expression):
+    __slots__ = __match_args__ = ("operands",)
     operands: Tuple["ClassExpression", ...]
-
-    def __repr__(self) -> str:
-        return f"UnionOf(operands={self.operands!r})"
+    _render = staticmethod(lambda operands: "(" + " or ".join(o.text for o in operands) + ")")
 
 
-@_expression
-class DisjointUnionOf(_CachedHash):
+class DisjointUnionOf(_Expression):
+    __slots__ = __match_args__ = ("operands",)
     operands: Tuple["ClassExpression", ...]
-
-    def __repr__(self) -> str:
-        return f"DisjointUnionOf(operands={self.operands!r})"
+    _render = staticmethod(lambda operands: "DisjointUnion(" + ", ".join(o.text for o in operands) + ")")
 
 
-@_expression
-class Complement(_CachedHash):
+class Complement(_Expression):
+    __slots__ = __match_args__ = ("operand",)
     operand: "ClassExpression"
-
-    def __repr__(self) -> str:
-        return f"Complement(operand={self.operand!r})"
+    _render = staticmethod(lambda operand: "(not " + operand.text + ")")
 
 
-@_expression
-class SomeValuesFrom(_CachedHash):
+class SomeValuesFrom(_Expression):
+    __slots__ = __match_args__ = ("prop", "filler")
     prop: "PropertyExpression"
     filler: "ClassExpression"
-
-    def __repr__(self) -> str:
-        return f"SomeValuesFrom(prop={self.prop!r}, filler={self.filler!r})"
+    _render = staticmethod(lambda prop, filler: "(" + prop.text + " some " + filler.text + ")")
 
 
 ClassExpression = Union[NamedClass, Intersection, UnionOf, DisjointUnionOf, Complement, SomeValuesFrom]
 
 
-@dataclass(frozen=True, slots=True)
-class NamedProperty:
+class NamedProperty(_Expression):
+    __slots__ = __match_args__ = ("iri",)
     iri: Iri
-
-    def __repr__(self) -> str:
-        return f"NamedProperty(iri={self.iri!r})"
+    _render = staticmethod(lambda iri: iri.value)
 
 
-@dataclass(frozen=True, slots=True)
-class InverseProperty:
+class InverseProperty(_Expression):
+    __slots__ = __match_args__ = ("operand",)
     operand: NamedProperty
-
-    def __repr__(self) -> str:
-        return f"InverseProperty(operand={self.operand!r})"
+    _render = staticmethod(lambda operand: "inverse(" + operand.text + ")")
 
 
 PropertyExpression = Union[NamedProperty, InverseProperty]
@@ -168,23 +171,11 @@ def property_name(pe: PropertyExpression) -> str:
 
 def render_class_expression(ce: ClassExpression) -> str:
     """Deterministic compact text form, used in reports and CSV cells."""
-    if isinstance(ce, NamedClass):
-        return ce.iri.value
-    if isinstance(ce, Intersection):
-        return "(" + " and ".join(render_class_expression(o) for o in ce.operands) + ")"
-    if isinstance(ce, UnionOf):
-        return "(" + " or ".join(render_class_expression(o) for o in ce.operands) + ")"
-    if isinstance(ce, DisjointUnionOf):
-        return "DisjointUnion(" + ", ".join(render_class_expression(o) for o in ce.operands) + ")"
-    if isinstance(ce, Complement):
-        return "(not " + render_class_expression(ce.operand) + ")"
-    return "(" + render_property_expression(ce.prop) + " some " + render_class_expression(ce.filler) + ")"
+    return ce.text
 
 
 def render_property_expression(pe: PropertyExpression) -> str:
-    if isinstance(pe, NamedProperty):
-        return pe.iri.value
-    return "inverse(" + render_property_expression(pe.operand) + ")"
+    return pe.text
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +430,6 @@ class _Extractor:
         self.consumed: Set[Triple] = set()
         self.axiom_index: Dict[Tuple, Axiom] = {}
         self.swrl_variables: Set[Term] = set()
-        # One expression object per named class and property.
-        self.named_classes: Dict[Iri, NamedClass] = {}
-        self.named_properties: Dict[Iri, NamedProperty] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -457,12 +445,6 @@ class _Extractor:
             self.axiom_index[key] = existing.with_annotations(axiom.annotations)
 
     # -- lists and expressions ---------------------------------------------
-
-    def named_class(self, node: Iri) -> NamedClass:
-        return self.named_classes.get(node) or self.named_classes.setdefault(node, NamedClass(node))
-
-    def named_property(self, node: Iri) -> NamedProperty:
-        return self.named_properties.get(node) or self.named_properties.setdefault(node, NamedProperty(node))
 
     def read_list(self, node: Term) -> List[Term]:
         items: List[Term] = []
@@ -488,7 +470,7 @@ class _Extractor:
         if isinstance(node, Literal):
             raise MalformedExpressionError("literal in class expression position")
         if isinstance(node, Iri):
-            return self.named_class(node)
+            return NamedClass(node)
         if _depth >= MAX_NESTING:
             raise MalformedExpressionError(f"class expression nested deeper than {MAX_NESTING} levels")
         visiting = _visiting if _visiting is not None else set()
@@ -556,7 +538,7 @@ class _Extractor:
             node, inverted = inv, not inverted
         if not isinstance(node, Iri):
             raise MalformedExpressionError("node does not root a property expression")
-        named = self.named_property(node)
+        named = NamedProperty(node)
         return inverse_of(named) if inverted else named
 
     # -- passes --------------------------------------------------------------
@@ -641,7 +623,6 @@ class _Extractor:
                     body_vars.add(atom.var)
                 else:
                     body_vars.update((atom.var1, atom.var2))
-            head_vars = rule.variables() - body_vars
             for atom in rule.head:
                 names = {atom.var} if isinstance(atom, ClassAtom) else {atom.var1, atom.var2}
                 if names - body_vars:
@@ -801,7 +782,7 @@ class _Extractor:
             ops = tuple(self.class_expression(x) for x in self.read_list(o))
             if len(ops) < 2:
                 raise MalformedExpressionError("owl:disjointUnionOf needs at least two operands")
-            self.add_axiom(Axiom("disjoint-union", (self.named_class(s), ops)))
+            self.add_axiom(Axiom("disjoint-union", (NamedClass(s), ops)))
             return True
         if p == vocab.OWL_INVERSE_OF and isinstance(s, BlankNode):
             return False  # anonymous inverse: consumed by expression decoding when referenced
@@ -816,7 +797,7 @@ class _Extractor:
         if isinstance(s, Literal):
             return False
         # Everything else with a non-vocabulary predicate is a property assertion.
-        self.add_axiom(Axiom("property-assertion", (self.named_property(predicate), s, o)))
+        self.add_axiom(Axiom("property-assertion", (NamedProperty(predicate), s, o)))
         return True
 
     def _type_triple(self, s: Term, o: Term) -> bool:
@@ -825,7 +806,7 @@ class _Extractor:
                 return False  # handled by the declarations pass
             if _is_builtin(o.value):
                 return False
-            self.add_axiom(Axiom("class-assertion", (s, self.named_class(o))))
+            self.add_axiom(Axiom("class-assertion", (s, NamedClass(o))))
             return True
         if isinstance(o, BlankNode):
             ce = self.class_expression(o)

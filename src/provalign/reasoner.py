@@ -33,10 +33,12 @@ from .owl import (
     Intersection,
     NamedClass,
     NamedProperty,
+    NOTHING,
     OntologyModel,
     PropertyAtom,
     PropertyExpression,
     SomeValuesFrom,
+    THING,
     UnionOf,
     extract_axioms,
     render_class_expression,
@@ -88,10 +90,6 @@ class TraceNode:
         return out
 
 
-def _ce_key(ce: ClassExpression) -> str:
-    return render_class_expression(ce)
-
-
 # ---------------------------------------------------------------------------
 # TBox index
 # ---------------------------------------------------------------------------
@@ -126,7 +124,7 @@ class TBoxIndex:
     """Schema-level closure shared by every materialization over the same models."""
 
     def __init__(self, models: Sequence[OntologyModel]):
-        self.universe: Set[ClassExpression] = {NamedClass(Iri(vocab.OWL_THING))}
+        self.universe: Set[ClassExpression] = {THING}
         self.edges: Dict[ClassExpression, Set[ClassExpression]] = {}
         self.disjoint_pairs: Set[Tuple[ClassExpression, ClassExpression]] = set()
         self.domains: Dict[str, List[ClassExpression]] = {}
@@ -138,7 +136,7 @@ class TBoxIndex:
         self._close_classes()
         self._close_properties()
         self.complements: List[Complement] = sorted(
-            (e for e in self.universe if isinstance(e, Complement)), key=_ce_key)
+            (e for e in self.universe if isinstance(e, Complement)), key=render_class_expression)
 
     # -- loading -------------------------------------------------------------
 
@@ -153,7 +151,7 @@ class TBoxIndex:
         self.prop_edges.setdefault(_flip(a), set()).add(_flip(b))
 
     def _mark_disjoint(self, a: ClassExpression, b: ClassExpression) -> None:
-        pair = tuple(sorted((a, b), key=_ce_key))
+        pair = tuple(sorted((a, b), key=render_class_expression))
         if pair[0] != pair[1]:
             self.disjoint_pairs.add(pair)  # type: ignore[arg-type]
 
@@ -237,9 +235,9 @@ class TBoxIndex:
                         for j in range(i + 1, len(ce.operands)):
                             self._mark_disjoint(ce.operands[i], ce.operands[j])
         for values in self.domains.values():
-            values.sort(key=_ce_key)
+            values.sort(key=render_class_expression)
         for values in self.ranges.values():
-            values.sort(key=_ce_key)
+            values.sort(key=render_class_expression)
 
         # Instance rules, in firing order: intersection composition, existential
         # membership, property chains, then SWRL rules.
@@ -250,7 +248,7 @@ class TBoxIndex:
                         (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
                         (ClassAtom(ce, "x"),))
                        for ce in sorted((e for e in self.universe if isinstance(e, SomeValuesFrom)),
-                                        key=_ce_key)]
+                                        key=render_class_expression)]
         self.rules += chains + swrl
         # Trigger index: the rules that read each class expression or property.
         self.readers: Dict[object, Tuple[int, ...]] = {}
@@ -299,9 +297,8 @@ class TBoxIndex:
                     for y in [y for y in reach[b] if all(y in reach[op] for op in u.operands)]:
                         link(u, y)
         self._reach = reach
-        self._keys = keys = {ce: _ce_key(ce) for ce in self.universe}
         self._supers_sorted: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {
-            ce: tuple(sorted(sups - {ce}, key=keys.__getitem__)) for ce, sups in reach.items()}
+            ce: tuple(sorted(sups - {ce}, key=render_class_expression)) for ce, sups in reach.items()}
 
     def _close_properties(self) -> None:
         self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
@@ -327,10 +324,6 @@ class TBoxIndex:
 
     def named_prop_supers(self, name: str) -> Tuple[str, ...]:
         return self._named_prop_supers.get(name, ())
-
-    def key(self, ce: ClassExpression) -> str:
-        """``_ce_key(ce)``, rendered once per universe expression."""
-        return self._keys.get(ce) or _ce_key(ce)
 
     def prop_steps(self, name: str) -> Tuple[Tuple[object, bool, str, str], ...]:
         """What a fact of property ``name`` propagates to, in order, as (property
@@ -374,7 +367,7 @@ class Clash:
 
     def sort_key(self) -> Tuple:
         return (term_sort_key(self.individual), self.kind,
-                tuple(_ce_key(p) for p in self.participants))
+                tuple(p.text for p in self.participants))
 
 
 class ClosedKB:
@@ -452,18 +445,18 @@ class _Engine(ClosedKB):
                   premises: Tuple[FactKey, ...], detail: str = "") -> bool:
         if isinstance(x, Literal) or ce in self.memberships.get(x, ()):
             return False
-        fact, supers, key = class_fact(x, ce), self.tbox.supers, self.tbox.key
+        fact, supers = class_fact(x, ce), self.tbox.supers
         self._record(fact, Trace(rule, premises, detail))
         members = self.memberships[x]
         # Depth first along the sorted superexpressions, as recursion would go.
-        stack = [(fact, key(ce) + " is below ", iter(supers(ce)))]
+        stack = [(fact, ce.text + " is below ", iter(supers(ce)))]
         while stack:
             premise, below, pending = stack[-1]
             for sup in pending:
                 if sup not in members:
                     fact = class_fact(x, sup)
-                    self._record(fact, Trace("subsumption", (premise,), below + key(sup)))
-                    stack.append((fact, key(sup) + " is below ", iter(supers(sup))))
+                    self._record(fact, Trace("subsumption", (premise,), below + sup.text))
+                    stack.append((fact, sup.text + " is below ", iter(supers(sup))))
                     break
             else:
                 stack.pop()
@@ -505,7 +498,7 @@ class _Engine(ClosedKB):
         witnesses reach at least as deep, so it derives all the witness would."""
         changed = False
         fresh, self.fresh = self.fresh, []
-        fresh.sort(key=lambda fact: (term_sort_key(fact[1]), self.tbox.key(fact[2])))
+        fresh.sort(key=lambda fact: (term_sort_key(fact[1]), fact[2].text))
         for premise in fresh:
             _, x, ce = premise
             name, inverted = _prop_key(ce.prop)
@@ -521,10 +514,9 @@ class _Engine(ClosedKB):
             # by the process-wide scope, so a rerun mints the same witnesses.
             term = (1, self.scopes.setdefault(x.scope, len(self.scopes)), x.node_id) \
                 if isinstance(x, BlankNode) else term_sort_key(x)
-            key = self.tbox.key(ce)
             witness = Iri("urn:skolem:" + hashlib.sha1(
-                (repr(term) + "|" + key).encode("utf-8")).hexdigest()[:16])
-            self.skolem_depths[witness], detail = depth, "witness for " + key
+                (repr(term) + "|" + ce.text).encode("utf-8")).hexdigest()[:16])
+            self.skolem_depths[witness], detail = depth, "witness for " + ce.text
             s, o = (witness, x) if inverted else (x, witness)
             changed |= self.add_prop(name, s, o, "existential-witness", (premise,), detail)
             changed |= self.add_class(witness, ce.filler, "existential-witness", (premise,), detail)
@@ -661,8 +653,7 @@ def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *
 def check_clash(kb: ClosedKB) -> List[Clash]:
     """All contradictions present in a completed closure (collect-all)."""
     clashes: List[Clash] = []
-    nothing = NamedClass(Iri(vocab.OWL_NOTHING))
-    pairs = sorted(kb.tbox.disjoint_pairs, key=lambda p: (_ce_key(p[0]), _ce_key(p[1])))
+    pairs = sorted(kb.tbox.disjoint_pairs, key=lambda p: (p[0].text, p[1].text))
     for x in kb.individuals():
         members = kb.memberships[x]
         for a, b in pairs:
@@ -673,9 +664,9 @@ def check_clash(kb: ClosedKB) -> List[Clash]:
             if comp in members and comp.operand in members:
                 clashes.append(Clash("complement-violation", x, (comp.operand, comp),
                                      (class_fact(x, comp.operand), class_fact(x, comp))))
-        if nothing in members:
-            clashes.append(Clash("nothing-membership", x, (nothing,),
-                                 (class_fact(x, nothing),)))
+        if NOTHING in members:
+            clashes.append(Clash("nothing-membership", x, (NOTHING,),
+                                 (class_fact(x, NOTHING),)))
     clashes.sort(key=Clash.sort_key)
     return clashes
 

@@ -10,7 +10,7 @@ import pytest
 
 import provalign
 import provalign.cli
-from provalign import rdf
+from provalign import owl, rdf
 from provalign.cli import run
 from provalign.fixtures import fixture_path
 from provalign.owl import extract_axioms
@@ -110,8 +110,11 @@ def test_check_all_byte_identical_between_runs(tmp_path):
             *NS_FLAGS, "--format", "json"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(args + ["--out", str(out1)]) == 1
+    table = len(owl._EXPRESSIONS)
     assert run(args + ["--out", str(out2)]) == 1
     assert out1.read_bytes() == out2.read_bytes()
+    # The second run interns no expression the first did not.
+    assert len(owl._EXPRESSIONS) == table
 
 
 def test_export_sssom_writes_csv(tmp_path):
@@ -290,6 +293,50 @@ def test_deep_subclass_chain_exits_zero(tmp_path, capsys):
                 "--instances", str(instances)]) == 0
     assert capsys.readouterr().err == ""
 
+
+
+def _property_chain(tmp_path, depth):
+    """ex:p0 below ex:p1 ... below ex:p<depth>, whose domain and range alone are
+    declared and map onto those of t:q; returns every subcommand's flags."""
+    header = ("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+              "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+              "@prefix ex: <http://example.org/src#> .\n"
+              "@prefix t: <http://example.org/tgt#> .\n")
+    files = {
+        "source": header + "".join(f"ex:p{k} a owl:ObjectProperty ; rdfs:subPropertyOf ex:p{k + 1} .\n"
+                                   for k in range(depth))
+        + f"ex:p{depth} a owl:ObjectProperty ; rdfs:domain ex:C ; rdfs:range ex:D .\n",
+        "target": header + "t:q a owl:ObjectProperty ; rdfs:domain t:C ; rdfs:range t:D .\n",
+        "alignment": header + "ex:C owl:equivalentClass t:C .\nex:D owl:equivalentClass t:D .\n",
+        "instances": header + "ex:a ex:p0 ex:b .\n",
+    }
+    flags = {}
+    for role, text in files.items():
+        path = tmp_path / f"chain-{role}.ttl"
+        path.write_text(text)
+        flags[role] = ["--" + role, str(path)]
+    common = [*flags["source"], *flags["target"], *flags["alignment"],
+              "--source-ns", "http://example.org/src#", "--target-ns", "http://example.org/tgt#"]
+    return {"check-totality": common, "check-coherence": common,
+            "check-consistency": common + flags["instances"],
+            "check-conservativity": common, "check-all": common + flags["instances"],
+            "suggest": common + ["--property", "http://example.org/src#p0"],
+            "materialize": common, "export-sssom": common, "stats": common}
+
+
+def test_suggest_inherits_through_a_deep_subproperty_chain(tmp_path):
+    argv = _property_chain(tmp_path, 3000)["suggest"]
+    doc = run_json(["suggest", *argv], tmp_path, 0)
+    assert [(f["property"], f["match_kind"]) for f in doc["findings"]] == [("http://example.org/tgt#q", "exact")]
+
+
+def test_every_subcommand_survives_a_deep_subproperty_chain(tmp_path, capsys):
+    # Deeper than Python's default recursion limit of 1,000: any walk that
+    # recurses once per link fails here. The property closure is quadratic in
+    # the depth, so the 3,000-deep chain is left to the suggest test above.
+    for subcommand, argv in _property_chain(tmp_path, 1200).items():
+        assert run([subcommand, *argv, "--out", str(tmp_path / "out")]) in (0, 1), subcommand
+        assert "internal error" not in capsys.readouterr().err
 
 
 def test_shallow_witness_kept_beside_a_deeper_successor(tmp_path):

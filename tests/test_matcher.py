@@ -1,14 +1,29 @@
+from typing import Optional, Set
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provalign import vocab
 from provalign.alignment import extract_mappings
 from provalign.fixtures import SOURCE_NAMESPACES, TARGET_NAMESPACES
 from provalign.matcher import (
     UnknownPropertyError,
+    _pick,
+    _resolve_domain_range,
     effective_domain_range,
     suggest_property_mappings,
 )
-from provalign.owl import Intersection, NamedClass, extract_axioms
+from provalign.owl import (
+    Axiom,
+    Intersection,
+    InverseProperty,
+    NamedClass,
+    NamedProperty,
+    OntologyModel,
+    THING,
+    extract_axioms,
+)
 from provalign.rdf import iri
 from provalign.reasoner import TBoxIndex
 from provalign.turtle import parse_turtle
@@ -96,6 +111,51 @@ def test_equivalent_property_shares_domain_range():
     dom, rng = effective_domain_range(EX + "p", models)
     assert dom == NamedClass(iri(EX + "C"))
     assert rng == NamedClass(iri(EX + "D"))
+
+
+def recursive_domain_range(prop, tbox):
+    """The recursive resolution that the matcher's explicit stack replaces."""
+    def resolve(name: str, slot: int, visited: Set[str]) -> Optional[object]:
+        if name in visited:
+            return None
+        visited.add(name)
+        declared = _pick((tbox.domains if slot == 0 else tbox.ranges).get(name, ()))
+        if declared is not None:
+            return declared
+        supers = sorted(q for q, inverted in tbox.prop_edges.get((name, False), ()) if not inverted)
+        for sup in supers:
+            found = resolve(sup, slot, visited)
+            if found is not None:
+                return found
+        for inv in sorted(tbox.inverse_pairs.get(name, ())):
+            found = resolve(inv, 1 - slot, visited)
+            if found is not None:
+                return found
+        return None
+
+    return resolve(prop, 0, set()) or THING, resolve(prop, 1, set()) or THING
+
+
+_NAMES = [EX + f"p{k}" for k in range(6)]
+_prop = st.builds(lambda k: NamedProperty(iri(_NAMES[k])), st.integers(0, 5))
+_some_prop = st.one_of(_prop, _prop.map(InverseProperty))
+_class = st.builds(lambda k: NamedClass(iri(EX + f"C{k}")), st.integers(0, 3))
+_axiom = st.one_of(
+    st.builds(lambda a, b: Axiom("sub-property-of", (a, b)), _prop, _prop),
+    st.builds(lambda a, b: Axiom("sub-property-of", (a, b)), _some_prop, _some_prop),
+    st.builds(lambda a, b: Axiom("equivalent-properties", (a, b)), _prop, _prop),
+    st.builds(lambda a, b: Axiom("inverse-properties", (a, b)), _some_prop, _some_prop),
+    st.builds(lambda p, c: Axiom("property-domain", (p, c)), _some_prop, _class),
+    st.builds(lambda p, c: Axiom("property-range", (p, c)), _some_prop, _class),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_axiom, max_size=14))
+def test_resolution_matches_the_recursive_walk(axioms):
+    tbox = TBoxIndex([OntologyModel(axioms=axioms)])
+    for name in _NAMES:
+        assert _resolve_domain_range(name, tbox) == recursive_domain_range(name, tbox)
 
 
 def test_unknown_property_raises(prov):

@@ -1,4 +1,7 @@
+import copy
 import importlib.util
+import pickle
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from provalign.owl import (
     extract_swrl_rules,
     merge_models,
     parse_class_expression,
+    render_class_expression,
     signature,
 )
 from provalign.rdf import BlankNode, Graph, Literal, iri, triple_sort_key
@@ -412,3 +416,70 @@ def test_expression_encode_decode_round_trip(expr):
     g = Graph()
     node = encode_class_expression(g, expr)
     assert parse_class_expression(g, node) == expr
+
+
+# -- interning -----------------------------------------------------------------
+
+A, B = NamedClass(iri("http://example.org/A")), NamedClass(iri("http://example.org/B"))
+P = NamedProperty(iri("http://example.org/p"))
+ONE_OF_EACH = {
+    "NamedClass(iri=<http://example.org/A>)": A,
+    "Intersection(operands=(NamedClass(iri=<http://example.org/A>), NamedClass(iri=<http://example.org/B>)))":
+        Intersection((A, B)),
+    "UnionOf(operands=(NamedClass(iri=<http://example.org/A>), NamedClass(iri=<http://example.org/B>)))":
+        UnionOf((A, B)),
+    "DisjointUnionOf(operands=(NamedClass(iri=<http://example.org/A>), NamedClass(iri=<http://example.org/B>)))":
+        DisjointUnionOf((A, B)),
+    "Complement(operand=NamedClass(iri=<http://example.org/A>))": Complement(A),
+    "SomeValuesFrom(prop=InverseProperty(operand=NamedProperty(iri=<http://example.org/p>)), "
+    "filler=NamedClass(iri=<http://example.org/A>))": SomeValuesFrom(InverseProperty(P), A),
+    "NamedProperty(iri=<http://example.org/p>)": P,
+    "InverseProperty(operand=NamedProperty(iri=<http://example.org/p>))": InverseProperty(P),
+}
+
+
+def test_equal_expressions_are_one_object():
+    assert NamedClass(iri("http://example.org/A")) is NamedClass(iri("http://example.org/A"))
+    assert SomeValuesFrom(P, Intersection((A, B))) is SomeValuesFrom(P, Intersection((A, B)))
+    assert Intersection((A, B)) is not Intersection((B, A))
+    assert NamedClass(iri("http://example.org/p")) is not P
+
+
+def test_equal_expressions_from_two_files_are_one_object():
+    body = """
+    ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty [ owl:inverseOf ex:p ] ;
+                           owl:someValuesFrom [ a owl:Class ; owl:intersectionOf (ex:B [ owl:complementOf ex:C ]) ] ] .
+    """
+    first, second = model_of(body), model_of("ex:D a owl:Class .\n" + body)
+    (sub1,), (sub2,) = axioms_of_kind(first, "sub-class-of"), axioms_of_kind(second, "sub-class-of")
+    assert isinstance(sub1.args[1], SomeValuesFrom)
+    assert sub1.args[1] is sub2.args[1]
+
+
+@pytest.mark.parametrize("text,expr", ONE_OF_EACH.items())
+def test_repr_is_unchanged(text, expr):
+    assert repr(expr) == text
+
+
+@pytest.mark.parametrize("expr", ONE_OF_EACH.values())
+def test_pickle_and_copy_return_the_interned_object(expr):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(expr, protocol)) is expr
+    assert copy.copy(expr) is expr
+    assert copy.deepcopy(expr) is expr
+
+
+@pytest.mark.parametrize("expr", ONE_OF_EACH.values())
+def test_expressions_are_immutable(expr):
+    with pytest.raises(FrozenInstanceError):
+        expr.text = "changed"
+    with pytest.raises(FrozenInstanceError):
+        setattr(expr, expr.__match_args__[0], A)
+
+
+def test_deep_restriction_renders_unchanged():
+    expr = A
+    for _ in range(128):
+        expr = SomeValuesFrom(P, expr)
+    expected = "(http://example.org/p some " * 128 + "http://example.org/A" + ")" * 128
+    assert render_class_expression(expr) == expr.text == expected

@@ -18,6 +18,7 @@ from provalign.owl import (
     PropertyAtom,
     SomeValuesFrom,
     extract_axioms,
+    render_class_expression,
 )
 from provalign.rdf import Literal, iri, term_sort_key
 from provalign.reasoner import (
@@ -461,7 +462,7 @@ class RecursiveEngine(reasoner._Engine):
         for sup in self.tbox.supers(ce):
             if sup not in members:
                 self.add_class(x, sup, "subsumption", (class_fact(x, ce),),
-                               detail=f"{reasoner._ce_key(ce)} is below {reasoner._ce_key(sup)}")
+                               detail=f"{render_class_expression(ce)} is below {render_class_expression(sup)}")
         return True
 
     def add_prop(self, name, s, o, rule, premises, detail=""):
@@ -591,7 +592,7 @@ class FivePassEngine(reasoner._Engine):
                     self.gated += [ce for ce in ax.args
                                    if isinstance(ce, Intersection) and ce not in self.gated]
         self.existentials = sorted((ce for ce in tbox.universe if isinstance(ce, SomeValuesFrom)),
-                                   key=reasoner._ce_key)
+                                   key=render_class_expression)
         self.chains = [(tuple(reasoner._prop_key(pe) for pe in ax.args[0]),
                         reasoner._prop_key(ax.args[1]))
                        for model in models for ax in model.axioms if ax.kind == "property-chain"]
