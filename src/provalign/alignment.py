@@ -23,8 +23,8 @@ from .owl import (
     OntologyModel,
     PropertyExpression,
     SwrlRule,
-    class_expression_names,
-    property_name,
+    add_names,
+    add_uses,
     _Encoder,
 )
 from .rdf import Graph, Iri, Literal, Term, iri, new_scope
@@ -55,6 +55,18 @@ SIMPLE_PREDICATES = (EQUIVALENT_CLASS, EQUIVALENT_PROPERTY, SUB_CLASS_OF, SUB_PR
 COMPLEX_PREDICATES = (SWRL_RULE, PROPERTY_CHAIN)
 
 DEFAULT_JUSTIFICATION = "manual mapping curation"
+
+# The axiom kinds (and rules) that are mappings when they span both groups.
+_MAPPING_PREDICATE = {
+    "equivalent-classes": EQUIVALENT_CLASS,
+    "disjoint-union": EQUIVALENT_CLASS,
+    "sub-class-of": SUB_CLASS_OF,
+    "equivalent-properties": EQUIVALENT_PROPERTY,
+    "sub-property-of": SUB_PROPERTY_OF,
+    "property-chain": PROPERTY_CHAIN,
+    SWRL_RULE: SWRL_RULE,
+    "skos-related": SKOS_RELATED,
+}
 
 _PREDICATE_IRI = {
     EQUIVALENT_CLASS: vocab.OWL_EQUIVALENT_CLASS,
@@ -128,39 +140,16 @@ def _group(name: str, source_ns: Sequence[str], target_ns: Sequence[str]) -> Opt
     return None
 
 
-def _axiom_names(ax: Axiom) -> Set[str]:
-    kind, args = ax.kind, ax.args
+def _names(item: Union[Axiom, SwrlRule]) -> Set[str]:
+    """The class and property IRIs an axiom or rule uses; for SKOS metadata,
+    its subject and object IRIs."""
+    if isinstance(item, Axiom) and item.kind == "skos-related":
+        return {t.value for t in item.args[1:] if isinstance(t, Iri)}
+    classes: Set[ClassExpression] = set()
+    props: Set[PropertyExpression] = set()
     names: Set[str] = set()
-    if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
-        names |= class_expression_names(args[0]) | class_expression_names(args[1])
-    elif kind == "disjoint-union":
-        names |= class_expression_names(args[0])
-        for op in args[1]:
-            names |= class_expression_names(op)
-    elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
-        names.add(property_name(args[0]))
-        names.add(property_name(args[1]))
-    elif kind in ("property-domain", "property-range"):
-        names.add(property_name(args[0]))
-        names |= class_expression_names(args[1])
-    elif kind == "property-chain":
-        for pe in args[0]:
-            names.add(property_name(pe))
-        names.add(property_name(args[1]))
-    elif kind == "skos-related":
-        for t in (args[1], args[2]):
-            if isinstance(t, Iri):
-                names.add(t.value)
-    return names
-
-
-def _rule_names(rule: SwrlRule) -> Set[str]:
-    names: Set[str] = set()
-    for atom in rule.body + rule.head:
-        if isinstance(atom, ClassAtom):
-            names |= class_expression_names(atom.cls)
-        else:
-            names.add(property_name(atom.prop))
+    add_uses((item,), classes, props, set())
+    add_names(classes, props, names, names)
     return names
 
 
@@ -204,46 +193,38 @@ def extract_mappings(model: OntologyModel, source_ns: Sequence[str],
         return "source" in groups and "target" in groups
 
     def add(m: Mapping) -> None:
-        key = (m.predicate, render_side(m.subject), render_side(m.object))
+        # A chain or a rule has sorted name tuples for sides, which two
+        # different ones can share, so those are told apart by their payload.
+        if m.predicate in COMPLEX_PREDICATES:
+            key = (m.predicate, m.payload)
+        else:
+            key = (m.predicate, render_side(m.subject), render_side(m.object))
         if key not in seen:
             seen.add(key)
             mappings.append(m)
 
-    for ax in model.axioms:
-        names = _axiom_names(ax)
+    for item in (*model.axioms, *model.rules):
+        kind = item.kind if isinstance(item, Axiom) else SWRL_RULE
+        predicate = _MAPPING_PREDICATE.get(kind)
+        if predicate is None:
+            continue  # disjointness, inverses, domains, ranges, assertions: no mapping types
+        names = _names(item)
         if not spans(names):
             continue
-        fields = _annotation_fields(ax.annotations)
-        kind, args = ax.kind, ax.args
-        if kind == "equivalent-classes":
-            add(Mapping(args[0], EQUIVALENT_CLASS, args[1], payload=ax, **fields))
-        elif kind == "sub-class-of":
-            add(Mapping(args[0], SUB_CLASS_OF, args[1], payload=ax, **fields))
+        fields = _annotation_fields(item.annotations)
+        if predicate in COMPLEX_PREDICATES:
+            add(Mapping(_side_tuple(names, source_ns), predicate, _side_tuple(names, target_ns),
+                        payload=item, **fields))
         elif kind == "disjoint-union":
             # Normalized to an equivalence with a disjoint-union expression so
             # the mapping round-trips through its reified serialization.
-            union = DisjointUnionOf(args[1])
-            add(Mapping(args[0], EQUIVALENT_CLASS, union,
-                        payload=Axiom("equivalent-classes", (args[0], union)), **fields))
-        elif kind == "equivalent-properties":
-            add(Mapping(args[0], EQUIVALENT_PROPERTY, args[1], payload=ax, **fields))
-        elif kind == "sub-property-of":
-            add(Mapping(args[0], SUB_PROPERTY_OF, args[1], payload=ax, **fields))
-        elif kind == "property-chain":
-            add(Mapping(_side_tuple(names, source_ns), PROPERTY_CHAIN,
-                        _side_tuple(names, target_ns), payload=ax, **fields))
+            union = DisjointUnionOf(item.args[1])
+            add(Mapping(item.args[0], predicate, union,
+                        payload=Axiom("equivalent-classes", (item.args[0], union)), **fields))
         elif kind == "skos-related":
-            add(Mapping(args[1], SKOS_RELATED, args[2], payload=ax, **fields))
-        # Other spanning kinds (inverse, domain/range, assertions) are not
-        # mapping relation types; they still contribute to reasoning.
-
-    for rule in model.rules:
-        names = _rule_names(rule)
-        if not spans(names):
-            continue
-        fields = _annotation_fields(rule.annotations)
-        add(Mapping(_side_tuple(names, source_ns), SWRL_RULE,
-                    _side_tuple(names, target_ns), payload=rule, **fields))
+            add(Mapping(item.args[1], predicate, item.args[2], payload=item, **fields))
+        else:
+            add(Mapping(item.args[0], predicate, item.args[1], payload=item, **fields))
 
     mappings.sort(key=Mapping.sort_key)
     derived = tuple(("", v) for v in model.derived_from)

@@ -31,11 +31,12 @@ from .owl import (
     NamedProperty,
     OntologyModel,
     SwrlRule,
+    add_uses,
     merged_signature,
     render_class_expression,
     signature,
 )
-from .rdf import BlankNode, Iri, Literal, Term, iri
+from .rdf import BlankNode, Iri, Term, iri
 from .reasoner import (
     Clash,
     ClosedKB,
@@ -110,9 +111,7 @@ def _credit_histogram(trace: Dict[str, CreditEntry]) -> Dict[str, int]:
 
 
 def _top_level_names(side) -> List[str]:
-    if isinstance(side, NamedClass):
-        return [side.iri.value]
-    if isinstance(side, NamedProperty):
+    if isinstance(side, (NamedClass, NamedProperty)):
         return [side.iri.value]
     if isinstance(side, tuple):
         return list(side)
@@ -322,16 +321,8 @@ class ConsistencyReport:
 
 def count_individuals(abox: OntologyModel) -> int:
     """Named plus anonymous individuals mentioned in assertions."""
-    individuals: Set[Term] = set()
-    for ax in abox.axioms:
-        if ax.kind == "class-assertion":
-            individuals.add(ax.args[0])
-        elif ax.kind == "property-assertion":
-            individuals.add(ax.args[1])
-            if not isinstance(ax.args[2], Literal):
-                individuals.add(ax.args[2])
-    for name in abox.declared_individuals:
-        individuals.add(Iri(name))
+    individuals: Set[Term] = {Iri(name) for name in abox.declared_individuals}
+    add_uses(abox.axioms, set(), set(), individuals)
     return len(individuals)
 
 

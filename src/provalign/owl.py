@@ -145,22 +145,28 @@ def inverse_of(p: PropertyExpression) -> PropertyExpression:
     return InverseProperty(p)
 
 
-def class_expression_names(ce: ClassExpression) -> Set[str]:
-    """All named class and property IRIs occurring in an expression tree."""
-    out: Set[str] = set()
-    stack: List[ClassExpression] = [ce]
+def add_subexpressions(roots: Iterable[ClassExpression], into: Set[ClassExpression]) -> None:
+    """Add ``roots`` and every class expression nested in them to ``into``.
+
+    The walk runs on an explicit stack, so nesting depth never meets the
+    recursion limit, and it does not descend into an expression that ``into``
+    holds already: fill ``into`` only through this function (or with named
+    classes), and every expression in it has its whole tree there too.
+    """
+    stack = list(roots)
     while stack:
         e = stack.pop()
+        if e in into:
+            continue
+        into.add(e)
         if isinstance(e, NamedClass):
-            out.add(e.iri.value)
-        elif isinstance(e, (Intersection, UnionOf, DisjointUnionOf)):
+            continue
+        if isinstance(e, (Intersection, UnionOf, DisjointUnionOf)):
             stack.extend(e.operands)
-        elif isinstance(e, Complement):
-            stack.append(e.operand)
         elif isinstance(e, SomeValuesFrom):
-            out.add(property_name(e.prop))
             stack.append(e.filler)
-    return out
+        else:  # Complement
+            stack.append(e.operand)
 
 
 def property_name(pe: PropertyExpression) -> str:
@@ -172,10 +178,6 @@ def property_name(pe: PropertyExpression) -> str:
 def render_class_expression(ce: ClassExpression) -> str:
     """Deterministic compact text form, used in reports and CSV cells."""
     return ce.text
-
-
-def render_property_expression(pe: PropertyExpression) -> str:
-    return pe.text
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +236,61 @@ class SwrlRule:
     head: Tuple[Atom, ...]
     annotations: Tuple[Annotation, ...] = field(default=(), compare=False)
 
-    def variables(self) -> Set[str]:
-        out: Set[str] = set()
-        for atom in self.body + self.head:
-            if isinstance(atom, ClassAtom):
-                out.add(atom.var)
-            else:
-                out.update((atom.var1, atom.var2))
-        return out
+
+def atom_variables(atom: Atom) -> Tuple[str, ...]:
+    return (atom.var,) if isinstance(atom, ClassAtom) else (atom.var1, atom.var2)
+
+
+def add_uses(items: Iterable[Union[Axiom, SwrlRule]], classes: Set[ClassExpression],
+             props: Set[PropertyExpression], individuals: Set[Term]) -> None:
+    """Add the class expressions, property expressions and individuals that
+    axioms, or rules' atoms, name outright to the caller's sets. Expressions
+    nested inside them are ``add_subexpressions``' business. A literal object is
+    not an individual, and ``skos-related`` metadata adds nothing."""
+    for item in items:
+        if isinstance(item, SwrlRule):
+            for atom in item.body + item.head:
+                if isinstance(atom, ClassAtom):
+                    classes.add(atom.cls)
+                else:
+                    props.add(atom.prop)
+            continue
+        kind, args = item.kind, item.args
+        if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
+            classes.update(args)
+        elif kind == "property-assertion":
+            props.add(args[0])
+            individuals.add(args[1])
+            if not isinstance(args[2], Literal):
+                individuals.add(args[2])
+        elif kind == "class-assertion":
+            individuals.add(args[0])
+            classes.add(args[1])
+        elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
+            props.update(args)
+        elif kind in ("property-domain", "property-range"):
+            props.add(args[0])
+            classes.add(args[1])
+        elif kind == "disjoint-union":  # cls == DisjointUnion(operands)
+            classes.add(args[0])
+            classes.add(DisjointUnionOf(args[1]))
+        elif kind == "property-chain":
+            props.update(args[0])
+            props.add(args[1])
+
+
+def add_names(classes: Iterable[ClassExpression], props: Iterable[PropertyExpression],
+              class_names: Set[str], property_names: Set[str]) -> None:
+    """Add the IRIs of the named classes and properties in ``classes``, at any
+    depth, and in ``props``."""
+    expressions: Set[ClassExpression] = set()
+    add_subexpressions(classes, expressions)
+    for e in expressions:
+        if isinstance(e, NamedClass):
+            class_names.add(e.iri.value)
+        elif isinstance(e, SomeValuesFrom):
+            property_names.add(property_name(e.prop))
+    property_names.update(map(property_name, props))
 
 
 @dataclass
@@ -273,72 +322,18 @@ def _is_builtin(value: str) -> bool:
 
 
 def _compute_signature(model: OntologyModel) -> Dict[str, Set[str]]:
+    used: Set[ClassExpression] = set()
+    used_props: Set[PropertyExpression] = set()
+    used_individuals: Set[Term] = set()
+    add_uses(model.axioms, used, used_props, used_individuals)
+    add_uses(model.rules, used, used_props, used_individuals)
     classes: Set[str] = set(model.declared_classes)
     props: Set[str] = set(model.declared_object_properties)
-    individuals: Set[str] = set(model.declared_individuals)
-
-    def add_ce(ce: ClassExpression) -> None:
-        stack: List[ClassExpression] = [ce]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, NamedClass):
-                classes.add(e.iri.value)
-            elif isinstance(e, (Intersection, UnionOf, DisjointUnionOf)):
-                stack.extend(e.operands)
-            elif isinstance(e, Complement):
-                stack.append(e.operand)
-            elif isinstance(e, SomeValuesFrom):
-                add_pe(e.prop)
-                stack.append(e.filler)
-
-    def add_pe(pe: PropertyExpression) -> None:
-        props.add(property_name(pe))
-
-    def add_individual(term: Term) -> None:
-        if isinstance(term, Iri):
-            individuals.add(term.value)
-
-    for ax in model.axioms:
-        kind, args = ax.kind, ax.args
-        if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
-            add_ce(args[0])
-            add_ce(args[1])
-        elif kind == "disjoint-union":
-            add_ce(args[0])
-            for op in args[1]:
-                add_ce(op)
-        elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
-            add_pe(args[0])
-            add_pe(args[1])
-        elif kind in ("property-domain", "property-range"):
-            add_pe(args[0])
-            add_ce(args[1])
-        elif kind == "property-chain":
-            for pe in args[0]:
-                add_pe(pe)
-            add_pe(args[1])
-        elif kind == "class-assertion":
-            add_individual(args[0])
-            add_ce(args[1])
-        elif kind == "property-assertion":
-            add_pe(args[0])
-            add_individual(args[1])
-            add_individual(args[2])
-        # skos-related axioms are metadata and contribute nothing
-
-    for rule in model.rules:
-        for atom in rule.body + rule.head:
-            if isinstance(atom, ClassAtom):
-                add_ce(atom.cls)
-            else:
-                add_pe(atom.prop)
-
-    props -= model.declared_data_properties
-    props -= model.declared_annotation_properties
-    classes = {c for c in classes if not _is_builtin(c)}
-    props = {p for p in props if not _is_builtin(p)}
-    individuals = {i for i in individuals if not _is_builtin(i)}
-    return {"classes": classes, "object_properties": props, "individuals": individuals}
+    add_names(used, used_props, classes, props)
+    props -= model.declared_data_properties | model.declared_annotation_properties
+    individuals = model.declared_individuals | {t.value for t in used_individuals if isinstance(t, Iri)}
+    return {key: {t for t in terms if not _is_builtin(t)}
+            for key, terms in (("classes", classes), ("object_properties", props), ("individuals", individuals))}
 
 
 def signature(model: OntologyModel, namespace_filter: Optional[Sequence[str]] = None) -> Dict[str, Set[str]]:
@@ -617,17 +612,11 @@ class _Extractor:
             annotations = self._collect_annotations(
                 imp, exclude={vocab.RDF_TYPE, vocab.SWRL_BODY, vocab.SWRL_HEAD})
             rule = SwrlRule(body=body_head[0], head=body_head[1], annotations=annotations)
-            body_vars = set()
-            for atom in rule.body:
-                if isinstance(atom, ClassAtom):
-                    body_vars.add(atom.var)
-                else:
-                    body_vars.update((atom.var1, atom.var2))
+            body_vars = {var for atom in rule.body for var in atom_variables(atom)}
             for atom in rule.head:
-                names = {atom.var} if isinstance(atom, ClassAtom) else {atom.var1, atom.var2}
-                if names - body_vars:
-                    raise UnsafeRuleError(
-                        f"head variable(s) {sorted(names - body_vars)} never occur in the rule body")
+                unsafe = set(atom_variables(atom)) - body_vars
+                if unsafe:
+                    raise UnsafeRuleError(f"head variable(s) {sorted(unsafe)} never occur in the rule body")
             self.model.rules.append(rule)
 
     def _read_atom_list(self, node: Term) -> List[Term]:

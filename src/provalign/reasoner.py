@@ -40,6 +40,8 @@ from .owl import (
     SomeValuesFrom,
     THING,
     UnionOf,
+    add_subexpressions,
+    add_uses,
     extract_axioms,
     render_class_expression,
 )
@@ -109,17 +111,6 @@ def _flip(key: PropKey) -> PropKey:
     return (key[0], not key[1])
 
 
-def _subexpressions(ce: ClassExpression) -> Iterable[ClassExpression]:
-    yield ce
-    if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
-        for op in ce.operands:
-            yield from _subexpressions(op)
-    elif isinstance(ce, Complement):
-        yield from _subexpressions(ce.operand)
-    elif isinstance(ce, SomeValuesFrom):
-        yield from _subexpressions(ce.filler)
-
-
 class TBoxIndex:
     """Schema-level closure shared by every materialization over the same models."""
 
@@ -140,9 +131,6 @@ class TBoxIndex:
 
     # -- loading -------------------------------------------------------------
 
-    def _see(self, ce: ClassExpression) -> None:
-        self.universe.update(_subexpressions(ce))
-
     def _edge(self, a: ClassExpression, b: ClassExpression) -> None:
         self.edges.setdefault(a, set()).add(b)
 
@@ -159,27 +147,28 @@ class TBoxIndex:
         gated: Dict[Intersection, None] = {}
         chains: List[Rule] = []
         swrl: List[Rule] = []
+        # The class expressions that the axioms and rules use, which with their
+        # subexpressions make up the universe.
+        used: Set[ClassExpression] = set()
         # Each model's class and property assertions, kept for every closure.
         self._assertions: List[Tuple[OntologyModel, List[Axiom]]] = []
         for model in models:
             kept: List[Axiom] = []
             self._assertions.append((model, kept))
+            add_uses(model.axioms, used, set(), set())
+            add_uses(model.rules, used, set(), set())
             for ax in model.axioms:
                 kind, args = ax.kind, ax.args
                 if kind == "sub-class-of":
-                    self._see(args[0]); self._see(args[1])
                     self._edge(args[0], args[1])
                 elif kind == "equivalent-classes":
-                    self._see(args[0]); self._see(args[1])
                     self._edge(args[0], args[1])
                     self._edge(args[1], args[0])
                     gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
                 elif kind == "disjoint-classes":
-                    self._see(args[0]); self._see(args[1])
                     self._mark_disjoint(args[0], args[1])
                 elif kind == "disjoint-union":
                     union = DisjointUnionOf(args[1])
-                    self._see(args[0]); self._see(union)
                     self._edge(args[0], union)
                     self._edge(union, args[0])
                 elif kind == "sub-property-of":
@@ -194,33 +183,23 @@ class TBoxIndex:
                         self.inverse_pairs.setdefault(a[0], set()).add(b[0])
                         self.inverse_pairs.setdefault(b[0], set()).add(a[0])
                 elif kind == "property-domain":
-                    p, c = args
-                    self._see(c)
-                    name, inverted = _prop_key(p)
-                    (self.ranges if inverted else self.domains).setdefault(name, []).append(c)
+                    name, inverted = _prop_key(args[0])
+                    (self.ranges if inverted else self.domains).setdefault(name, []).append(args[1])
                 elif kind == "property-range":
-                    p, c = args
-                    self._see(c)
-                    name, inverted = _prop_key(p)
-                    (self.domains if inverted else self.ranges).setdefault(name, []).append(c)
+                    name, inverted = _prop_key(args[0])
+                    (self.domains if inverted else self.ranges).setdefault(name, []).append(args[1])
                 elif kind == "property-chain":
                     chains.append(("property-chain", f"chain into {_prop_key(args[1])[0]}",
                                    tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
                                          for i, pe in enumerate(args[0])),
                                    (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
-                elif kind == "class-assertion":
-                    self._see(args[1])
-                    kept.append(ax)
-                elif kind == "property-assertion":
+                elif kind in ("class-assertion", "property-assertion"):
                     kept.append(ax)
             for rule in model.rules:
                 comment = next((value.lexical for pred, value in rule.annotations
                                 if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
                 swrl.append((f"swrl-rule-{len(swrl) + 1}", comment, rule.body, rule.head))
-        for _, _, body, head in chains + swrl:
-            for atom in body + head:
-                if isinstance(atom, ClassAtom):
-                    self._see(atom.cls)
+        add_subexpressions(used, self.universe)
 
         # Structural edges and disjointness contributed by expression shapes.
         for ce in list(self.universe):

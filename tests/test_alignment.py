@@ -11,8 +11,9 @@ from provalign.alignment import (
     serialize_mapping,
     SSSOM_HEADER,
 )
+from provalign.checks import alignment_axiom_model, alignment_stats
 from provalign.fixtures import SOURCE_NAMESPACES, TARGET_NAMESPACES
-from provalign.owl import NamedClass, extract_axioms
+from provalign.owl import ClassAtom, NamedClass, SwrlRule, extract_axioms, merge_models
 from provalign.rdf import iri
 from provalign.turtle import parse_turtle
 
@@ -194,3 +195,35 @@ def test_round_trip_every_fixture_mapping(alignment):
                                 alignment.target_namespaces)
         assert len(back.mappings) == 1, m
         assert back.mappings[0] == m
+
+
+def test_mappings_over_the_same_terms_stay_apart():
+    # Both chains and both rules use the same names, so their sorted name
+    # tuples (the mapping sides) are equal; each is still its own mapping.
+    model = model_of("""
+    obo:r owl:propertyChainAxiom ( prov:p prov:q ) .
+    obo:r owl:propertyChainAxiom ( prov:q prov:p ) .
+    """)
+    a, b = NamedClass(iri(PROV + "Entity")), NamedClass(iri(OBO + "BFO_0000002"))
+    model.rules = [SwrlRule((ClassAtom(a, "x"),), (ClassAtom(b, "x"),)),
+                   SwrlRule((ClassAtom(b, "x"),), (ClassAtom(a, "x"),))]
+    alignment = extract_mappings(model, SOURCE_NAMESPACES, TARGET_NAMESPACES)
+    chains = [m for m in alignment.mappings if m.predicate == "property-chain"]
+    rules = [m for m in alignment.mappings if m.predicate == "swrl-rule"]
+    assert len(chains) == len(rules) == 2
+    assert {m.payload for m in chains} == set(model.axioms)
+    assert {m.payload for m in rules} == set(model.rules)
+    assert chains[0].subject == chains[1].subject == (PROV + "p", PROV + "q")
+    assert alignment_stats(alignment)["counts"]["mappings"] == 4
+    assert export_sssom(alignment).splitlines()[-1].startswith(
+        "# 4 complex mapping(s) not exported as rows (property-chain: 2, swrl-rule: 2)")
+    logical = alignment_axiom_model(alignment)
+    assert set(logical.axioms) == set(model.axioms) and set(logical.rules) == set(model.rules)
+
+
+def test_a_rule_read_twice_is_one_mapping():
+    model = model_of("obo:r owl:propertyChainAxiom ( prov:p prov:q ) .")
+    a, b = NamedClass(iri(PROV + "Entity")), NamedClass(iri(OBO + "BFO_0000002"))
+    model.rules = [SwrlRule((ClassAtom(a, "x"),), (ClassAtom(b, "x"),))] * 2
+    alignment = extract_mappings(merge_models([model, model]), SOURCE_NAMESPACES, TARGET_NAMESPACES)
+    assert sorted(m.predicate for m in alignment.mappings) == ["property-chain", "swrl-rule"]
