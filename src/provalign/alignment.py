@@ -193,12 +193,10 @@ def extract_mappings(model: OntologyModel, source_ns: Sequence[str],
         return "source" in groups and "target" in groups
 
     def add(m: Mapping) -> None:
-        # A chain or a rule has sorted name tuples for sides, which two
-        # different ones can share, so those are told apart by their payload.
-        if m.predicate in COMPLEX_PREDICATES:
-            key = (m.predicate, m.payload)
-        else:
-            key = (m.predicate, render_side(m.subject), render_side(m.object))
+        # Mappings are told apart by their payload, not their sides: two chains
+        # or rules can share sorted name tuples, and two SKOS mappings differ
+        # only in their SKOS predicate.
+        key = (m.predicate, m.payload)
         if key not in seen:
             seen.add(key)
             mappings.append(m)

@@ -45,13 +45,16 @@ class UnsupportedAtomError(OwlError):
 
 # Every class and property expression, keyed by its class and fields.
 _EXPRESSIONS: Dict[tuple, "_Expression"] = {}
+# Each expression's ``repr``, built on first use; kept out of the objects so
+# that they stay as small as their fields.
+_REPRS: Dict["_Expression", str] = {}
 
 
 class _Expression:
     """A class or property expression. Instances are interned, as ``rdf.Iri``
     is: equal expressions are one object, so equality and hashing are by
     identity, and ``text``, the compact rendering, is built once from the
-    operands' ``text``."""
+    operands' ``text``, as ``repr`` is on first use."""
 
     __slots__ = ("text",)
     __match_args__: Tuple[str, ...] = ()
@@ -76,8 +79,11 @@ class _Expression:
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        text = _REPRS.get(self)
+        if text is None:
+            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+            text = _REPRS.setdefault(self, f"{type(self).__name__}({fields})")
+        return text
 
 
 class NamedClass(_Expression):

@@ -168,9 +168,14 @@ def term_sort_key(t: Term) -> Tuple:
 
 
 def triple_sort_key(t: Triple) -> Tuple:
+    """Subject, predicate, object, in term order, as one flat tuple: two equal
+    term keys have one kind and one length, so the parts line up."""
     s, o = t.subject, t.object
-    return ((0, s.value) if s.__class__ is Iri else term_sort_key(s), (0, t.predicate.value),
-            (0, o.value) if o.__class__ is Iri else term_sort_key(o))
+    if s.__class__ is Iri:
+        if o.__class__ is Iri:
+            return (0, s.value, t.predicate.value, 0, o.value)
+        return (0, s.value, t.predicate.value, *term_sort_key(o))
+    return (*term_sort_key(s), t.predicate.value, *term_sort_key(o))
 
 
 class Graph:

@@ -97,6 +97,9 @@ class TraceNode:
 # ---------------------------------------------------------------------------
 
 PropKey = Tuple[str, bool]  # (property IRI, inverted?)
+# A propagation plan entry: (property IRI or class expression, onto the swapped
+# pair?, premise position, rule, trace detail); see TBoxIndex.prop_plan.
+PlanEntry = Tuple[object, bool, int, str, str]
 # An instance rule: (trace label, trace detail, body atoms, head atoms).
 Rule = Tuple[str, str, Tuple[Atom, ...], Tuple[Atom, ...]]
 
@@ -123,6 +126,8 @@ class TBoxIndex:
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
         self._prop_steps: Dict[str, Tuple[Tuple[object, bool, str, str], ...]] = {}
+        # Plans for a non-literal object, then for a literal one.
+        self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
         self._load(models)
         self._close_classes()
         self._close_properties()
@@ -318,6 +323,35 @@ class TBoxIndex:
                 + [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())])
         return steps
 
+    def prop_plan(self, name: str, literal: bool) -> Tuple[PlanEntry, ...]:
+        """The facts that a new fact of property ``name`` propagates to, in the
+        order of the depth-first walk over ``prop_steps``: (property or class,
+        onto the swapped pair?, position of the premise, rule, trace detail).
+        Position 0 is the new fact and entry i is at position i + 1. Each
+        property fact appears once; a ``literal`` object takes no flipped step."""
+        plans = self._prop_plans[literal]
+        plan = plans.get(name)
+        if plan is None:
+            entries: List[PlanEntry] = []
+            seen, stack = {(name, False)}, [(0, False, iter(self.prop_steps(name)))]
+            while stack:
+                position, swapped, pending = stack[-1]
+                for target, flipped, rule, why in pending:
+                    if flipped and literal:
+                        continue
+                    onto = swapped != flipped
+                    if not isinstance(target, str):
+                        entries.append((target, onto, position, rule, why))
+                    elif (target, onto) not in seen:
+                        seen.add((target, onto))
+                        entries.append((target, onto, position, rule, why))
+                        stack.append((len(entries), onto, iter(self.prop_steps(target))))
+                        break
+                else:
+                    stack.pop()
+            plan = plans[name] = tuple(entries)
+        return plan
+
     def assertions(self, models: Sequence[OntologyModel]) -> Iterator[Axiom]:
         """The class and property assertions of ``models``, in order; the models
         this index was built from are not rescanned."""
@@ -355,9 +389,8 @@ class ClosedKB:
     def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
         self.memberships: Dict[Term, Set[ClassExpression]] = {}
-        self.prop_set: Set[Tuple[str, Term, Term]] = set()
         self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
-        self.traces: Dict[FactKey, Trace] = {}
+        self.traces: Dict[FactKey, Trace] = {}  # every fact, in derivation order
         self.skolem_depths: Dict[Term, int] = {}
         self.skolem_budget_exceeded = False
         self.derived_count = 0
@@ -366,7 +399,7 @@ class ClosedKB:
         return ce in self.memberships.get(individual, ())
 
     def has_prop(self, prop_iri: str, s: Term, o: Term) -> bool:
-        return (prop_iri, s, o) in self.prop_set
+        return prop_fact(prop_iri, s, o) in self.traces
 
     def individuals(self) -> List[Term]:
         return sorted(self.memberships.keys(), key=term_sort_key)
@@ -410,7 +443,6 @@ class _Engine(ClosedKB):
                 self.members_of.setdefault(ce, []).append(x)
         else:
             _, name, s, o = fact
-            self.prop_set.add((name, s, o))
             facts = self.prop_index.setdefault(name, [])
             if readers:
                 self.links.setdefault((name, False, s), []).append(len(facts))
@@ -443,29 +475,34 @@ class _Engine(ClosedKB):
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        if (name, s, o) in self.prop_set:
+        fact, traces = prop_fact(name, s, o), self.traces
+        if fact in traces:
             return False
-        fact, steps = prop_fact(name, s, o), self.tbox.prop_steps
         self._record(fact, Trace(rule, premises, detail))
-        # Depth first along the precompiled steps, as recursion would go; a
-        # literal object gets no inverse and no range.
-        stack = [(fact, iter(steps(name)))]
-        while stack:
-            premise, pending = stack[-1]
-            _, _, s, o = premise
-            for target, flipped, step_rule, why in pending:
-                if flipped and isinstance(o, Literal):
-                    continue
-                a, b = (o, s) if flipped else (s, o)
-                if not isinstance(target, str):
-                    self.add_class(a, target, step_rule, (premise,), why)
-                elif (target, a, b) not in self.prop_set:
-                    fact = prop_fact(target, a, b)
-                    self._record(fact, Trace(step_rule, (premise,), why))
-                    stack.append((fact, iter(steps(target))))
-                    break
+        # The plan is the depth-first walk's order. A property fact that the
+        # closure already holds was propagated when it arrived, so the facts it
+        # leads to, the entries below it, are skipped with it. On a loop s == o
+        # an entry and its mirror on the swapped pair name one fact, and the
+        # later of the two is skipped so.
+        # A literal subject, from an assertion through an inverse, takes the
+        # ordinary plan: add_class refuses the literal, and a flip back from the
+        # swapped pair ends at a super-property of the last unswapped fact, which
+        # the walk met before that fact's inverses.
+        made: List[Optional[FactKey]] = [fact]
+        for target, swapped, parent, step_rule, why in self.tbox.prop_plan(name, o.__class__ is Literal):
+            premise = made[parent]
+            if premise is None:
+                made.append(None)
+            elif target.__class__ is not str:
+                self.add_class(o if swapped else s, target, step_rule, (premise,), why)  # type: ignore[arg-type]
+                made.append(None)
             else:
-                stack.pop()
+                fact = prop_fact(target, o, s) if swapped else prop_fact(target, s, o)  # type: ignore[arg-type]
+                if fact in traces:
+                    made.append(None)
+                else:
+                    self._record(fact, Trace(step_rule, (premise,), why))
+                    made.append(fact)
         return True
 
     # -- rule passes -----------------------------------------------------------

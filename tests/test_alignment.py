@@ -84,6 +84,20 @@ def test_skos_mapping_extracted_as_metadata(align_model):
     assert skos[0].subject == iri(PROV + "qualifiedGeneration")
 
 
+def test_skos_mappings_differing_in_predicate_stay_apart():
+    model = model_of("prov:Entity skos:exactMatch obo:BFO_0000001 . "
+                     "prov:Entity skos:closeMatch obo:BFO_0000001 .")
+    alignment = extract_mappings(model, SOURCE_NAMESPACES, TARGET_NAMESPACES)
+    assert [m.payload.args[0] for m in alignment.mappings] == [
+        vocab.SKOS + "closeMatch", vocab.SKOS + "exactMatch"]
+    assert alignment_stats(alignment)["counts"]["mappings"] == 2
+    # A literal side is in no namespace, so however its datatype or language
+    # differ, it makes no mapping to collapse.
+    literals = model_of('prov:Entity skos:closeMatch "x" , "x"@en , "x"^^<http://e/t> .')
+    assert len(literals.axioms) == 3
+    assert extract_mappings(literals, SOURCE_NAMESPACES, TARGET_NAMESPACES).mappings == []
+
+
 def test_every_mapping_payload_comes_from_the_model(align_model, alignment):
     # no invention, no loss: each mapping's logical content is one axiom/rule
     axioms = set(align_model.axioms)

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from provalign import vocab
 from provalign.fixtures import fixture_text
 from provalign.rdf import (
     BlankNode,
@@ -19,6 +22,7 @@ from provalign.rdf import (
     iri_resolve,
     new_scope,
     term_sort_key,
+    triple_sort_key,
 )
 from provalign.turtle import parse_turtle
 
@@ -86,6 +90,34 @@ def test_triple_is_frozen_and_hashes_by_value():
     twin = Triple(iri("http://e/s"), iri("http://e/p"), Literal("x"))
     assert t == twin and hash(t) == hash(twin) and twin in {t}
     assert t != Triple(iri("http://e/s"), iri("http://e/p"), Literal("y"))
+
+
+_SORT_IRIS = st.sampled_from(["http://e/a", "http://e/ab", "http://e/b"]).map(iri)
+_SORT_BLANKS = st.builds(BlankNode, st.sampled_from(["b0", "b1", "b10"]), st.integers(1, 3))
+_SORT_OBJECTS = st.one_of(
+    _SORT_IRIS, _SORT_BLANKS,
+    st.builds(Literal, st.sampled_from(["", "1", "10"]),
+              st.sampled_from([None, vocab.XSD_STRING, vocab.XSD_INTEGER])),
+    st.builds(lambda lexical, language: Literal(lexical, language=language),
+              st.sampled_from(["", "1"]), st.sampled_from(["en", "en-gb"])))
+
+
+def _nested_triple_sort_key(t):
+    """The reference order: one term key per position."""
+    return (term_sort_key(t.subject), (0, t.predicate.value), term_sort_key(t.object))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Triple, st.one_of(_SORT_IRIS, _SORT_BLANKS), _SORT_IRIS, _SORT_OBJECTS),
+                max_size=24))
+def test_flat_triple_sort_key_keeps_the_nested_order(triples):
+    def compare(x, y):
+        return (x > y) - (x < y)
+
+    for a, b in itertools.product(triples, repeat=2):
+        assert compare(triple_sort_key(a), triple_sort_key(b)) == compare(
+            _nested_triple_sort_key(a), _nested_triple_sort_key(b)), (a, b)
+    assert sorted(triples, key=triple_sort_key) == sorted(triples, key=_nested_triple_sort_key)
 
 
 def test_literal_cannot_have_datatype_and_language():

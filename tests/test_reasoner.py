@@ -12,6 +12,7 @@ from provalign.owl import (
     Axiom,
     ClassAtom,
     Intersection,
+    InverseProperty,
     NamedClass,
     NamedProperty,
     OntologyModel,
@@ -154,7 +155,8 @@ def existential_path(links):
 def test_existential_path_closure_grows_linearly():
     from test_acceptance import Budget
 
-    seconds = {}
+    seconds, work = {}, {}
+    turn, match = reasoner._Engine._turn, reasoner._Engine._match
     for links in (800, 3200):
         models = existential_path(links)
         runs = []
@@ -166,8 +168,26 @@ def test_existential_path_closure_grows_linearly():
         # every link is derived once, each membership from its real successor
         assert kb.derived_count == 3 * links + 1 and not kb.skolem_budget_exceeded
         assert has_class(kb, EX + "a0", EX + "D")
+        # The join's work, counted outside the timed runs: rule turns and matches.
+        counts = work[links] = [0, 0]
+
+        def counted_turn(engine, index):
+            counts[0] += 1
+            return turn(engine, index)
+
+        def counted_match(engine, *args):
+            added = match(engine, *args)
+            counts[1] += len(added)
+            return added
+
+        with mock.patch.object(reasoner._Engine, "_turn", counted_turn), \
+                mock.patch.object(reasoner._Engine, "_match", counted_match):
+            materialize(models)
     with Budget("3,200-link existential path", 5.0):
         materialize(existential_path(3200))
+    # Four times the links, at most four times the turns and matches; a join
+    # whose work per link grew with the path would fail this without a clock.
+    assert all(0 < n <= 4 * m + 8 for n, m in zip(work[3200], work[800])), work
     # One round per link: quadratic work would take 16 times as long.
     assert seconds[3200] < 8 * seconds[800], seconds
 
@@ -466,7 +486,7 @@ class RecursiveEngine(reasoner._Engine):
         return True
 
     def add_prop(self, name, s, o, rule, premises, detail=""):
-        if (name, s, o) in self.prop_set:
+        if prop_fact(name, s, o) in self.traces:
             return False
         self._record(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
         premise = (prop_fact(name, s, o),)
@@ -492,6 +512,75 @@ def test_iterative_propagation_keeps_recursive_derivation_order(
     reference = materialize(models)
     assert list(kb.traces.items()) == list(reference.traces.items())
     assert kb.prop_index == reference.prop_index
+
+
+_PROPS = [NamedProperty(iri(EX + f"p{k}")) for k in range(4)]
+_PES = st.sampled_from(_PROPS + [InverseProperty(p) for p in _PROPS])
+_PLAN_CLASSES = st.sampled_from([NamedClass(iri(EX + n)) for n in "ABC"])
+_PLAN_INDIVIDUALS = [iri(EX + f"i{k}") for k in range(3)]
+_PLAN_LITERALS = [Literal("1"), Literal("1", language="en"), Literal("1", datatype=vocab.XSD_INTEGER)]
+_PROPERTY_SCHEMA = st.one_of(
+    st.builds(lambda kind, a, b: Axiom(kind, (a, b)),
+              st.sampled_from(["sub-property-of", "equivalent-properties", "inverse-properties"]),
+              _PES, _PES),
+    st.builds(lambda kind, p, c: Axiom(kind, (p, c)),
+              st.sampled_from(["property-domain", "property-range"]), _PES, _PLAN_CLASSES),
+    st.builds(lambda a, b: Axiom("sub-class-of", (a, b)), _PLAN_CLASSES, _PLAN_CLASSES))
+_PROPERTY_ABOX = st.one_of(
+    st.builds(lambda p, s, o: Axiom("property-assertion", (p, s, o)), _PES,
+              st.sampled_from(_PLAN_INDIVIDUALS), st.sampled_from(_PLAN_INDIVIDUALS + _PLAN_LITERALS)),
+    st.builds(lambda x, c: Axiom("class-assertion", (x, c)),
+              st.sampled_from(_PLAN_INDIVIDUALS), _PLAN_CLASSES))
+
+
+def _plan_example(schema, abox):
+    """An example in ``_PROPERTY_SCHEMA`` and ``_PROPERTY_ABOX`` terms: "p0" is a
+    property, "-p0" its inverse, "A" a class, "i0" an individual, "1" a literal."""
+    def term(name):
+        if name.startswith("-"):
+            return InverseProperty(term(name[1:]))
+        if name[0] == "p":
+            return NamedProperty(iri(EX + name))
+        if name[0] == "i":
+            return iri(EX + name)
+        return Literal(name) if name[0].isdigit() else NamedClass(iri(EX + name))
+    return ([Axiom(kind, tuple(map(term, args))) for kind, *args in schema],
+            [Axiom("class-assertion" if len(args) == 2 else "property-assertion",
+                   tuple(map(term, args))) for args in abox])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PROPERTY_SCHEMA, max_size=8), st.lists(_PROPERTY_ABOX, min_size=1, max_size=6))
+# Loops through a self-inverse property and through inverse pairs, where an
+# entry and its mirror on the swapped pair name one fact; literal objects, one
+# asserted through an inverse, below inverses and a range, which plans without
+# the literal kind would flip.
+@example(*_plan_example([("inverse-properties", "p0", "p0"), ("property-range", "p0", "A")],
+                        [("p0", "i0", "i0"), ("p0", "i0", "i1")]))
+@example(*_plan_example([("sub-property-of", "p0", "p1"), ("inverse-properties", "p1", "p2"),
+                         ("property-range", "p1", "A"), ("property-domain", "p2", "B")],
+                        [("p0", "i0", "1")]))
+@example(*_plan_example([("inverse-properties", "p0", "p1"), ("inverse-properties", "p1", "p2"),
+                         ("property-domain", "p1", "A")],
+                        [("-p0", "i0", "1")]))
+@example(*_plan_example([("sub-property-of", "p0", "p1"), ("sub-property-of", "p0", "p2"),
+                         ("inverse-properties", "p1", "p0"), ("inverse-properties", "p1", "p2")],
+                        [("p0", "i0", "i0"), ("i1", "A")]))
+def test_property_plans_match_recursive_propagation(schema, abox):
+    models = [OntologyModel(axioms=schema), OntologyModel(axioms=abox)]
+    kb = materialize(models)
+    with mock.patch.object(reasoner, "_Engine", RecursiveEngine):
+        reference = materialize(models)
+    assert list(kb.traces.items()) == list(reference.traces.items())
+    assert kb.prop_index == reference.prop_index
+    # Each plan names each property fact once, and a literal object's takes no
+    # flipped step.
+    for name in (p.iri.value for p in _PROPS):
+        for literal in (False, True):
+            plan = kb.tbox.prop_plan(name, literal)
+            facts = [(target, swapped) for target, swapped, *_ in plan if isinstance(target, str)]
+            assert len(set(facts)) == len(facts) and (name, False) not in facts
+            assert not literal or not any(swapped for _, swapped, *_ in plan)
 
 
 def test_has_prop_answers_from_the_closure():
