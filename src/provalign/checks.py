@@ -239,7 +239,7 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
     satisfiable: Set[str] = set()
     unsat: List[str] = []
     undetermined: List[Tuple[str, str]] = []
-    for c in sorted(seen_classes, key=lambda c: (-len(tbox.supers(named[c])), c)):
+    for c in sorted(seen_classes, key=lambda c: (-tbox.super_count(named[c]), c)):
         if c in satisfiable:
             continue
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from urllib.parse import urljoin
 
@@ -69,6 +69,17 @@ class Iri:
 class BlankNode:
     node_id: str
     scope: int
+    # Computed once, at construction; __reduce__ rebuilds it, as string hashes differ by process.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.node_id, self.scope)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (BlankNode, (self.node_id, self.scope))
 
     def __repr__(self) -> str:
         return f"_:{self.node_id}"
@@ -79,10 +90,19 @@ class Literal:
     lexical: str
     datatype: Optional[str] = None
     language: Optional[str] = None
+    # Computed once, at construction; __reduce__ rebuilds it, as string hashes differ by process.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.datatype is not None and self.language is not None:
             raise RdfError("literal cannot carry both a datatype and a language tag")
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Literal, (self.lexical, self.datatype, self.language))
 
     def __repr__(self) -> str:
         if self.language:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
+from operator import and_, attrgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import vocab
@@ -43,7 +45,6 @@ from .owl import (
     add_subexpressions,
     add_uses,
     extract_axioms,
-    render_class_expression,
 )
 from .rdf import BlankNode, Graph, Iri, Literal, Term, term_sort_key
 
@@ -114,25 +115,106 @@ def _flip(key: PropKey) -> PropKey:
     return (key[0], not key[1])
 
 
+_BYTE_BITS = [tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)]  # set bits per byte
+
+
+def _bit_ids(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending: bit by bit from the
+    top when under one bit in 16 is set (each step copies the mask), else by bytes."""
+    if mask.bit_count() << 4 < mask.bit_length():
+        ids: List[int] = []
+        while mask:
+            ids.append(j := mask.bit_length() - 1)
+            mask ^= 1 << j
+        return ids[::-1]
+    return [8 * k + i for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little"))
+            if byte for i in _BYTE_BITS[byte]]
+
+
+def _above(reach: List[int], i: Optional[int]) -> List[int]:
+    """The ids set in mask ``i`` other than ``i`` itself; none for no id."""
+    return [] if i is None else _bit_ids(reach[i] & ~(1 << i))
+
+
+def _close_masks(succ: List[List[int]], conjunctions: Dict[int, List[Tuple[int, int]]],
+                 unions: Dict[int, List[int]]) -> List[int]:
+    """The least masks, bit y of mask x set when x <= y, under: x <= x; x <= each
+    y in ``succ[x]``; transitivity; x <= an intersection i whose operands are
+    all above x (``conjunctions`` lists (i, operand mask) under each operand);
+    a union u is below all that its operands ``unions[u]`` are below. The
+    intersections found are appended to ``succ``."""
+    reach, readers = [0] * len(succ), [[] for _ in succ]  # type: List[int], List[List[int]]
+    for x, ys in [*enumerate(succ), *unions.items()]:
+        for y in ys:
+            readers[y].append(x)
+    # The worklist starts in depth-first postorder, successors first; a node
+    # is redone when a mask that it reads grows.
+    work, queued = [], bytearray(len(succ))  # type: List[int], bytearray
+    for root in range(len(succ)):
+        stack = [] if queued[root] else [root]
+        while stack:
+            queued[stack[-1]] = 1
+            y = next((y for y in succ[stack[-1]] if not queued[y]), -1)
+            if y < 0:
+                work.append(stack.pop())
+            else:
+                stack.append(y)
+    work.reverse()
+    operands = sum(1 << op for op in conjunctions)
+    while work:
+        x = work.pop()
+        queued[x] = 0
+        seen = old = reach[x]
+        mask = reduce(or_, [reach[y] for y in succ[x]], old | 1 << x)
+        if x in unions:
+            mask |= reduce(and_, [reach[op] for op in unions[x]])
+        while fresh := mask & ~seen & operands:  # new operands: try their intersections
+            seen = mask
+            for i, ops in [entry for op in _bit_ids(fresh) for entry in conjunctions[op]]:
+                if mask & ops == ops and not mask >> i & 1:
+                    succ[x].append(i)
+                    readers[i].append(x)
+                    mask |= 1 << i | reach[i]
+        if mask != old:
+            reach[x] = mask
+            for r in readers[x]:
+                if not queued[r]:
+                    queued[r] = 1
+                    work.append(r)
+    return reach
+
+
+def _structure_keys(universe: Iterable[ClassExpression]) -> Dict[ClassExpression, Tuple]:
+    """Sort keys: text, type name, then fields, a class expression by its key."""
+    keys: Dict[ClassExpression, Tuple] = {}
+    for ce in sorted(universe, key=lambda e: len(e.text)):  # a field's text is shorter
+        keys[ce] = (ce.text, type(ce).__name__, *[
+            tuple(map(keys.__getitem__, v)) if isinstance(v, tuple) else keys.get(v, getattr(v, "text", ""))
+            for v in map(ce.__getattribute__, ce.__match_args__)])
+    return keys
+
+
 class TBoxIndex:
-    """Schema-level closure shared by every materialization over the same models."""
+    """Schema-level closure shared by every materialization over the same models.
+    Expressions have dense ids in text order, property keys in name order, and
+    bit j of a ``_reach`` mask is set when id j is above; supers decode lazily."""
 
     def __init__(self, models: Sequence[OntologyModel]):
         self.universe: Set[ClassExpression] = {THING}
         self.edges: Dict[ClassExpression, Set[ClassExpression]] = {}
-        self.disjoint_pairs: Set[Tuple[ClassExpression, ClassExpression]] = set()
+        self.disjoint_pairs: Tuple[Tuple[ClassExpression, ClassExpression], ...] = ()
         self.domains: Dict[str, List[ClassExpression]] = {}
         self.ranges: Dict[str, List[ClassExpression]] = {}
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
+        self._supers: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {}
+        self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
         self._prop_steps: Dict[str, Tuple[Tuple[object, bool, str, str], ...]] = {}
         # Plans for a non-literal object, then for a literal one.
         self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
         self._load(models)
         self._close_classes()
         self._close_properties()
-        self.complements: List[Complement] = sorted(
-            (e for e in self.universe if isinstance(e, Complement)), key=render_class_expression)
 
     # -- loading -------------------------------------------------------------
 
@@ -143,15 +225,11 @@ class TBoxIndex:
         self.prop_edges.setdefault(a, set()).add(b)
         self.prop_edges.setdefault(_flip(a), set()).add(_flip(b))
 
-    def _mark_disjoint(self, a: ClassExpression, b: ClassExpression) -> None:
-        pair = tuple(sorted((a, b), key=render_class_expression))
-        if pair[0] != pair[1]:
-            self.disjoint_pairs.add(pair)  # type: ignore[arg-type]
-
     def _load(self, models: Sequence[OntologyModel]) -> None:
         gated: Dict[Intersection, None] = {}
         chains: List[Rule] = []
         swrl: List[Rule] = []
+        disjoint: List[Tuple[ClassExpression, ClassExpression]] = []
         # The class expressions that the axioms and rules use, which with their
         # subexpressions make up the universe.
         used: Set[ClassExpression] = set()
@@ -171,7 +249,7 @@ class TBoxIndex:
                     self._edge(args[1], args[0])
                     gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
                 elif kind == "disjoint-classes":
-                    self._mark_disjoint(args[0], args[1])
+                    disjoint.append(args)  # type: ignore[arg-type]
                 elif kind == "disjoint-union":
                     union = DisjointUnionOf(args[1])
                     self._edge(args[0], union)
@@ -205,9 +283,15 @@ class TBoxIndex:
                                 if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
                 swrl.append((f"swrl-rule-{len(swrl) + 1}", comment, rule.body, rule.head))
         add_subexpressions(used, self.universe)
+        # Ids in text order; a shared text (IRIs with spaces) is a rare tie.
+        order = sorted(self.universe, key=attrgetter("text"))
+        if any(a.text == b.text for a, b in zip(order, order[1:])):
+            order.sort(key=_structure_keys(order).__getitem__)
+        self._order, self._ids = order, {ce: i for i, ce in enumerate(order)}
+        rank = self._ids.__getitem__
 
         # Structural edges and disjointness contributed by expression shapes.
-        for ce in list(self.universe):
+        for ce in order:
             if isinstance(ce, Intersection):
                 for op in ce.operands:
                     self._edge(ce, op)
@@ -215,13 +299,12 @@ class TBoxIndex:
                 for op in ce.operands:
                     self._edge(op, ce)
                 if isinstance(ce, DisjointUnionOf):
-                    for i in range(len(ce.operands)):
-                        for j in range(i + 1, len(ce.operands)):
-                            self._mark_disjoint(ce.operands[i], ce.operands[j])
-        for values in self.domains.values():
-            values.sort(key=render_class_expression)
-        for values in self.ranges.values():
-            values.sort(key=render_class_expression)
+                    disjoint += [(a, b) for i, a in enumerate(ce.operands) for b in ce.operands[i + 1:]]
+        self.disjoint_pairs = tuple(sorted({(a, b) if rank(a) < rank(b) else (b, a) for a, b in disjoint
+                                            if a is not b}, key=lambda pair: (rank(pair[0]), rank(pair[1]))))
+        self.complements: List[Complement] = [ce for ce in order if isinstance(ce, Complement)]
+        for values in (*self.domains.values(), *self.ranges.values()):
+            values.sort(key=rank)
 
         # Instance rules, in firing order: intersection composition, existential
         # membership, property chains, then SWRL rules.
@@ -230,9 +313,7 @@ class TBoxIndex:
              (ClassAtom(ce, "x"),)) for ce in gated]
         self.rules += [("existential-membership", "",
                         (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
-                        (ClassAtom(ce, "x"),))
-                       for ce in sorted((e for e in self.universe if isinstance(e, SomeValuesFrom)),
-                                        key=render_class_expression)]
+                        (ClassAtom(ce, "x"),)) for ce in order if isinstance(ce, SomeValuesFrom)]
         self.rules += chains + swrl
         # Trigger index: the rules that read each class expression or property.
         self.readers: Dict[object, Tuple[int, ...]] = {}
@@ -243,71 +324,54 @@ class TBoxIndex:
     # -- closures --------------------------------------------------------------
 
     def _close_classes(self) -> None:
-        # Worklist to the least fixpoint, with the inverse map ``below``. Each
-        # entry (a, b) stands for the pairs below(a) x reach(b): first the
-        # reflexive pairs, then every pair that linking a <= b added. Only the
-        # intersections and unions with an operand among them can fire.
-        reach: Dict[ClassExpression, Set[ClassExpression]] = {ce: {ce} for ce in self.universe}
-        below: Dict[ClassExpression, Set[ClassExpression]] = {ce: {ce} for ce in self.universe}
-        inter_of: Dict[ClassExpression, List[ClassExpression]] = {}
-        union_of: Dict[ClassExpression, List[ClassExpression]] = {}
-        for ce in self.universe:
-            if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
-                for op in set(ce.operands):
-                    (inter_of if isinstance(ce, Intersection) else union_of).setdefault(op, []).append(ce)
-        inter_ops, union_ops = set(inter_of), set(union_of)
-        pending = [(ce, ce) for ce in self.universe]
-
-        def link(a: ClassExpression, b: ClassExpression) -> None:
-            up, down = reach[b], below[a]
-            if b not in reach[a]:
-                for x in down:
-                    reach[x] |= up
-                for y in up:
-                    below[y] |= down
-                pending.append((a, b))
-
-        for a, targets in self.edges.items():
-            for b in targets:
-                link(a, b)
-        while pending:
-            a, b = pending.pop()
-            for y in reach[b] & inter_ops:
-                for i in inter_of[y]:
-                    for x in [x for x in below[a] if all(op in reach[x] for op in i.operands)]:
-                        link(x, i)
-            for x in below[a] & union_ops:
-                for u in union_of[x]:
-                    for y in [y for y in reach[b] if all(y in reach[op] for op in u.operands)]:
-                        link(u, y)
-        self._reach = reach
-        self._supers_sorted: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {
-            ce: tuple(sorted(sups - {ce}, key=render_class_expression)) for ce, sups in reach.items()}
+        ids = self._ids
+        succ = [sorted(ids[b] for b in self.edges.get(ce, ())) for ce in self._order]
+        conjunctions: Dict[int, List[Tuple[int, int]]] = {}
+        unions: Dict[int, List[int]] = {}
+        for i, ce in enumerate(self._order):
+            if isinstance(ce, Intersection):
+                ops = {ids[op] for op in ce.operands}
+                for op in ops:
+                    conjunctions.setdefault(op, []).append((i, sum(1 << j for j in ops)))
+            elif isinstance(ce, (UnionOf, DisjointUnionOf)):
+                unions[i] = [ids[op] for op in ce.operands]
+        self._reach = _close_masks(succ, conjunctions, unions)
 
     def _close_properties(self) -> None:
-        self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
-        for key in [k for k in self.prop_edges if not k[1]]:
-            reach, stack = {key}, [key]
-            while stack:
-                for sup in self.prop_edges.get(stack.pop(), ()):
-                    if sup not in reach:
-                        reach.add(sup)
-                        stack.append(sup)
-            self._named_prop_supers[key[0]] = tuple(sorted(q for q, inv in reach if not inv and q != key[0]))
+        # Property keys get ids 2 * (rank of the name) + inverted?.
+        self._prop_names = sorted({name for key, sups in self.prop_edges.items() for name, _ in (key, *sups)})
+        self._prop_ids = {name: 2 * i for i, name in enumerate(self._prop_names)}
+        succ: List[List[int]] = [[] for _ in range(2 * len(self._prop_names))]
+        for (name, inverted), sups in self.prop_edges.items():
+            succ[self._prop_ids[name] + inverted] = [self._prop_ids[q] + inv for q, inv in sups]
+        self._prop_reach = _close_masks(succ, {}, {})
 
     # -- queries ---------------------------------------------------------------
 
     def supers(self, ce: ClassExpression) -> Tuple[ClassExpression, ...]:
-        """Strict superexpressions of ``ce`` within the loaded universe."""
-        return self._supers_sorted.get(ce, ())
+        """Strict superexpressions of ``ce`` within the loaded universe, in id order."""
+        sups = self._supers.get(ce)
+        if sups is None:
+            sups = self._supers[ce] = tuple(map(self._order.__getitem__, _above(self._reach, self._ids.get(ce))))
+        return sups
+
+    def super_count(self, ce: ClassExpression) -> int:
+        """``len(self.supers(ce))``, counted on the mask without decoding it."""
+        i = self._ids.get(ce)
+        return 0 if i is None else self._reach[i].bit_count() - 1
 
     def subsumed(self, sub: ClassExpression, sup: ClassExpression) -> bool:
         if sub == sup:
             return True
-        return sup in self._reach.get(sub, ())
+        i, j = self._ids.get(sub), self._ids.get(sup)
+        return i is not None and j is not None and self._reach[i] >> j & 1 == 1
 
     def named_prop_supers(self, name: str) -> Tuple[str, ...]:
-        return self._named_prop_supers.get(name, ())
+        sups = self._named_prop_supers.get(name)
+        if sups is None:
+            sups = self._named_prop_supers[name] = tuple(
+                self._prop_names[j >> 1] for j in _above(self._prop_reach, self._prop_ids.get(name)) if not j & 1)
+        return sups
 
     def prop_steps(self, name: str) -> Tuple[Tuple[object, bool, str, str], ...]:
         """What a fact of property ``name`` propagates to, in order, as (property
@@ -476,7 +540,9 @@ class _Engine(ClosedKB):
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
         fact, traces = prop_fact(name, s, o), self.traces
-        if fact in traces:
+        # A literal subject, from an assertion through an inverse, derives
+        # nothing, as a rule head's does not.
+        if s.__class__ is Literal or fact in traces:
             return False
         self._record(fact, Trace(rule, premises, detail))
         # The plan is the depth-first walk's order. A property fact that the
@@ -484,10 +550,6 @@ class _Engine(ClosedKB):
         # leads to, the entries below it, are skipped with it. On a loop s == o
         # an entry and its mirror on the swapped pair name one fact, and the
         # later of the two is skipped so.
-        # A literal subject, from an assertion through an inverse, takes the
-        # ordinary plan: add_class refuses the literal, and a flip back from the
-        # swapped pair ends at a super-property of the last unswapped fact, which
-        # the walk met before that fact's inverses.
         made: List[Optional[FactKey]] = [fact]
         for target, swapped, parent, step_rule, why in self.tbox.prop_plan(name, o.__class__ is Literal):
             premise = made[parent]
@@ -669,10 +731,9 @@ def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *
 def check_clash(kb: ClosedKB) -> List[Clash]:
     """All contradictions present in a completed closure (collect-all)."""
     clashes: List[Clash] = []
-    pairs = sorted(kb.tbox.disjoint_pairs, key=lambda p: (p[0].text, p[1].text))
     for x in kb.individuals():
         members = kb.memberships[x]
-        for a, b in pairs:
+        for a, b in kb.tbox.disjoint_pairs:
             if a in members and b in members:
                 clashes.append(Clash("disjointness-violation", x, (a, b),
                                      (class_fact(x, a), class_fact(x, b))))
@@ -719,7 +780,7 @@ def entailed_taxonomy(models: Sequence[OntologyModel],
     for a, b in list(taxonomy.subclass_pairs):
         if (b, a) in taxonomy.subclass_pairs:
             taxonomy.equivalent_class_pairs.add(tuple(sorted((a, b))))  # type: ignore[arg-type]
-    for name in sorted(tbox._named_prop_supers):
+    for name in tbox._prop_names:
         for sup in tbox.named_prop_supers(name):
             taxonomy.subproperty_pairs.add((name, sup))
     for a, b in list(taxonomy.subproperty_pairs):

@@ -1,10 +1,11 @@
 """The worklist class closure in ``TBoxIndex`` against a full-rescan fixpoint,
 and conservativity's named disjoint pairs against a nested scan over it."""
 
+import tracemalloc
 from typing import Dict, Optional, Set, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provalign.checks import _named_disjoint_pairs
@@ -63,9 +64,13 @@ def reference_reach(tbox: TBoxIndex) -> Dict[ClassExpression, Set[ClassExpressio
 
 def assert_matches_reference(tbox: TBoxIndex) -> None:
     reach = reference_reach(tbox)
-    assert tbox._reach == reach
+    assert set(reach) == tbox.universe
+    for a in reach:
+        for b in reach:
+            assert tbox.subsumed(a, b) == (b in reach[a])
     for ce, sups in reach.items():
         assert tbox.supers(ce) == tuple(sorted(sups - {ce}, key=render_class_expression))
+        assert tbox.super_count(ce) == len(sups) - 1
 
 
 names = st.sampled_from("ABCDEF").map(lambda n: NamedClass(iri(EX + n)))
@@ -87,8 +92,17 @@ axioms = st.one_of(
 )
 
 
+def _named(n):
+    return NamedClass(iri(EX + n))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(axioms, max_size=8))
+# F is below A, B and C; (B and C) below D; so F is below (D and A), whose
+# first operand only arrives with (B and C)'s supers.
+@example([Axiom("sub-class-of", (_named("F"), _named(n))) for n in "ABC"]
+         + [Axiom("sub-class-of", (Intersection((_named("B"), _named("C"))), _named("D"))),
+            Axiom("sub-class-of", (Intersection((_named("D"), _named("A"))), _named("E")))])
 def test_worklist_closure_equals_rescan_fixpoint(generated):
     assert_matches_reference(TBoxIndex([OntologyModel(axioms=generated)]))
 
@@ -100,6 +114,46 @@ def test_worklist_closure_equals_rescan_fixpoint(generated):
 ])
 def test_worklist_closure_equals_rescan_fixpoint_on_fixtures(names):
     assert_matches_reference(TBoxIndex([load_model(name) for name in names]))
+
+
+def test_expressions_that_share_a_text_get_ids_by_structure():
+    # Single-operand expressions built in Python, and IRIs with spaces (which
+    # Turtle writes as \u0020), give distinct expressions one text. They go by
+    # type name and then by operands, whatever the order they were made and
+    # loaded in (" and" sorts before ")", and an operand before a longer one).
+    x = _named("X")
+    pairs = []
+    for k in range(24):
+        n = _named(f"N{k}")
+        made = [UnionOf((n,)), Intersection((n,))] if k % 2 else [Intersection((n,)), UnionOf((n,))]
+        pairs.append(sorted(made, key=lambda ce: type(ce).__name__))
+    a, c = _named("A"), _named("C")
+    ab, bc = NamedClass(iri(EX + "A and " + EX + "B")), NamedClass(iri(EX + "B and " + EX + "C"))
+    pairs.append([Intersection((a, bc)), Intersection((ab, c))])
+    for first, second in pairs:
+        assert first.text == second.text
+    tied = [ce for pair in pairs for ce in pair]
+    for ordered in (tied, tied[::-1]):
+        tbox = TBoxIndex([OntologyModel(axioms=[Axiom("sub-class-of", (x, ce)) for ce in ordered])])
+        supers = tbox.supers(x)
+        for first, second in pairs:
+            assert supers.index(first) + 1 == supers.index(second)
+
+
+def test_index_over_a_deep_subclass_chain_stays_small():
+    # One mask per class holds the 4.5M pairs of the closure in about 0.6 MiB;
+    # sets in both directions and a sorted tuple per class took over 400 MiB.
+    chain = [_named(f"C{k:04d}") for k in range(3000)]
+    model = OntologyModel(axioms=[Axiom("sub-class-of", pair) for pair in zip(chain, chain[1:])])
+    tracemalloc.start()
+    try:
+        tbox = TBoxIndex([model])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert tbox.super_count(chain[0]) == 2999 and tbox.subsumed(chain[0], chain[-1])
+    assert tbox.supers(chain[1500]) == tuple(chain[1501:])
 
 
 def reference_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:

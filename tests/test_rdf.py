@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -90,6 +93,43 @@ def test_triple_is_frozen_and_hashes_by_value():
     twin = Triple(iri("http://e/s"), iri("http://e/p"), Literal("x"))
     assert t == twin and hash(t) == hash(twin) and twin in {t}
     assert t != Triple(iri("http://e/s"), iri("http://e/p"), Literal("y"))
+
+
+@pytest.mark.parametrize("term,twin,other,text", [
+    (BlankNode("b0", 1), BlankNode("b0", 1), BlankNode("b0", 2), "_:b0"),
+    (Literal("1"), Literal("1"), Literal("1", language="en"), '"1"'),
+    (Literal("1", language="en"), Literal("1", language="en"), Literal("1", language="fr"), '"1"@en'),
+    (Literal("1", datatype=vocab.XSD_INTEGER), Literal("1", datatype=vocab.XSD_INTEGER),
+     Literal("1", datatype=vocab.XSD_STRING), f'"1"^^<{vocab.XSD_INTEGER}>'),
+])
+def test_blank_nodes_and_literals_keep_their_value_semantics(term, twin, other, text):
+    fields = tuple(getattr(term, name) for name in type(term).__match_args__)
+    assert term == twin and term is not twin and term != other and term != fields
+    assert hash(term) == hash(twin) == hash(fields) and twin in {term} and other not in {term}
+    assert repr(term) == text
+    with pytest.raises(TypeError):
+        term < twin  # noqa: B015 -- unordered, as before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(term, dataclasses.fields(term)[0].name, "x")
+    # Copies and pickles rebuild the object, so the hash follows this process's
+    # string hashing and the pickle carries no hash.
+    for clone in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert clone == term and hash(clone) == hash(term) and repr(clone) == text
+    assert b"_hash" not in pickle.dumps(term)
+    assert type(term).__match_args__ == tuple(f.name for f in dataclasses.fields(term) if f.init)
+
+
+def test_blank_node_and_literal_hash_once():
+    class Text(str):
+        calls = 0
+
+        def __hash__(self):
+            Text.calls += 1
+            return str.__hash__(self)
+
+    terms = [BlankNode(Text("b0"), 1), Literal(Text("1"))]
+    assert Text.calls == 2
+    assert len({*terms, *terms, *terms}) == 2 and Text.calls == 2
 
 
 _SORT_IRIS = st.sampled_from(["http://e/a", "http://e/ab", "http://e/b"]).map(iri)

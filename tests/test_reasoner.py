@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from provalign.owl import (
 from provalign.rdf import Literal, iri, term_sort_key
 from provalign.reasoner import (
     FactCapExceededError,
+    TBoxIndex,
     UnknownFactError,
     check_clash,
     class_fact,
@@ -486,7 +488,7 @@ class RecursiveEngine(reasoner._Engine):
         return True
 
     def add_prop(self, name, s, o, rule, premises, detail=""):
-        if prop_fact(name, s, o) in self.traces:
+        if isinstance(s, Literal) or prop_fact(name, s, o) in self.traces:
             return False
         self._record(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
         premise = (prop_fact(name, s, o),)
@@ -581,6 +583,80 @@ def test_property_plans_match_recursive_propagation(schema, abox):
             facts = [(target, swapped) for target, swapped, *_ in plan if isinstance(target, str)]
             assert len(set(facts)) == len(facts) and (name, False) not in facts
             assert not literal or not any(swapped for _, swapped, *_ in plan)
+
+
+def _bfs_named_supers(tbox, name):
+    """The named property keys reachable from ``name`` over ``prop_edges``."""
+    seen, queue = {(name, False)}, deque([(name, False)])
+    while queue:
+        for key in tbox.prop_edges.get(queue.popleft(), ()):
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+    return tuple(sorted(q for q, inverted in seen if not inverted and q != name))
+
+
+def _plan_steps(tbox, name, onto, literal):
+    """One step of propagation from a fact of ``name``, onto the swapped pair or
+    not, as (property or class, swapped?): its named super-properties by the
+    search above and its inverses, then its domains and ranges; a literal
+    object takes no step that swaps the pair."""
+    steps = [((q, onto), False) for q in _bfs_named_supers(tbox, name)]
+    steps += [((q, not onto), True) for q in tbox.inverse_pairs.get(name, ())]
+    steps += [((c, onto), False) for c in tbox.domains.get(name, ())]
+    steps += [((c, not onto), True) for c in tbox.ranges.get(name, ())]
+    return [step for step, flips in steps if not (flips and literal)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PROPERTY_SCHEMA, max_size=10))
+# A sub-property cycle, a self-inverse property, and a cycle through inverses.
+@example(_plan_example([("sub-property-of", "p0", "p1"), ("sub-property-of", "p1", "p2"),
+                        ("equivalent-properties", "p2", "p0"), ("property-domain", "p1", "A")], [])[0])
+@example(_plan_example([("inverse-properties", "p0", "p0"), ("property-range", "p0", "A"),
+                        ("property-domain", "p0", "B")], [])[0])
+@example(_plan_example([("inverse-properties", "p0", "p1"), ("sub-property-of", "p1", "p2"),
+                        ("inverse-properties", "p2", "p3"), ("sub-property-of", "p3", "p0")], [])[0])
+def test_property_supers_and_plans_match_a_search_over_prop_edges(schema):
+    tbox = TBoxIndex([OntologyModel(axioms=schema)])
+    for name in (p.iri.value for p in _PROPS):
+        assert tbox.named_prop_supers(name) == _bfs_named_supers(tbox, name)
+        for literal in (False, True):
+            # The facts that a search over the steps reaches, and the class
+            # entries of each, against the plan's entries.
+            root = (name, False)
+            reached, queue, classes = {root}, deque([root]), Counter()
+            while queue:
+                fact = queue.popleft()
+                for target, onto in _plan_steps(tbox, *fact, literal):
+                    if not isinstance(target, str):
+                        classes[target, onto] += 1
+                    elif (target, onto) not in reached:
+                        reached.add((target, onto))
+                        queue.append((target, onto))
+            plan = tbox.prop_plan(name, literal)
+            facts = [(target, onto) for target, onto, *_ in plan if isinstance(target, str)]
+            assert len(facts) == len(set(facts)) and set(facts) == reached - {root}
+            assert Counter((t, onto) for t, onto, *_ in plan if not isinstance(t, str)) == classes
+            # Each entry is one step from its premise, an earlier property fact.
+            for position, (target, onto, parent, _, _) in enumerate(plan, 1):
+                assert parent < position
+                premise = root if parent == 0 else plan[parent - 1][:2]
+                assert isinstance(premise[0], str)
+                assert (target, onto) in _plan_steps(tbox, *premise, literal)
+
+
+def test_assertion_through_an_inverse_onto_a_literal_derives_nothing():
+    a, one = iri(EX + "a"), Literal("1")
+    p, q = NamedProperty(iri(EX + "p")), NamedProperty(iri(EX + "q"))
+    schema = [Axiom("sub-property-of", (p, q)),
+              Axiom("property-domain", (p, NamedClass(iri(EX + "A"))))]
+    abox = [Axiom("property-assertion", (InverseProperty(p), a, one))]
+    for engine in (reasoner._Engine, RecursiveEngine):
+        with mock.patch.object(reasoner, "_Engine", engine):
+            kb = materialize([OntologyModel(axioms=schema), OntologyModel(axioms=abox)])
+        assert not kb.has_prop(EX + "p", one, a) and not kb.has_prop(EX + "q", one, a)
+        assert kb.traces == {} and kb.prop_index == {}
 
 
 def test_has_prop_answers_from_the_closure():
