@@ -42,7 +42,6 @@ from .reasoner import (
     ClosedKB,
     FactCapExceededError,
     TBoxIndex,
-    Taxonomy,
     class_satisfiable,
     check_clash,
     entailed_taxonomy,
@@ -168,15 +167,11 @@ def check_totality(source: OntologyModel, others: Sequence[OntologyModel],
                 inverse_pairs.setdefault(a.iri.value, set()).add(b.iri.value)
                 inverse_pairs.setdefault(b.iri.value, set()).add(a.iri.value)
 
-    up_edges: Dict[str, Set[str]] = {}
-    for a, b in taxonomy.subclass_pairs | taxonomy.subproperty_pairs:
-        up_edges.setdefault(a, set()).add(b)
-
     changed = True
     while changed:
         changed = False
         for term in sorted(terms - set(credit)):
-            supers = sorted(u for u in up_edges.get(term, ()) if u in credit and u in terms)
+            supers = sorted(u for sups in taxonomy.supers(term) for u in sups if u in credit and u in terms)
             if supers:
                 credit[term] = CreditEntry("via-superterm", supers[0])
                 changed = True
@@ -231,10 +226,7 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
     """
     models = list(models)
     seen_classes = sorted(merged_signature(models)["classes"])
-    seed = OntologyModel(source_label="probe-seeds")
-    probe = Iri("urn:probe:individual")
-    seed.axioms = [Axiom("class-assertion", (probe, NamedClass(iri(c)))) for c in seen_classes]
-    tbox = TBoxIndex(models + [seed])
+    tbox = TBoxIndex(models)
     named = {c: NamedClass(iri(c)) for c in seen_classes}
     satisfiable: Set[str] = set()
     unsat: List[str] = []
@@ -364,14 +356,6 @@ class ConservativityReport:
         }
 
 
-def _taxonomy_pairs(t: Taxonomy) -> Set[Tuple[str, str]]:
-    return t.subclass_pairs | t.subproperty_pairs
-
-
-def _equiv_pairs(t: Taxonomy) -> Set[Tuple[str, str]]:
-    return t.equivalent_class_pairs | t.equivalent_property_pairs
-
-
 def _named_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:
     """Pairs of distinct ``names``, ordered by name, under the two sides of a disjoint pair."""
     below: Dict[ClassExpression, List[str]] = {}
@@ -411,17 +395,21 @@ def check_conservativity(o1: OntologyModel, o2: Sequence[OntologyModel],
         own = entailed_taxonomy([], tbox=tbox_own)
         sig = merged_signature(side_models)
         names = sig["classes"] | sig["object_properties"]
-        own_pairs = _taxonomy_pairs(own)
-        own_equivs = _equiv_pairs(own)
-        merged_pairs = _taxonomy_pairs(tm)
-        merged_equivs = _equiv_pairs(tm)
-        for a, b in sorted(merged_equivs - own_equivs):
-            if a in names and b in names:
-                new_equivs.append((a, b, label))
-        equiv_members = {tuple(sorted((a, b))) for a, b, _ in new_equivs}
-        for a, b in sorted(merged_pairs - own_pairs):
-            if a in names and b in names and tuple(sorted((a, b))) not in equiv_members:
-                new_subs.append((a, b, label))
+        subs: Set[Tuple[str, str]] = set()
+        equivs: Set[Tuple[str, str]] = set()
+        for a in names:
+            merged, mine = tm.supers(a), own.supers(a)
+            # Candidates per kind: a pair equivalent in the merge is new when it
+            # is equivalent in the side under neither kind.
+            fresh = [set(merged[k]).difference(mine[k]) for k in (0, 1)]
+            subs.update((a, b) for b in fresh[0].union(fresh[1]).difference(*mine) if b in names)
+            for k in (0, 1):
+                for b in fresh[k].intersection(names):
+                    if a in tm.supers(b)[k] and not any(b in mine[j] and a in own.supers(b)[j] for j in (0, 1)):
+                        equivs.add((a, b) if a < b else (b, a))
+        new_equivs += [(a, b, label) for a, b in sorted(equivs)]
+        equiv_members = {(a, b) for a, b, _ in new_equivs}
+        new_subs += [(a, b, label) for a, b in sorted(subs) if ((a, b) if a < b else (b, a)) not in equiv_members]
         disjoint_note += len(
             _named_disjoint_pairs(tbox_m, sig["classes"]) - _named_disjoint_pairs(tbox_own, sig["classes"]))
 

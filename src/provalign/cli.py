@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from functools import cache, cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from . import vocab
 from .alignment import Alignment, NamespaceOverlapError, _group, extract_mappings, export_sssom
@@ -28,7 +28,7 @@ from .checks import (
 from .matcher import UnknownPropertyError, suggest_property_mappings
 from .owl import NamedClass, NamedProperty, OntologyModel, OwlError, extract_axioms, merge_models
 from .rdf import BlankNode, Graph, Literal, iri, new_scope
-from .reasoner import FactCapExceededError, entailed_taxonomy
+from .reasoner import FactCapExceededError, Taxonomy, _mutual, entailed_taxonomy
 from .turtle import TurtleParseError, parse_turtle, serialize_turtle
 
 
@@ -254,6 +254,27 @@ def _run_export_sssom(inp: _Inputs) -> int:
     return 0
 
 
+def _cross_pairs(taxonomy: Taxonomy, source_ns: List[str],
+                 target_ns: List[str]) -> List[Tuple[str, str, str, str]]:
+    """(predicate IRI, a, b, predicate) for each entailed pair across the two
+    namespace groups: equivalent classes, equivalent properties, then the
+    sub-class and sub-property pairs that are no equivalence, each sorted."""
+    group = {name: _group(name, source_ns, target_ns) for name in taxonomy.names}
+    subs: List[Set[Tuple[str, str]]] = [set(), set()]  # classes, properties
+    for a in taxonomy.names:
+        if group[a] is not None:
+            for kind, sups in enumerate(taxonomy.supers(a)):
+                subs[kind].update((a, b) for b in sups if group[b] not in (None, group[a]))
+    equivs = [_mutual(pairs) for pairs in subs]
+    out = [(vocab.OWL_EQUIVALENT_CLASS, a, b, "equivalent-class") for a, b in sorted(equivs[0])]
+    out += [(vocab.OWL_EQUIVALENT_PROPERTY, a, b, "equivalent-property") for a, b in sorted(equivs[1])]
+    out += [(vocab.RDFS_SUBCLASSOF, a, b, "sub-class-of") for a, b in sorted(subs[0])
+            if (min(a, b), max(a, b)) not in equivs[0]]
+    out += [(vocab.RDFS_SUBPROPERTYOF, a, b, "sub-property-of") for a, b in sorted(subs[1])
+            if (min(a, b), max(a, b)) not in equivs[1]]
+    return out
+
+
 def _run_materialize(inp: _Inputs) -> int:
     """Write the alignment plus every entailed cross-namespace mapping as Turtle."""
     args = inp.args
@@ -284,25 +305,7 @@ def _run_materialize(inp: _Inputs) -> int:
         comment = "entailed by the asserted alignment" if derived else "asserted mapping"
         out.add_triple(node, iri(vocab.RDFS_COMMENT), Literal(comment))
 
-    pairs: List[Tuple[str, str, str, str]] = []
-    for a, b in sorted(taxonomy.equivalent_class_pairs):
-        pairs.append((vocab.OWL_EQUIVALENT_CLASS, a, b, "equivalent-class"))
-    for a, b in sorted(taxonomy.equivalent_property_pairs):
-        pairs.append((vocab.OWL_EQUIVALENT_PROPERTY, a, b, "equivalent-property"))
-    equiv_class = taxonomy.equivalent_class_pairs
-    equiv_prop = taxonomy.equivalent_property_pairs
-    for a, b in sorted(taxonomy.subclass_pairs):
-        if tuple(sorted((a, b))) not in equiv_class:
-            pairs.append((vocab.RDFS_SUBCLASSOF, a, b, "sub-class-of"))
-    for a, b in sorted(taxonomy.subproperty_pairs):
-        if tuple(sorted((a, b))) not in equiv_prop:
-            pairs.append((vocab.RDFS_SUBPROPERTYOF, a, b, "sub-property-of"))
-
-    for predicate_iri, a, b, predicate in pairs:
-        ga = _group(a, args.source_ns, args.target_ns)
-        gb = _group(b, args.source_ns, args.target_ns)
-        if ga is None or gb is None or ga == gb:
-            continue
+    for predicate_iri, a, b, predicate in _cross_pairs(taxonomy, args.source_ns, args.target_ns):
         derived = (predicate, a, b) not in asserted and (
             predicate not in ("equivalent-class", "equivalent-property")
             or (predicate, b, a) not in asserted)

@@ -17,7 +17,6 @@ from .owl import (
     Axiom,
     ClassExpression,
     Intersection,
-    NOTHING,
     NamedClass,
     OntologyModel,
     THING,
@@ -25,7 +24,7 @@ from .owl import (
     render_class_expression,
 )
 from .rdf import Iri
-from .reasoner import TBoxIndex
+from .reasoner import TBoxIndex, Taxonomy
 
 
 class MatcherError(Exception):
@@ -144,10 +143,8 @@ def _translations(term: str, source_index: TBoxIndex, alignment: Alignment) -> L
     direct = target_only(by_term.get(term, []))
     if direct:
         return sorted(direct, key=render_class_expression)
-    ancestors = sorted(sup.iri.value for sup in source_index.supers(NamedClass(Iri(term)))
-                       if isinstance(sup, NamedClass) and sup not in (THING, NOTHING))
     collected: List[ClassExpression] = []
-    for ancestor in ancestors:
+    for ancestor in Taxonomy(source_index).supers(term)[0]:
         collected.extend(target_only(by_term.get(ancestor, [])))
     return sorted(set(collected), key=render_class_expression)
 

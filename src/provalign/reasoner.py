@@ -208,7 +208,6 @@ class TBoxIndex:
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
         self._supers: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {}
-        self._named_prop_supers: Dict[str, Tuple[str, ...]] = {}
         self._prop_steps: Dict[str, Tuple[Tuple[object, bool, str, str], ...]] = {}
         # Plans for a non-literal object, then for a literal one.
         self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
@@ -367,11 +366,9 @@ class TBoxIndex:
         return i is not None and j is not None and self._reach[i] >> j & 1 == 1
 
     def named_prop_supers(self, name: str) -> Tuple[str, ...]:
-        sups = self._named_prop_supers.get(name)
-        if sups is None:
-            sups = self._named_prop_supers[name] = tuple(
-                self._prop_names[j >> 1] for j in _above(self._prop_reach, self._prop_ids.get(name)) if not j & 1)
-        return sups
+        """Strict named super-properties of ``name``, in name order, decoded on each call."""
+        return tuple([self._prop_names[j >> 1]
+                      for j in _above(self._prop_reach, self._prop_ids.get(name)) if not j & 1])
 
     def prop_steps(self, name: str) -> Tuple[Tuple[object, bool, str, str], ...]:
         """What a fact of property ``name`` propagates to, in order, as (property
@@ -425,14 +422,31 @@ class TBoxIndex:
                 ax for ax in model.axioms if ax.kind in ("class-assertion", "property-assertion"))
 
 
-@dataclass
-class Taxonomy:
-    """Entailed named-term hierarchy: reflexive pairs are excluded."""
+def _mutual(pairs: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    return {(a, b) for a, b in pairs if a < b and (b, a) in pairs}
 
-    subclass_pairs: Set[Tuple[str, str]] = field(default_factory=set)
-    equivalent_class_pairs: Set[Tuple[str, str]] = field(default_factory=set)
-    subproperty_pairs: Set[Tuple[str, str]] = field(default_factory=set)
-    equivalent_property_pairs: Set[Tuple[str, str]] = field(default_factory=set)
+
+class Taxonomy:
+    """The entailed named-term hierarchy, a view on one schema index. Reflexive
+    pairs are excluded; the pair sets are computed each time they are read."""
+
+    def __init__(self, tbox: TBoxIndex):
+        self.tbox = tbox
+        self._class_ids = {ce.iri.value: i for ce, i in tbox._ids.items()
+                           if isinstance(ce, NamedClass) and ce not in (THING, NOTHING)}
+        self._named = set(self._class_ids.values())
+        self.names = {*self._class_ids, *tbox._prop_names}
+
+    def supers(self, name: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The named classes other than owl:Thing and owl:Nothing, and the named
+        properties, strictly above ``name``; each sorted."""
+        order, ids = self.tbox._order, _above(self.tbox._reach, self._class_ids.get(name))
+        return tuple([order[j].iri.value for j in ids if j in self._named]), self.tbox.named_prop_supers(name)
+
+    subclass_pairs = property(lambda self: {(a, b) for a in self._class_ids for b in self.supers(a)[0]})
+    subproperty_pairs = property(lambda self: {(a, b) for a in self.tbox._prop_names for b in self.supers(a)[1]})
+    equivalent_class_pairs = property(lambda self: _mutual(self.subclass_pairs))
+    equivalent_property_pairs = property(lambda self: _mutual(self.subproperty_pairs))
 
 
 @dataclass
@@ -761,32 +775,18 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     """
     seed = OntologyModel(axioms=[Axiom("class-assertion", (_PROBE, ce))], source_label="probe-seed")
     probed = list(models) + [seed]
-    if tbox is None or ce not in tbox.universe:
+    # A named class outside the universe has no axioms: no edges, rules or
+    # disjointness, so its closure is the same without it in the index.
+    if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
         tbox = TBoxIndex(probed)
     return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
 
 
 def entailed_taxonomy(models: Sequence[OntologyModel],
                       tbox: Optional[TBoxIndex] = None) -> Taxonomy:
-    """Named-class and named-property subsumption/equivalence closure."""
-    if tbox is None:
-        tbox = TBoxIndex(list(models))
-    taxonomy = Taxonomy()
-    named = {ce for ce in tbox.universe if isinstance(ce, NamedClass)
-             and ce.iri.value not in (vocab.OWL_THING, vocab.OWL_NOTHING)}
-    for c in named:
-        for sup in named.intersection(tbox.supers(c)):
-            taxonomy.subclass_pairs.add((c.iri.value, sup.iri.value))
-    for a, b in list(taxonomy.subclass_pairs):
-        if (b, a) in taxonomy.subclass_pairs:
-            taxonomy.equivalent_class_pairs.add(tuple(sorted((a, b))))  # type: ignore[arg-type]
-    for name in tbox._prop_names:
-        for sup in tbox.named_prop_supers(name):
-            taxonomy.subproperty_pairs.add((name, sup))
-    for a, b in list(taxonomy.subproperty_pairs):
-        if (b, a) in taxonomy.subproperty_pairs:
-            taxonomy.equivalent_property_pairs.add(tuple(sorted((a, b))))  # type: ignore[arg-type]
-    return taxonomy
+    """Named-class and named-property subsumption/equivalence closure, as a
+    view on ``tbox`` or on a new index over ``models``."""
+    return Taxonomy(TBoxIndex(list(models)) if tbox is None else tbox)
 
 
 def explain(kb: ClosedKB, fact: FactKey) -> TraceNode:

@@ -332,11 +332,27 @@ def test_suggest_inherits_through_a_deep_subproperty_chain(tmp_path):
 
 def test_every_subcommand_survives_a_deep_subproperty_chain(tmp_path, capsys):
     # Deeper than Python's default recursion limit of 1,000: any walk that
-    # recurses once per link fails here. The property closure is quadratic in
-    # the depth, so the 3,000-deep chain is left to the suggest test above.
-    for subcommand, argv in _property_chain(tmp_path, 1200).items():
+    # recurses once per link fails here.
+    for subcommand, argv in _property_chain(tmp_path, 3000).items():
         assert run([subcommand, *argv, "--out", str(tmp_path / "out")]) in (0, 1), subcommand
         assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["check-all", "check-totality", "check-conservativity",
+                                        "stats", "materialize"])
+def test_checks_read_the_taxonomy_per_name(subcommand, tmp_path, capsys, monkeypatch):
+    # The pair sets are for the library API; a check that builds one is
+    # quadratic in the depth of a hierarchy.
+    def refuse(self):
+        raise AssertionError("a taxonomy pair set was read")
+
+    for name in ("subclass_pairs", "equivalent_class_pairs", "subproperty_pairs", "equivalent_property_pairs"):
+        monkeypatch.setattr(provalign.reasoner.Taxonomy, name, property(refuse))
+    argv = [subcommand, *stack_flags(), *NS_FLAGS, "--out", str(tmp_path / "out")]
+    if subcommand == "check-all":
+        argv += ["--instances", fix("instances/fig9.ttl")]
+    assert run(argv) in (0, 1)
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_shallow_witness_kept_beside_a_deeper_successor(tmp_path):
