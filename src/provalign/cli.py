@@ -85,7 +85,7 @@ def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_turtle(text)

@@ -422,6 +422,10 @@ _REIFIED_KIND = {
     vocab.OWL_PROPERTY_CHAIN: "property-chain",
 }
 
+# The n-ary class constructors, in the order in which decoding tries them.
+_NARY = {vocab.OWL_INTERSECTION_OF: Intersection, vocab.OWL_UNION_OF: UnionOf,
+         vocab.OWL_DISJOINT_UNION_OF: DisjointUnionOf}
+
 
 class _Extractor:
     def __init__(self, graph: Graph, source_label: str):
@@ -447,23 +451,27 @@ class _Extractor:
 
     # -- lists and expressions ---------------------------------------------
 
-    def read_list(self, node: Term) -> List[Term]:
+    def read_list(self, node: Term, types: Tuple[str, ...] = (), noun: str = "RDF list") -> List[Term]:
+        """The items of the RDF list at ``node``, consuming each cell's rdf:first,
+        rdf:rest and its rdf:type triples into ``types``; errors name the ``noun``."""
         items: List[Term] = []
         seen: Set[Term] = set()
-        while True:
-            if isinstance(node, Iri) and node.value == vocab.RDF_NIL:
-                return items
+        while not (isinstance(node, Iri) and node.value == vocab.RDF_NIL):
             if node in seen:
-                raise MalformedExpressionError("cyclic RDF list")
+                raise MalformedExpressionError(f"cyclic {noun}")
             seen.add(node)
+            for obj in self.graph.objects(node, vocab.RDF_TYPE):
+                if isinstance(obj, Iri) and obj.value in types:
+                    self.consume(node, vocab.RDF_TYPE, obj)
             first = self.graph.object(node, vocab.RDF_FIRST)
             rest = self.graph.object(node, vocab.RDF_REST)
             if first is None or rest is None:
-                raise MalformedExpressionError("RDF list node missing rdf:first/rdf:rest")
+                raise MalformedExpressionError(f"{noun} node missing rdf:first/rdf:rest")
             self.consume(node, vocab.RDF_FIRST, first)
             self.consume(node, vocab.RDF_REST, rest)
             items.append(first)
             node = rest
+        return items
 
     def class_expression(self, node: Term, _visiting: Optional[Set[Term]] = None,
                          _depth: int = 0) -> ClassExpression:
@@ -479,31 +487,16 @@ class _Extractor:
             raise MalformedExpressionError("cyclic class expression structure")
         visiting.add(node)
         props = self.spo.get(node, {})
-
-        def decode_operands(list_head: Term) -> Tuple[ClassExpression, ...]:
-            items = self.read_list(list_head)
-            if not items:
-                raise MalformedExpressionError("empty operand list in class expression")
-            return tuple(self.class_expression(i, visiting, _depth + 1) for i in items)
-
-        if vocab.OWL_INTERSECTION_OF in props:
-            head = props[vocab.OWL_INTERSECTION_OF][0]
-            self.consume(node, vocab.OWL_INTERSECTION_OF, head)
-            self._consume_expression_type(node)
-            ops = decode_operands(head)
-            return ops[0] if len(ops) == 1 else Intersection(ops)
-        if vocab.OWL_UNION_OF in props:
-            head = props[vocab.OWL_UNION_OF][0]
-            self.consume(node, vocab.OWL_UNION_OF, head)
-            self._consume_expression_type(node)
-            ops = decode_operands(head)
-            return ops[0] if len(ops) == 1 else UnionOf(ops)
-        if vocab.OWL_DISJOINT_UNION_OF in props:
-            head = props[vocab.OWL_DISJOINT_UNION_OF][0]
-            self.consume(node, vocab.OWL_DISJOINT_UNION_OF, head)
-            self._consume_expression_type(node)
-            ops = decode_operands(head)
-            return ops[0] if len(ops) == 1 else DisjointUnionOf(ops)
+        for pred, make in _NARY.items():
+            if pred in props:
+                head = props[pred][0]
+                self.consume(node, pred, head)
+                self._consume_expression_type(node)
+                items = self.read_list(head)
+                if not items:
+                    raise MalformedExpressionError("empty operand list in class expression")
+                ops = tuple(self.class_expression(i, visiting, _depth + 1) for i in items)
+                return ops[0] if len(ops) == 1 else make(ops)
         if vocab.OWL_COMPLEMENT_OF in props:
             operand = props[vocab.OWL_COMPLEMENT_OF][0]
             self.consume(node, vocab.OWL_COMPLEMENT_OF, operand)
@@ -612,7 +605,9 @@ class _Extractor:
                     raise MalformedExpressionError("swrl:Imp missing body or head")
                 self.consume(imp, slot, head_node)
                 atoms = []
-                for atom_node in self._read_atom_list(head_node):
+                # Atom lists may carry rdf:type swrl:AtomList on each cons cell.
+                for atom_node in self.read_list(head_node, (vocab.SWRL_ATOM_LIST, vocab.RDF + "List"),
+                                                "SWRL atom list"):
                     atoms.append(self._swrl_atom(atom_node))
                 body_head.append(tuple(atoms))
             annotations = self._collect_annotations(
@@ -624,28 +619,6 @@ class _Extractor:
                 if unsafe:
                     raise UnsafeRuleError(f"head variable(s) {sorted(unsafe)} never occur in the rule body")
             self.model.rules.append(rule)
-
-    def _read_atom_list(self, node: Term) -> List[Term]:
-        # Atom lists may carry rdf:type swrl:AtomList on each cons cell.
-        items: List[Term] = []
-        seen: Set[Term] = set()
-        while True:
-            if isinstance(node, Iri) and node.value == vocab.RDF_NIL:
-                return items
-            if node in seen:
-                raise MalformedExpressionError("cyclic SWRL atom list")
-            seen.add(node)
-            for obj in self.graph.objects(node, vocab.RDF_TYPE):
-                if isinstance(obj, Iri) and obj.value in (vocab.SWRL_ATOM_LIST, vocab.RDF + "List"):
-                    self.consume(node, vocab.RDF_TYPE, obj)
-            first = self.graph.object(node, vocab.RDF_FIRST)
-            rest = self.graph.object(node, vocab.RDF_REST)
-            if first is None or rest is None:
-                raise MalformedExpressionError("SWRL atom list node missing rdf:first/rdf:rest")
-            self.consume(node, vocab.RDF_FIRST, first)
-            self.consume(node, vocab.RDF_REST, rest)
-            items.append(first)
-            node = rest
 
     def _swrl_variable_name(self, term: Optional[Term]) -> str:
         if term is None or term not in self.swrl_variables:
@@ -871,11 +844,7 @@ class _Encoder:
             return ce.iri
         node = self.fresh()
         if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
-            pred = {
-                Intersection: vocab.OWL_INTERSECTION_OF,
-                UnionOf: vocab.OWL_UNION_OF,
-                DisjointUnionOf: vocab.OWL_DISJOINT_UNION_OF,
-            }[type(ce)]
+            pred = next(p for p, make in _NARY.items() if make is type(ce))
             self.graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_CLASS))
             members = self.encode_list([self.class_expression(o) for o in ce.operands])
             self.graph.add_triple(node, iri(pred), members)

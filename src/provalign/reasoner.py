@@ -208,7 +208,6 @@ class TBoxIndex:
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
         self._supers: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {}
-        self._prop_steps: Dict[str, Tuple[Tuple[object, bool, str, str], ...]] = {}
         # Plans for a non-literal object, then for a literal one.
         self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
         self._load(models)
@@ -370,31 +369,32 @@ class TBoxIndex:
         return tuple([self._prop_names[j >> 1]
                       for j in _above(self._prop_reach, self._prop_ids.get(name)) if not j & 1])
 
-    def prop_steps(self, name: str) -> Tuple[Tuple[object, bool, str, str], ...]:
-        """What a fact of property ``name`` propagates to, in order, as (property
-        or class, onto the flipped pair or the object?, rule, trace detail): its
-        super-properties, inverses, domains and ranges."""
-        steps = self._prop_steps.get(name)
-        if steps is None:
-            steps = self._prop_steps[name] = tuple(
-                [(sup, False, "subproperty", f"{name} is below {sup}") for sup in self.named_prop_supers(name)]
-                + [(q, True, "inverse", f"{q} is the inverse of {name}")
-                   for q in sorted(self.inverse_pairs.get(name, ()))]
-                + [(c, False, "domain", f"domain of {name}") for c in self.domains.get(name, ())]
-                + [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())])
-        return steps
-
     def prop_plan(self, name: str, literal: bool) -> Tuple[PlanEntry, ...]:
         """The facts that a new fact of property ``name`` propagates to, in the
-        order of the depth-first walk over ``prop_steps``: (property or class,
-        onto the swapped pair?, position of the premise, rule, trace detail).
-        Position 0 is the new fact and entry i is at position i + 1. Each
-        property fact appears once; a ``literal`` object takes no flipped step."""
+        order of a depth-first walk: (property or class, onto the swapped pair?,
+        position of the premise, rule, trace detail). Position 0 is the new fact
+        and entry i is at position i + 1. A property fact leads to its named
+        supers not yet met on its side, lowest id first as read from the masks,
+        then to its inverses, domains and ranges; a ``literal`` object takes no flipped step."""
         plans = self._prop_plans[literal]
         plan = plans.get(name)
         if plan is None:
+            ids, names, reach = self._prop_ids, self._prop_names, self._prop_reach
+            named = (4 ** len(names) - 1) // 3  # bits 0, 2, 4, ...: the non-inverted keys
+            seen = [1 << ids[name] if name in ids else 0, 0]  # property facts met, as-is and swapped
+
+            def steps(name: str, swapped: bool) -> Iterator[Tuple[object, bool, str, str]]:
+                supers = reach[ids[name]] & named if name in ids else 0
+                while left := supers & ~seen[swapped]:
+                    sup = names[(left & -left).bit_length() - 1 >> 1]
+                    yield sup, False, "subproperty", f"{name} is below {sup}"
+                yield from [(q, True, "inverse", f"{q} is the inverse of {name}")
+                            for q in sorted(self.inverse_pairs.get(name, ()))]
+                yield from [(c, False, "domain", f"domain of {name}") for c in self.domains.get(name, ())]
+                yield from [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())]
+
             entries: List[PlanEntry] = []
-            seen, stack = {(name, False)}, [(0, False, iter(self.prop_steps(name)))]
+            stack = [(0, False, steps(name, False))]
             while stack:
                 position, swapped, pending = stack[-1]
                 for target, flipped, rule, why in pending:
@@ -403,10 +403,10 @@ class TBoxIndex:
                     onto = swapped != flipped
                     if not isinstance(target, str):
                         entries.append((target, onto, position, rule, why))
-                    elif (target, onto) not in seen:
-                        seen.add((target, onto))
+                    elif not seen[onto] >> ids[target] & 1:
+                        seen[onto] |= 1 << ids[target]
                         entries.append((target, onto, position, rule, why))
-                        stack.append((len(entries), onto, iter(self.prop_steps(target))))
+                        stack.append((len(entries), onto, steps(target, onto)))
                         break
                 else:
                     stack.pop()

@@ -396,6 +396,13 @@ def test_single_operand_disjoint_union_is_a_load_error(tmp_path, capsys):
     assert f"OWL extraction failure in {bad}: owl:disjointUnionOf needs at least two operands" in err
 
 
+def test_undecodable_file_is_a_load_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.ttl"
+    latin1.write_bytes('@prefix ex: <http://example.org/u#> .\nex:a ex:p "caf\xe9" .\n'.encode("latin-1"))
+    err = _load_error(["check-coherence", "--source", str(latin1)], capsys)
+    assert f"cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9" in err
+
+
 def test_expression_nesting_past_the_bound_is_a_load_error(tmp_path, capsys):
     # Labelled blank nodes nest expressions without nesting Turtle syntax.
     def chain(depth, node, link, last):

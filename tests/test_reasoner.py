@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter, deque
 from unittest import mock
 
@@ -644,6 +645,23 @@ def test_property_supers_and_plans_match_a_search_over_prop_edges(schema):
                 premise = root if parent == 0 else plan[parent - 1][:2]
                 assert isinstance(premise[0], str)
                 assert (target, onto) in _plan_steps(tbox, *premise, literal)
+
+
+def test_plan_over_a_deep_sub_property_chain_is_the_chain_in_linear_memory():
+    """Compiling the plan at the foot of a 1,500-deep chain reads each super from
+    the masks; holding every chain member's supers would take quadratic memory."""
+    names = [EX + f"p{k:04d}" for k in range(1501)]
+    props = [NamedProperty(iri(name)) for name in names]
+    tbox = TBoxIndex([OntologyModel(axioms=[Axiom("sub-property-of", pair) for pair in zip(props, props[1:])])])
+    tracemalloc.start()
+    try:
+        plan = tbox.prop_plan(names[0], False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert plan == tuple((names[k + 1], False, k, "subproperty", f"{names[k]} is below {names[k + 1]}")
+                         for k in range(1500))
 
 
 def test_assertion_through_an_inverse_onto_a_literal_derives_nothing():
