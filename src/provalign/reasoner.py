@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import and_, attrgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -55,6 +55,10 @@ class ReasonerError(Exception):
 
 class FactCapExceededError(ReasonerError):
     """The derived-fact count hit the nontermination guard."""
+
+
+def _cap_exceeded(fact_cap: int) -> FactCapExceededError:
+    return FactCapExceededError(f"derived-fact cap of {fact_cap} exceeded; closure aborted")
 
 
 class UnknownFactError(ReasonerError):
@@ -313,11 +317,20 @@ class TBoxIndex:
                         (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
                         (ClassAtom(ce, "x"),)) for ce in order if isinstance(ce, SomeValuesFrom)]
         self.rules += chains + swrl
-        # Trigger index: the rules that read each class expression or property.
-        self.readers: Dict[object, Tuple[int, ...]] = {}
+        # Trigger index: the rules that read each class expression or property,
+        # bit i for rule i, and how many distinct predicates each rule's body reads.
+        self.readers: Dict[object, int] = {}
+        self.body_sizes: List[int] = []
         for index, (_, _, body, _) in enumerate(self.rules):
-            for predicate in {a.cls if isinstance(a, ClassAtom) else _prop_key(a.prop)[0] for a in body}:
-                self.readers[predicate] = self.readers.get(predicate, ()) + (index,)
+            predicates = {a.cls if isinstance(a, ClassAtom) else _prop_key(a.prop)[0] for a in body}
+            self.body_sizes.append(len(predicates))
+            for predicate in predicates:
+                self.readers[predicate] = self.readers.get(predicate, 0) | 1 << index
+        # The classes whose members the engine can take further than their
+        # superclasses: existentials, and the classes SWRL class atoms read.
+        self._engine_ids = sum(1 << rank(ce) for ce in {
+            *(ce for ce in order if isinstance(ce, SomeValuesFrom)),
+            *(a.cls for _, _, body, _ in swrl for a in body if isinstance(a, ClassAtom))})
 
     # -- closures --------------------------------------------------------------
 
@@ -375,7 +388,10 @@ class TBoxIndex:
         position of the premise, rule, trace detail). Position 0 is the new fact
         and entry i is at position i + 1. A property fact leads to its named
         supers not yet met on its side, lowest id first as read from the masks,
-        then to its inverses, domains and ranges; a ``literal`` object takes no flipped step."""
+        then to its inverses, domains and ranges. Last, the new fact leads to the
+        supers of ``name`` through an inverse that the walk has not met, as
+        through ``p0 rdfs:subPropertyOf [ owl:inverseOf p1 ]``. A ``literal``
+        object takes no flipped step."""
         plans = self._prop_plans[literal]
         plan = plans.get(name)
         if plan is None:
@@ -393,8 +409,14 @@ class TBoxIndex:
                 yield from [(c, False, "domain", f"domain of {name}") for c in self.domains.get(name, ())]
                 yield from [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())]
 
+            def inverted() -> Iterator[Tuple[object, bool, str, str]]:
+                supers = reach[ids[name]] >> 1 & named if name in ids and not literal else 0
+                while left := supers & ~seen[True]:
+                    sup = names[(left & -left).bit_length() - 1 >> 1]
+                    yield sup, True, "subproperty", f"{name} is below the inverse of {sup}"
+
             entries: List[PlanEntry] = []
-            stack = [(0, False, steps(name, False))]
+            stack = [(0, False, chain(steps(name, False), inverted()))]
             while stack:
                 position, swapped, pending = stack[-1]
                 for target, flipped, rule, why in pending:
@@ -500,15 +522,18 @@ class _Engine(ClosedKB):
         self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
         self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
         self.scopes: Dict[int, int] = {}  # blank-node scopes in the order skolemization meets them
-        self.dirty: Set[int] = set()  # rules with a body fact newer than their last turn
+        # Rule masks: the rules with a body fact newer than their last turn, and
+        # the rules each of whose body predicates has a fact.
+        self.dirty = self.ready = 0
+        self.waiting = list(tbox.body_sizes)  # each rule's body predicates that have no fact yet
         self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
     def _record(self, fact: FactKey, trace: Trace) -> None:
-        """Count, index and trace one new fact, and wake the rules that read it."""
+        """Count, index and trace one new fact, and wake the rules that read it
+        once each of their body predicates has a fact."""
         self.derived_count += 1
         if self.derived_count > self.fact_cap:
-            raise FactCapExceededError(
-                f"derived-fact cap of {self.fact_cap} exceeded; closure aborted")
+            raise _cap_exceeded(self.fact_cap)
         self.traces[fact] = trace
         # Only the facts that some rule reads go into the join indexes.
         readers = self.tbox.readers.get(fact[2] if fact[0] == "class" else fact[1])
@@ -518,7 +543,7 @@ class _Engine(ClosedKB):
             if isinstance(ce, SomeValuesFrom):
                 self.fresh.append(fact)
             if readers:
-                self.members_of.setdefault(ce, []).append(x)
+                (facts := self.members_of.setdefault(ce, [])).append(x)
         else:
             _, name, s, o = fact
             facts = self.prop_index.setdefault(name, [])
@@ -528,7 +553,12 @@ class _Engine(ClosedKB):
             facts.append((s, o))
         if readers:
             self.serial[fact] = len(self.traces) - 1
-            self.dirty.update(readers)
+            if len(facts) == 1:  # the predicate's first fact
+                for index in _bit_ids(readers):
+                    self.waiting[index] -= 1
+                    if not self.waiting[index]:
+                        self.ready |= 1 << index
+            self.dirty |= readers & self.ready
 
     def add_class(self, x: Term, ce: ClassExpression, rule: str,
                   premises: Tuple[FactKey, ...], detail: str = "") -> bool:
@@ -624,10 +654,8 @@ class _Engine(ClosedKB):
         a fired head can queue a later match; property facts as the turn began.
         """
         label, detail, body, head = self.tbox.rules[index]
-        sizes = [len(self.members_of.get(atom.cls, ()) if isinstance(atom, ClassAtom)
-                     else self.prop_index.get(_prop_key(atom.prop)[0], ())) for atom in body]
-        if not all(sizes):  # an atom without facts: nothing can match yet
-            return
+        sizes = [len(self.members_of[atom.cls] if isinstance(atom, ClassAtom)
+                     else self.prop_index[_prop_key(atom.prop)[0]]) for atom in body]
         marks, self.marks[index] = self.marks.get(index, [0] * len(body)), sizes
         queue: Dict[Tuple[int, ...], Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = {}
         for i in range(len(body)):
@@ -644,7 +672,7 @@ class _Engine(ClosedKB):
                     (name, inverted), a, b = _prop_key(atom.prop), binding[atom.var1], binding[atom.var2]
                     self.add_prop(name, *((b, a) if inverted else (a, b)), label, premises, detail)
             for i, atom in enumerate(body):
-                if index in self.dirty and isinstance(atom, ClassAtom) and len(
+                if self.dirty >> index & 1 and isinstance(atom, ClassAtom) and len(
                         self.members_of.get(atom.cls, ())) > seen[i]:
                     later = self._match(body, i, seen[i], sizes, queue, key)
                     seen[i] = len(self.members_of[atom.cls])
@@ -706,8 +734,9 @@ class _Engine(ClosedKB):
         while self.fresh or self.dirty:
             self._pass_skolemize()
             index = 0
-            while (index := min((r for r in self.dirty if r >= index), default=-1)) >= 0:
-                self.dirty.discard(index)
+            while later := self.dirty >> index:
+                index += (later & -later).bit_length() - 1
+                self.dirty ^= 1 << index
                 self._turn(index)
                 index += 1
 
@@ -779,7 +808,17 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     # disjointness, so its closure is the same without it in the index.
     if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
         tbox = TBoxIndex(probed)
-    return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
+    i = tbox._ids.get(ce)
+    if i is None or tbox._reach[i] & tbox._engine_ids or next(tbox.assertions(models), None):
+        return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
+    # No rule can fire and nothing needs a witness, so the probe's closure is
+    # its membership in ``ce`` and the superclasses, in one mask.
+    kb = ClosedKB(tbox)
+    kb.derived_count = tbox._reach[i].bit_count()
+    if kb.derived_count > fact_cap:
+        raise _cap_exceeded(fact_cap)
+    kb.memberships[_PROBE] = set(map(tbox._order.__getitem__, _bit_ids(tbox._reach[i])))
+    return not check_clash(kb)
 
 
 def entailed_taxonomy(models: Sequence[OntologyModel],

@@ -1,13 +1,33 @@
-"""Bottom-up coherence probing with upward pruning against probing every class."""
+"""Bottom-up coherence probing with upward pruning against probing every class,
+and probes decided from the class masks against the engine's closure."""
+
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from provalign import checks
-from provalign.checks import check_coherence
+from provalign import checks, reasoner
+from provalign.checks import _fact_text, check_coherence
 from provalign.fixtures import load_model
-from provalign.owl import Axiom, NamedClass, OntologyModel, extract_axioms, merged_signature
+from provalign.owl import (
+    NOTHING,
+    Axiom,
+    ClassAtom,
+    Complement,
+    Intersection,
+    InverseProperty,
+    NamedClass,
+    NamedProperty,
+    OntologyModel,
+    PropertyAtom,
+    SomeValuesFrom,
+    SwrlRule,
+    extract_axioms,
+    merged_signature,
+)
 from provalign.rdf import Iri, iri
-from provalign.reasoner import FactCapExceededError, TBoxIndex, class_satisfiable
+from provalign.reasoner import FactCapExceededError, TBoxIndex, _close, check_clash, class_satisfiable
 from provalign.turtle import parse_turtle
 
 HEADER = """
@@ -18,19 +38,31 @@ HEADER = """
 EX = "http://example.org/tree#"
 
 
+def engine_probe(models, ce, fact_cap=1_000_000, tbox=None):
+    """The engine's closure of a probe into ``ce``, as ``class_satisfiable`` runs it
+    when the masks cannot decide: satisfiable, or the fact-cap message."""
+    probed = list(models) + [OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), ce))])]
+    if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
+        tbox = TBoxIndex(probed)
+    try:
+        return not check_clash(_close(probed, tbox, 3, fact_cap))
+    except FactCapExceededError as exc:
+        return str(exc)
+
+
 def probe_every_class(models, fact_cap=1_000_000):
-    """(unsatisfiable, undetermined, probed) with one probe per named class."""
+    """(unsatisfiable, undetermined, probed) with one engine probe per named class."""
     classes = sorted(merged_signature(models)["classes"])
     seed = OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"),
                                                            NamedClass(iri(c)))) for c in classes])
     tbox = TBoxIndex(list(models) + [seed])
     unsat, undetermined = [], []
     for c in classes:
-        try:
-            if not class_satisfiable(models, NamedClass(iri(c)), fact_cap=fact_cap, tbox=tbox):
-                unsat.append(c)
-        except FactCapExceededError as exc:
-            undetermined.append((c, str(exc)))
+        verdict = engine_probe(models, NamedClass(iri(c)), fact_cap, tbox)
+        if isinstance(verdict, str):
+            undetermined.append((c, verdict))
+        elif not verdict:
+            unsat.append(c)
     return unsat, undetermined, len(classes)
 
 
@@ -100,3 +132,83 @@ def test_pruned_coherence_on_tree_keeps_undetermined_subclasses():
     assert [c for c, _ in report.undetermined] == [EX + "BelowCross", EX + "Cross"]
     assert EX + "R0_0_1_1" not in report.unsatisfiable
     assert report.unsatisfiable
+
+
+# -- probes decided from the masks against the engine -----------------------------
+
+_NAMED = [NamedClass(iri(EX + n)) for n in "ABCDE"]
+_PROPS = [NamedProperty(iri(EX + n)) for n in "pq"]
+_CLASS = st.sampled_from(_NAMED)
+_EXPRESSION = st.one_of(
+    st.sampled_from(_NAMED + [NOTHING]),
+    st.builds(SomeValuesFrom, st.sampled_from(_PROPS + [InverseProperty(p) for p in _PROPS]),
+              st.sampled_from(_NAMED + [NOTHING])),
+    st.builds(Complement, _CLASS),
+    st.builds(lambda a, b: Intersection((a, b)), _CLASS, _CLASS))
+_AXIOM = st.one_of(
+    st.builds(lambda a, b: Axiom("sub-class-of", (a, b)), _EXPRESSION, _EXPRESSION),
+    st.builds(lambda a, b: Axiom("equivalent-classes", (a, b)), _CLASS, _EXPRESSION),
+    st.builds(lambda a, b: Axiom("disjoint-classes", (a, b)), _CLASS, _CLASS),
+    st.builds(lambda a, b, c: Axiom("disjoint-union", (a, (b, c))), _CLASS, _EXPRESSION, _EXPRESSION))
+_ASSERTION = st.one_of(
+    st.builds(lambda c: Axiom("class-assertion", (iri(EX + "i"), c)), _EXPRESSION),
+    st.builds(lambda p: Axiom("property-assertion", (p, iri(EX + "i"), iri(EX + "j"))), st.sampled_from(_PROPS)))
+# SWRL rules: a class atom alone into a class; a class atom joined with a
+# property atom, or a property atom alone, into a class and a property.
+_RULE = st.builds(
+    lambda shape, a, b, p, q: SwrlRule(
+        [(ClassAtom(a, "x"),), (ClassAtom(a, "x"), PropertyAtom(p, "x", "y")), (PropertyAtom(p, "x", "y"),)][shape],
+        (ClassAtom(b, "x"),) if shape == 0 else (ClassAtom(b, "y"), PropertyAtom(q, "y", "x"))),
+    st.integers(0, 2), _EXPRESSION, _EXPRESSION, st.sampled_from(_PROPS), st.sampled_from(_PROPS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_AXIOM, max_size=10), st.lists(_RULE, max_size=2), st.lists(_ASSERTION, max_size=2),
+       st.sampled_from([1_000_000, 25, 6]))
+def test_mask_decided_probes_match_the_engine(axioms, rules, assertions, fact_cap):
+    models = [OntologyModel(axioms=axioms, rules=rules), OntologyModel(axioms=assertions)]
+    tbox = TBoxIndex(models)
+    probes = sorted(tbox.universe, key=lambda ce: ce.text) + [Intersection((_NAMED[0], _NAMED[4]))]
+    for ce in probes:
+        try:
+            verdict = class_satisfiable(models, ce, fact_cap=fact_cap, tbox=tbox)
+        except FactCapExceededError as exc:
+            verdict = str(exc)
+        assert verdict == engine_probe(models, ce, fact_cap, tbox), ce.text
+
+
+def traces_digest(kbs):
+    """SHA-256 over every fact of the closures in order, with its rule, premises and detail."""
+    lines = [f"{_fact_text(fact)} | {trace.rule} | {'; '.join(map(_fact_text, trace.premises))} | {trace.detail}"
+             for kb in kbs for fact, trace in kb.traces.items()]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+# The digests were taken with every rule woken by any fact of its body.
+@pytest.mark.parametrize("stack, digest", [
+    ("tree", "1c9a38f7ae1fdbccb4c94b86bd673c219d49a807f0adeaabee25f65c55450ec5"),
+    ("prov", "10e1a855487a7a06aab8196807e2bdf1f0b492455f5449fb393184d454d001a2"),
+])
+def test_rules_take_turns_only_when_each_body_atom_has_facts(monkeypatch, stack, digest):
+    turn, turns = reasoner._Engine._turn, []
+
+    def checked_turn(engine, index):
+        body = engine.tbox.rules[index][2]
+        assert all(engine.members_of.get(atom.cls) if isinstance(atom, ClassAtom)
+                   else engine.prop_index.get(reasoner._prop_key(atom.prop)[0]) for atom in body)
+        turns.append(index)
+        return turn(engine, index)
+
+    monkeypatch.setattr(reasoner._Engine, "_turn", checked_turn)
+    kbs = []
+    if stack == "tree":
+        models = [tree_model()]
+        tbox = TBoxIndex(models)
+        for c in sorted(merged_signature(models)["classes"]):
+            seed = OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), NamedClass(iri(c))))])
+            kbs.append(_close(models + [seed], tbox, 3, 1_000_000))
+    else:
+        names = ["prov-mini.ttl", "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-paper.ttl", "instances/example4.ttl"]
+        kbs.append(reasoner.materialize([load_model(name) for name in names]))
+    assert turns
+    assert traces_digest(kbs) == digest

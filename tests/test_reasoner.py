@@ -473,7 +473,9 @@ def test_fig11_trace_cites_domain_then_equivalence(prov, bfo, align_model):
 
 
 class RecursiveEngine(reasoner._Engine):
-    """The engine with recursive fact propagation, as a reference order."""
+    """The engine with recursive fact propagation, as a reference order. After
+    everything else, a fact that arrives from outside propagation leads to its
+    property's supers through an inverse, in name order."""
 
     def add_class(self, x, ce, rule, premises, detail=""):
         if isinstance(x, Literal):
@@ -488,21 +490,23 @@ class RecursiveEngine(reasoner._Engine):
                                detail=f"{render_class_expression(ce)} is below {render_class_expression(sup)}")
         return True
 
-    def add_prop(self, name, s, o, rule, premises, detail=""):
+    def add_prop(self, name, s, o, rule, premises, detail="", outside=True):
         if isinstance(s, Literal) or prop_fact(name, s, o) in self.traces:
             return False
         self._record(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
         premise = (prop_fact(name, s, o),)
         for sup in self.tbox.named_prop_supers(name):
-            self.add_prop(sup, s, o, "subproperty", premise, detail=f"{name} is below {sup}")
+            self.add_prop(sup, s, o, "subproperty", premise, f"{name} is below {sup}", False)
         if not isinstance(o, Literal):
             for q in sorted(self.tbox.inverse_pairs.get(name, ())):
-                self.add_prop(q, o, s, "inverse", premise, detail=f"{q} is the inverse of {name}")
+                self.add_prop(q, o, s, "inverse", premise, f"{q} is the inverse of {name}", False)
         for c in self.tbox.domains.get(name, ()):
             self.add_class(s, c, "domain", premise, detail=f"domain of {name}")
         if not isinstance(o, Literal):
             for c in self.tbox.ranges.get(name, ()):
                 self.add_class(o, c, "range", premise, detail=f"range of {name}")
+            for q in _bfs_supers(self.tbox, name, True) if outside else ():
+                self.add_prop(q, o, s, "subproperty", premise, f"{name} is below the inverse of {q}", False)
         return True
 
 
@@ -586,24 +590,26 @@ def test_property_plans_match_recursive_propagation(schema, abox):
             assert not literal or not any(swapped for _, swapped, *_ in plan)
 
 
-def _bfs_named_supers(tbox, name):
-    """The named property keys reachable from ``name`` over ``prop_edges``."""
+def _bfs_supers(tbox, name, inverted=False):
+    """The names of the property keys, inverted or not, other than ``name``'s own
+    that a search from ``name`` over ``prop_edges`` reaches."""
     seen, queue = {(name, False)}, deque([(name, False)])
     while queue:
         for key in tbox.prop_edges.get(queue.popleft(), ()):
             if key not in seen:
                 seen.add(key)
                 queue.append(key)
-    return tuple(sorted(q for q, inverted in seen if not inverted and q != name))
+    return tuple(sorted(q for q, flag in seen - {(name, False)} if flag == inverted))
 
 
 def _plan_steps(tbox, name, onto, literal):
     """One step of propagation from a fact of ``name``, onto the swapped pair or
     not, as (property or class, swapped?): its named super-properties by the
-    search above and its inverses, then its domains and ranges; a literal
-    object takes no step that swaps the pair."""
-    steps = [((q, onto), False) for q in _bfs_named_supers(tbox, name)]
+    search above, its inverses and its supers through an inverse, then its
+    domains and ranges; a literal object takes no step that swaps the pair."""
+    steps = [((q, onto), False) for q in _bfs_supers(tbox, name)]
     steps += [((q, not onto), True) for q in tbox.inverse_pairs.get(name, ())]
+    steps += [((q, not onto), True) for q in _bfs_supers(tbox, name, True)]
     steps += [((c, onto), False) for c in tbox.domains.get(name, ())]
     steps += [((c, not onto), True) for c in tbox.ranges.get(name, ())]
     return [step for step, flips in steps if not (flips and literal)]
@@ -621,7 +627,7 @@ def _plan_steps(tbox, name, onto, literal):
 def test_property_supers_and_plans_match_a_search_over_prop_edges(schema):
     tbox = TBoxIndex([OntologyModel(axioms=schema)])
     for name in (p.iri.value for p in _PROPS):
-        assert tbox.named_prop_supers(name) == _bfs_named_supers(tbox, name)
+        assert tbox.named_prop_supers(name) == _bfs_supers(tbox, name)
         for literal in (False, True):
             # The facts that a search over the steps reaches, and the class
             # entries of each, against the plan's entries.
@@ -662,6 +668,20 @@ def test_plan_over_a_deep_sub_property_chain_is_the_chain_in_linear_memory():
     assert peak < 16 * 2**20
     assert plan == tuple((names[k + 1], False, k, "subproperty", f"{names[k]} is below {names[k + 1]}")
                          for k in range(1500))
+
+
+def test_sub_and_equivalent_property_axioms_into_an_inverse_propagate():
+    kb = kb_of("""
+    ex:p0 rdfs:subPropertyOf [ owl:inverseOf ex:p1 ] .
+    ex:q0 owl:equivalentProperty [ owl:inverseOf ex:q1 ] .
+    ex:p1 rdfs:domain ex:D .
+    """, "ex:a ex:p0 ex:b . ex:a ex:q0 ex:b .")
+    a, b = iri(EX + "a"), iri(EX + "b")
+    assert kb.prop_index == {EX + "p0": [(a, b)], EX + "p1": [(b, a)],
+                             EX + "q0": [(a, b)], EX + "q1": [(b, a)]}
+    assert kb.traces[prop_fact(EX + "p1", b, a)] == reasoner.Trace(
+        "subproperty", (prop_fact(EX + "p0", a, b),), f"{EX}p0 is below the inverse of {EX}p1")
+    assert has_class(kb, EX + "b", EX + "D") and not has_class(kb, EX + "a", EX + "D")
 
 
 def test_assertion_through_an_inverse_onto_a_literal_derives_nothing():
