@@ -201,7 +201,7 @@ def _structure_keys(universe: Iterable[ClassExpression]) -> Dict[ClassExpression
 class TBoxIndex:
     """Schema-level closure shared by every materialization over the same models.
     Expressions have dense ids in text order, property keys in name order, and
-    bit j of a ``_reach`` mask is set when id j is above; supers decode lazily."""
+    bit j of a ``_reach`` mask is set when id j is above; supers decode on request."""
 
     def __init__(self, models: Sequence[OntologyModel]):
         self.universe: Set[ClassExpression] = {THING}
@@ -211,7 +211,6 @@ class TBoxIndex:
         self.ranges: Dict[str, List[ClassExpression]] = {}
         self.inverse_pairs: Dict[str, Set[str]] = {}
         self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
-        self._supers: Dict[ClassExpression, Tuple[ClassExpression, ...]] = {}
         # Plans for a non-literal object, then for a literal one.
         self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
         self._load(models)
@@ -304,7 +303,12 @@ class TBoxIndex:
                     disjoint += [(a, b) for i, a in enumerate(ce.operands) for b in ce.operands[i + 1:]]
         self.disjoint_pairs = tuple(sorted({(a, b) if rank(a) < rank(b) else (b, a) for a, b in disjoint
                                             if a is not b}, key=lambda pair: (rank(pair[0]), rank(pair[1]))))
-        self.complements: List[Complement] = [ce for ce in order if isinstance(ce, Complement)]
+        # Clash patterns: (kind, participants, the mask of their ids); owl:Nothing
+        # may have no id here, so check_clash adds its own.
+        self.clash_patterns: List[Tuple[str, Tuple[ClassExpression, ...], int]] = [
+            ("disjointness-violation", pair, 1 << rank(pair[0]) | 1 << rank(pair[1])) for pair in self.disjoint_pairs]
+        self.clash_patterns += [("complement-violation", (ce.operand, ce), 1 << rank(ce.operand) | 1 << rank(ce))
+                                for ce in order if isinstance(ce, Complement)]
         for values in (*self.domains.values(), *self.ranges.values()):
             values.sort(key=rank)
 
@@ -326,11 +330,10 @@ class TBoxIndex:
             self.body_sizes.append(len(predicates))
             for predicate in predicates:
                 self.readers[predicate] = self.readers.get(predicate, 0) | 1 << index
-        # The classes whose members the engine can take further than their
-        # superclasses: existentials, and the classes SWRL class atoms read.
-        self._engine_ids = sum(1 << rank(ce) for ce in {
-            *(ce for ce in order if isinstance(ce, SomeValuesFrom)),
-            *(a.cls for _, _, body, _ in swrl for a in body if isinstance(a, ClassAtom))})
+        # The ids whose class facts need more than a bit in a mask: the classes
+        # that some rule reads, and existentials, which may need a witness.
+        self._watched = sum(1 << rank(ce) for ce in {
+            *(ce for ce in order if isinstance(ce, SomeValuesFrom)), *(p for p in self.readers if not isinstance(p, str))})
 
     # -- closures --------------------------------------------------------------
 
@@ -360,11 +363,9 @@ class TBoxIndex:
     # -- queries ---------------------------------------------------------------
 
     def supers(self, ce: ClassExpression) -> Tuple[ClassExpression, ...]:
-        """Strict superexpressions of ``ce`` within the loaded universe, in id order."""
-        sups = self._supers.get(ce)
-        if sups is None:
-            sups = self._supers[ce] = tuple(map(self._order.__getitem__, _above(self._reach, self._ids.get(ce))))
-        return sups
+        """Strict superexpressions of ``ce`` within the loaded universe, in id order,
+        decoded on each call."""
+        return tuple(map(self._order.__getitem__, _above(self._reach, self._ids.get(ce))))
 
     def super_count(self, ce: ClassExpression) -> int:
         """``len(self.supers(ce))``, counted on the mask without decoding it."""
@@ -484,28 +485,95 @@ class Clash:
 
 
 class ClosedKB:
-    """Fixpoint of asserted plus derived facts, with derivation traces."""
+    """Fixpoint of asserted plus derived facts, with derivation traces. Each
+    individual's classes are one mask over class ids; a class fact is logged
+    once per burst, a class with every superclass not yet held, and the facts'
+    traces are replayed from the log on read."""
 
     def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
-        self.memberships: Dict[Term, Set[ClassExpression]] = {}
         self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
-        self.traces: Dict[FactKey, Trace] = {}  # every fact, in derivation order
         self.skolem_depths: Dict[Term, int] = {}
         self.skolem_budget_exceeded = False
         self.derived_count = 0
+        self._masks: Dict[Term, int] = {}
+        # The index's classes and masks, and after them any class outside it.
+        self._extra: Dict[ClassExpression, int] = {}
+        self._order, self._reach = tbox._order, tbox._reach
+        self._prop_traces: Dict[FactKey, Trace] = {}  # property facts, in derivation order
+        # Bursts: (property facts before it, individual, class id, its trace,
+        # the individual's mask before it, or -1 for one fact logged alone).
+        self._bursts: List[Tuple[int, Term, int, Trace, int]] = []
+        # Caches: the fact count and the replayed traces; the burst count and
+        # each individual's bursts.
+        self._replayed: Tuple[int, Dict[FactKey, Trace]] = (0, {})
+        self._by_individual: Tuple[int, Dict[Term, List]] = (0, {})
+
+    def _id(self, ce: ClassExpression) -> Optional[int]:
+        i = self.tbox._ids.get(ce)
+        return self._extra.get(ce) if i is None else i
+
+    @property
+    def memberships(self) -> Dict[Term, Set[ClassExpression]]:
+        """Each individual's classes, decoded from its mask on every read."""
+        return {x: set(map(self._order.__getitem__, _bit_ids(mask))) for x, mask in self._masks.items()}
+
+    @property
+    def traces(self) -> Dict[FactKey, Trace]:
+        """Every fact with its trace, in derivation order, replayed from the log."""
+        if self._replayed[0] != self.derived_count:
+            props, done, traces = iter(self._prop_traces.items()), 0, {}
+            for at, *burst in self._bursts:
+                traces.update(islice(props, at - done))
+                traces.update(self._walk(*burst))
+                done = at
+            traces.update(props)
+            self._replayed = (self.derived_count, traces)
+        return self._replayed[1]
+
+    def _walk(self, x: Term, i: int, trace: Trace, before: int) -> Iterator[Tuple[FactKey, Trace]]:
+        """One burst's facts with their traces: class ``i``, then depth first each
+        superclass not in ``before``, lowest id first, as ``add_class`` met them."""
+        order = self._order
+        yield (fact := class_fact(x, order[i])), trace
+        held, stack = before | 1 << i, [(fact, i)]
+        while stack:
+            premise, n = stack[-1]
+            if left := self._reach[n] & ~held:
+                j = (left & -left).bit_length() - 1
+                held |= 1 << j
+                stack.append((class_fact(x, order[j]), j))
+                yield stack[-1][0], Trace("subsumption", (premise,), f"{order[n].text} is below {order[j].text}")
+            else:
+                stack.pop()
+
+    def trace_of(self, fact: FactKey) -> Optional[Trace]:
+        """The trace of one fact, replaying only the burst that derived it; None
+        for a fact that the closure does not hold."""
+        if fact[0] != "class" or not self.has_class(fact[1], fact[2]):
+            return self._prop_traces.get(fact)
+        if self._by_individual[0] != len(self._bursts):
+            self._by_individual = (len(self._bursts), {})
+            for burst in self._bursts:
+                self._by_individual[1].setdefault(burst[1], []).append(burst)
+        i = self._id(fact[2])
+        # The first of the individual's bursts whose facts hold class i.
+        _, x, root, trace, before = next(burst for burst in self._by_individual[1][fact[1]]
+                                         if (self._reach[burst[2]] & ~burst[4] | 1 << burst[2]) >> i & 1)
+        return next(t for f, t in self._walk(x, root, trace, before) if f == fact)
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
-        return ce in self.memberships.get(individual, ())
+        i = self._id(ce)
+        return i is not None and self._masks.get(individual, 0) >> i & 1 == 1
 
     def has_prop(self, prop_iri: str, s: Term, o: Term) -> bool:
-        return prop_fact(prop_iri, s, o) in self.traces
+        return prop_fact(prop_iri, s, o) in self._prop_traces
 
     def individuals(self) -> List[Term]:
-        return sorted(self.memberships.keys(), key=term_sort_key)
+        return sorted(self._masks, key=term_sort_key)
 
     def fact_keys(self) -> List[FactKey]:
-        return list(self.traces.keys())
+        return list(self.traces)
 
 
 class _Engine(ClosedKB):
@@ -519,7 +587,7 @@ class _Engine(ClosedKB):
         # and the prop_index positions of each (property, inverted?, subject).
         self.members_of: Dict[ClassExpression, List[Term]] = {}
         self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
-        self.serial: Dict[FactKey, int] = {}  # rule-read facts' positions in ``traces``
+        self.serial: Dict[FactKey, int] = {}  # rule-read facts, numbered in derivation order
         self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
         self.scopes: Dict[int, int] = {}  # blank-node scopes in the order skolemization meets them
         # Rule masks: the rules with a body fact newer than their last turn, and
@@ -528,23 +596,31 @@ class _Engine(ClosedKB):
         self.waiting = list(tbox.body_sizes)  # each rule's body predicates that have no fact yet
         self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
-    def _record(self, fact: FactKey, trace: Trace) -> None:
-        """Count, index and trace one new fact, and wake the rules that read it
-        once each of their body predicates has a fact."""
-        self.derived_count += 1
-        if self.derived_count > self.fact_cap:
-            raise _cap_exceeded(self.fact_cap)
-        self.traces[fact] = trace
+    def _record(self, fact: FactKey, trace: Optional[Trace] = None) -> None:
+        """Count, trace and index one new fact, and wake the rules that read it
+        once each of their body predicates has a fact. A class fact without a
+        trace is one that ``add_class`` has counted and logged in its burst."""
+        if trace is not None:
+            self.derived_count += 1
+            if self.derived_count > self.fact_cap:
+                raise _cap_exceeded(self.fact_cap)
         # Only the facts that some rule reads go into the join indexes.
         readers = self.tbox.readers.get(fact[2] if fact[0] == "class" else fact[1])
         if fact[0] == "class":
             _, x, ce = fact
-            self.memberships.setdefault(x, set()).add(ce)
+            if trace is not None:
+                i = self._id(ce)
+                if i is None:
+                    i = self._extra[ce] = len(self._order)
+                    self._order, self._reach = [*self._order, ce], [*self._reach, 1 << i]
+                self._bursts.append((len(self._prop_traces), x, i, trace, -1))  # -1: no superclass follows
+                self._masks[x] = self._masks.get(x, 0) | 1 << i
             if isinstance(ce, SomeValuesFrom):
                 self.fresh.append(fact)
             if readers:
                 (facts := self.members_of.setdefault(ce, [])).append(x)
         else:
+            self._prop_traces[fact] = trace
             _, name, s, o = fact
             facts = self.prop_index.setdefault(name, [])
             if readers:
@@ -552,7 +628,7 @@ class _Engine(ClosedKB):
                 self.links.setdefault((name, True, o), []).append(len(facts))
             facts.append((s, o))
         if readers:
-            self.serial[fact] = len(self.traces) - 1
+            self.serial[fact] = len(self.serial)
             if len(facts) == 1:  # the predicate's first fact
                 for index in _bit_ids(readers):
                     self.waiting[index] -= 1
@@ -562,28 +638,37 @@ class _Engine(ClosedKB):
 
     def add_class(self, x: Term, ce: ClassExpression, rule: str,
                   premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        if isinstance(x, Literal) or ce in self.memberships.get(x, ()):
+        """Add ``x`` to ``ce`` and to every superclass that it is not in yet: one
+        OR into its mask and one log entry. Only the new classes that a rule
+        reads or that are existentials are indexed, in id order: a burst meets
+        each class once and its facts are numbered together, so within it their
+        order is not observable."""
+        if isinstance(x, Literal):
             return False
-        fact, supers = class_fact(x, ce), self.tbox.supers
-        self._record(fact, Trace(rule, premises, detail))
-        members = self.memberships[x]
-        # Depth first along the sorted superexpressions, as recursion would go.
-        stack = [(fact, ce.text + " is below ", iter(supers(ce)))]
-        while stack:
-            premise, below, pending = stack[-1]
-            for sup in pending:
-                if sup not in members:
-                    fact = class_fact(x, sup)
-                    self._record(fact, Trace("subsumption", (premise,), below + sup.text))
-                    stack.append((fact, sup.text + " is below ", iter(supers(sup))))
-                    break
-            else:
-                stack.pop()
+        tbox = self.tbox
+        i = tbox._ids.get(ce)
+        if i is None:  # a class outside the index has no superclasses and no readers
+            if self.has_class(x, ce):
+                return False
+            self._record(class_fact(x, ce), Trace(rule, premises, detail))
+            return True
+        before = self._masks.get(x, 0)
+        if before >> i & 1:
+            return False
+        new = tbox._reach[i] & ~before
+        self.derived_count += new.bit_count()
+        if self.derived_count > self.fact_cap:
+            raise _cap_exceeded(self.fact_cap)
+        self._masks[x] = before | new
+        self._bursts.append((len(self._prop_traces), x, i, Trace(rule, premises, detail), before))
+        if new & tbox._watched:
+            for j in _bit_ids(new & tbox._watched):
+                self._record(class_fact(x, tbox._order[j]))
         return True
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        fact, traces = prop_fact(name, s, o), self.traces
+        fact, traces = prop_fact(name, s, o), self._prop_traces
         # A literal subject, from an assertion through an inverse, derives
         # nothing, as a rule head's does not.
         if s.__class__ is Literal or fact in traces:
@@ -626,7 +711,7 @@ class _Engine(ClosedKB):
             name, inverted = _prop_key(ce.prop)
             facts, depth = self.prop_index.get(name, ()), self.skolem_depths.get(x, 0) + 1
             successors = (facts[position][not inverted] for position in self.links.get((name, inverted, x), ()))
-            if any(ce.filler in self.memberships.get(y, ()) and self.skolem_depths.get(y, 0) <= depth
+            if any(self.has_class(y, ce.filler) and self.skolem_depths.get(y, 0) <= depth
                    for y in successors):
                 continue
             if depth > self.max_depth:
@@ -712,7 +797,7 @@ class _Engine(ClosedKB):
             if x is None:
                 for y in islice(self.members_of.get(atom.cls, ()), start, None):
                     yield {**binding, atom.var: y}, premises + (class_fact(y, atom.cls),)
-            elif atom.cls in self.memberships.get(x, ()):
+            elif self.has_class(x, atom.cls):
                 yield binding, premises + (class_fact(x, atom.cls),)
             return
         name, inverted = _prop_key(atom.prop)
@@ -773,20 +858,12 @@ def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *
 
 def check_clash(kb: ClosedKB) -> List[Clash]:
     """All contradictions present in a completed closure (collect-all)."""
-    clashes: List[Clash] = []
-    for x in kb.individuals():
-        members = kb.memberships[x]
-        for a, b in kb.tbox.disjoint_pairs:
-            if a in members and b in members:
-                clashes.append(Clash("disjointness-violation", x, (a, b),
-                                     (class_fact(x, a), class_fact(x, b))))
-        for comp in kb.tbox.complements:
-            if comp in members and comp.operand in members:
-                clashes.append(Clash("complement-violation", x, (comp.operand, comp),
-                                     (class_fact(x, comp.operand), class_fact(x, comp))))
-        if NOTHING in members:
-            clashes.append(Clash("nothing-membership", x, (NOTHING,),
-                                 (class_fact(x, NOTHING),)))
+    patterns, nothing = list(kb.tbox.clash_patterns), kb._id(NOTHING)
+    if nothing is not None:
+        patterns.append(("nothing-membership", (NOTHING,), 1 << nothing))
+    # Each mask is tested against each pattern; the sort fixes the order.
+    clashes = [Clash(kind, x, participants, tuple(class_fact(x, p) for p in participants))
+               for x, mask in kb._masks.items() for kind, participants, bits in patterns if mask & bits == bits]
     clashes.sort(key=Clash.sort_key)
     return clashes
 
@@ -808,17 +885,7 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     # disjointness, so its closure is the same without it in the index.
     if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
         tbox = TBoxIndex(probed)
-    i = tbox._ids.get(ce)
-    if i is None or tbox._reach[i] & tbox._engine_ids or next(tbox.assertions(models), None):
-        return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
-    # No rule can fire and nothing needs a witness, so the probe's closure is
-    # its membership in ``ce`` and the superclasses, in one mask.
-    kb = ClosedKB(tbox)
-    kb.derived_count = tbox._reach[i].bit_count()
-    if kb.derived_count > fact_cap:
-        raise _cap_exceeded(fact_cap)
-    kb.memberships[_PROBE] = set(map(tbox._order.__getitem__, _bit_ids(tbox._reach[i])))
-    return not check_clash(kb)
+    return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
 
 
 def entailed_taxonomy(models: Sequence[OntologyModel],
@@ -830,7 +897,7 @@ def entailed_taxonomy(models: Sequence[OntologyModel],
 
 def explain(kb: ClosedKB, fact: FactKey) -> TraceNode:
     """Finite derivation tree for a fact, bottoming out at asserted facts."""
-    trace = kb.traces.get(fact)
+    trace = kb.trace_of(fact)
     if trace is None:
         raise UnknownFactError(f"fact not present in the closure: {fact!r}")
     node = TraceNode(fact=fact, rule=trace.rule, detail=trace.detail)

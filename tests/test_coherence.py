@@ -1,7 +1,11 @@
 """Bottom-up coherence probing with upward pruning against probing every class,
-and probes decided from the class masks against the engine's closure."""
+class_satisfiable against the engine's closure, and every probe's traces."""
 
 import hashlib
+import importlib.util
+import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +43,8 @@ EX = "http://example.org/tree#"
 
 
 def engine_probe(models, ce, fact_cap=1_000_000, tbox=None):
-    """The engine's closure of a probe into ``ce``, as ``class_satisfiable`` runs it
-    when the masks cannot decide: satisfiable, or the fact-cap message."""
+    """The engine's closure of a probe into ``ce``, as ``class_satisfiable`` runs
+    it: satisfiable, or the fact-cap message."""
     probed = list(models) + [OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), ce))])]
     if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
         tbox = TBoxIndex(probed)
@@ -134,7 +138,7 @@ def test_pruned_coherence_on_tree_keeps_undetermined_subclasses():
     assert report.unsatisfiable
 
 
-# -- probes decided from the masks against the engine -----------------------------
+# -- class_satisfiable against the engine's closure ---------------------------------
 
 _NAMED = [NamedClass(iri(EX + n)) for n in "ABCDE"]
 _PROPS = [NamedProperty(iri(EX + n)) for n in "pq"]
@@ -212,3 +216,30 @@ def test_rules_take_turns_only_when_each_body_atom_has_facts(monkeypatch, stack,
         kbs.append(reasoner.materialize([load_model(name) for name in names]))
     assert turns
     assert traces_digest(kbs) == digest
+
+
+def _ladder_models(workdir):
+    """The coherence-ladder generator's first ladder at its default size."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    files = workloads._ladder(str(workdir), "ladder", random.Random("coherence-ladder:1:0"))["files"]
+    return [extract_axioms(parse_turtle(Path(name).read_text(encoding="utf-8"))) for name in files]
+
+
+@pytest.mark.parametrize("stack", ["tree", "ladder"])
+def test_every_probe_traces_each_fact_that_it_counts(monkeypatch, tmp_path, stack):
+    """The per-rule trace counts of each probe's closure sum to its fact count,
+    so traced per-rule metrics add up to the derived facts."""
+    scan, kbs = reasoner.check_clash, []
+
+    def kept(kb):
+        kbs.append(kb)
+        return scan(kb)
+
+    monkeypatch.setattr(reasoner, "check_clash", kept)
+    check_coherence([tree_model()] if stack == "tree" else _ladder_models(tmp_path))
+    assert kbs
+    for kb in kbs:
+        assert sum(Counter(trace.rule for trace in kb.traces.values()).values()) == kb.derived_count

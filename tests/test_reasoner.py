@@ -20,6 +20,8 @@ from provalign.owl import (
     OntologyModel,
     PropertyAtom,
     SomeValuesFrom,
+    SwrlRule,
+    UnionOf,
     extract_axioms,
     render_class_expression,
 )
@@ -1027,3 +1029,90 @@ def test_semi_naive_join_keeps_the_naive_order(assertions):
     assert list(kb.traces.items()) == list(reference.traces.items())
     assert (kb.derived_count, kb.skolem_budget_exceeded) == (
         reference.derived_count, reference.skolem_budget_exceeded)
+
+
+# -- class memberships as masks against recursive propagation ----------------------
+
+_MASK_CLASSES = [NamedClass(iri(EX + n)) for n in "ABCDE"]
+_MASK_PROPS = [NamedProperty(iri(EX + n)) for n in "pq"]
+_MASK_NAMED = st.sampled_from(_MASK_CLASSES)
+_MASK_EXPRESSIONS = st.one_of(
+    _MASK_NAMED,
+    st.builds(lambda a, b: Intersection((a, b)), _MASK_NAMED, _MASK_NAMED),
+    st.builds(lambda a, b: UnionOf((a, b)), _MASK_NAMED, _MASK_NAMED),
+    st.builds(SomeValuesFrom, st.sampled_from(_MASK_PROPS + [InverseProperty(p) for p in _MASK_PROPS]),
+              _MASK_NAMED))
+_MASK_SCHEMA = st.one_of(
+    st.builds(lambda a, b: Axiom("sub-class-of", (a, b)), _MASK_EXPRESSIONS, _MASK_EXPRESSIONS),
+    st.builds(lambda a, b: Axiom("equivalent-classes", (a, b)), _MASK_NAMED, _MASK_EXPRESSIONS),
+    st.builds(lambda p, c: Axiom("property-domain", (p, c)), st.sampled_from(_MASK_PROPS), _MASK_EXPRESSIONS))
+# SWRL rules with class atoms: a class into a class, or a class and a property
+# into a class of the property's object.
+_MASK_RULES = st.builds(
+    lambda joined, a, b, p: SwrlRule((ClassAtom(a, "x"), PropertyAtom(p, "x", "y")), (ClassAtom(b, "y"),))
+    if joined else SwrlRule((ClassAtom(a, "x"),), (ClassAtom(b, "x"),)),
+    st.booleans(), _MASK_EXPRESSIONS, _MASK_EXPRESSIONS, st.sampled_from(_MASK_PROPS))
+_MASK_ABOX = st.one_of(
+    st.builds(lambda x, c: Axiom("class-assertion", (x, c)), st.sampled_from(_PLAN_INDIVIDUALS), _MASK_EXPRESSIONS),
+    st.builds(lambda p, s, o: Axiom("property-assertion", (p, s, o)), st.sampled_from(_MASK_PROPS),
+              st.sampled_from(_PLAN_INDIVIDUALS), st.sampled_from(_PLAN_INDIVIDUALS)))
+
+
+def _closure_outcome(models, fact_cap):
+    """Every fact with its trace, the memberships and the explain tree of every
+    fact; or the fact-cap message."""
+    try:
+        kb = materialize(models, skolem_depth=2, fact_cap=fact_cap)
+    except FactCapExceededError as exc:
+        return str(exc)
+    return (list(kb.traces.items()), kb.memberships, kb.derived_count, kb.skolem_budget_exceeded,
+            [explain(kb, fact) for fact in kb.fact_keys()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MASK_SCHEMA, max_size=10), st.lists(_MASK_RULES, max_size=2),
+       st.lists(_MASK_ABOX, min_size=1, max_size=5), st.sampled_from([1_000_000, 40, 12, 3]))
+def test_mask_memberships_match_recursive_propagation(schema, rules, abox, fact_cap):
+    models = [OntologyModel(axioms=schema, rules=rules), OntologyModel(axioms=abox)]
+    with mock.patch.object(reasoner, "_Engine", RecursiveEngine):
+        reference = _closure_outcome(models, fact_cap)
+    assert _closure_outcome(models, fact_cap) == reference
+
+
+def test_only_facts_that_rules_read_or_witness_are_recorded_one_by_one(prov, bfo, cco, ro, align_model):
+    """A membership that no rule reads and that needs no witness is a bit in its
+    individual's mask; every other fact goes through ``_record`` on its own."""
+    record, calls = reasoner._Engine._record, []
+
+    def counted(engine, fact, trace=None):
+        calls.append(fact)
+        return record(engine, fact, trace)
+
+    with mock.patch.object(reasoner._Engine, "_record", counted):
+        kb = materialize([prov, bfo, cco, ro, align_model, load_model("instances/fig9.ttl")])
+    props = [fact for fact in kb.traces if fact[0] == "prop"]
+    watched = [fact for fact in kb.traces if fact[0] == "class"
+               and (fact[2] in kb.tbox.readers or isinstance(fact[2], SomeValuesFrom))]
+    assert len(calls) == len(props) + len(watched) < len(kb.traces) == kb.derived_count
+
+
+def _non_skolem(kb):
+    """The closure's facts whose individuals are all named or asserted."""
+    return {fact for fact in kb.fact_keys()
+            if not any(str(getattr(t, "value", "")).startswith("urn:skolem:")
+                       for t in (fact[1:2] if fact[0] == "class" else fact[2:]))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ASSERTIONS, max_size=10), st.lists(_ASSERTIONS, min_size=1, max_size=6))
+# A real successor in the filler replaces ex:i0's witness for (ex:s some ex:D),
+# so the facts about that witness are gone from the larger closure.
+@example([("ex:i0", "a", "ex:A")], [("ex:i0", "ex:s", "ex:i1"), ("ex:i1", "a", "ex:D")])
+def test_monotonicity_on_generated_aboxes(assertions, more):
+    """More assertions keep every fact about a non-skolem individual, and a clash."""
+    def closure(triples):
+        abox = parse_turtle(HEADER + "".join(f"{s} {p} {o} .\n" for s, p, o in triples))
+        return materialize([ALL_RULE_KINDS, extract_axioms(abox)])
+    small, big = closure(assertions), closure(assertions + more)
+    assert _non_skolem(small) <= _non_skolem(big)
+    assert bool(check_clash(small)) <= bool(check_clash(big))
