@@ -1,14 +1,14 @@
 """Forward-chaining materialization over the supported OWL fragment plus SWRL.
 
-The engine precomputes a subsumption closure over every class expression in
-the loaded axioms (asserted subsumptions and equivalences, intersection
-decomposition and composition, union introduction, and "a union is below
-anything all its operands are below"). Each arriving fact then propagates
-through precompiled steps: superclasses, the property hierarchy, inverses,
-domains and ranges. Existential restrictions that no known successor already
-satisfies get depth-bounded skolem witnesses (a restricted chase), and
-intersection composition, existential membership, property chains and SWRL
-rules run as Horn rules in one indexed, semi-naive join, to fixpoint.
+The closure runs on a schema index (``index.TBoxIndex``), which closes the
+class expressions and properties of the loaded axioms once. Each individual's
+classes are then one mask over class ids and each pair of individuals' property
+facts one mask over property keys, so a new fact with all that it entails
+(superclasses, the property hierarchy, inverses, domains and ranges) is a few
+ORs. Existential restrictions that no known successor already satisfies get
+depth-bounded skolem witnesses (a restricted chase), and intersection
+composition, existential membership, property chains and SWRL rules run as
+Horn rules in one indexed, semi-naive join, to fixpoint.
 
 There is deliberately no instance-level case split on unions: the engine is
 sound but incomplete relative to OWL 2 DL, which suffices for the clash
@@ -19,31 +19,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, islice
-from operator import and_, attrgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from . import vocab
+from .index import TBoxIndex, _above, _bit_ids, _prop_key
 from .owl import (
     Atom,
     Axiom,
     ClassAtom,
     ClassExpression,
-    Complement,
-    DisjointUnionOf,
-    Intersection,
     NamedClass,
-    NamedProperty,
     NOTHING,
     OntologyModel,
-    PropertyAtom,
-    PropertyExpression,
     SomeValuesFrom,
     THING,
-    UnionOf,
-    add_subexpressions,
-    add_uses,
     extract_axioms,
 )
 from .rdf import BlankNode, Graph, Iri, Literal, Term, term_sort_key
@@ -97,352 +86,12 @@ class TraceNode:
         return out
 
 
-# ---------------------------------------------------------------------------
-# TBox index
-# ---------------------------------------------------------------------------
-
-PropKey = Tuple[str, bool]  # (property IRI, inverted?)
-# A propagation plan entry: (property IRI or class expression, onto the swapped
-# pair?, premise position, rule, trace detail); see TBoxIndex.prop_plan.
-PlanEntry = Tuple[object, bool, int, str, str]
-# An instance rule: (trace label, trace detail, body atoms, head atoms).
-Rule = Tuple[str, str, Tuple[Atom, ...], Tuple[Atom, ...]]
+_SWAP_SIDES = bytes((byte & 0x55) << 1 | byte >> 1 & 0x55 for byte in range(256))
 
 
-def _prop_key(pe: PropertyExpression) -> PropKey:
-    if isinstance(pe, NamedProperty):
-        return (pe.iri.value, False)
-    return (pe.operand.iri.value, True)
-
-
-def _flip(key: PropKey) -> PropKey:
-    return (key[0], not key[1])
-
-
-_BYTE_BITS = [tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)]  # set bits per byte
-
-
-def _bit_ids(mask: int) -> List[int]:
-    """The positions of the set bits of ``mask``, ascending: bit by bit from the
-    top when under one bit in 16 is set (each step copies the mask), else by bytes."""
-    if mask.bit_count() << 4 < mask.bit_length():
-        ids: List[int] = []
-        while mask:
-            ids.append(j := mask.bit_length() - 1)
-            mask ^= 1 << j
-        return ids[::-1]
-    return [8 * k + i for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little"))
-            if byte for i in _BYTE_BITS[byte]]
-
-
-def _above(reach: List[int], i: Optional[int]) -> List[int]:
-    """The ids set in mask ``i`` other than ``i`` itself; none for no id."""
-    return [] if i is None else _bit_ids(reach[i] & ~(1 << i))
-
-
-def _close_masks(succ: List[List[int]], conjunctions: Dict[int, List[Tuple[int, int]]],
-                 unions: Dict[int, List[int]]) -> List[int]:
-    """The least masks, bit y of mask x set when x <= y, under: x <= x; x <= each
-    y in ``succ[x]``; transitivity; x <= an intersection i whose operands are
-    all above x (``conjunctions`` lists (i, operand mask) under each operand);
-    a union u is below all that its operands ``unions[u]`` are below. The
-    intersections found are appended to ``succ``."""
-    reach, readers = [0] * len(succ), [[] for _ in succ]  # type: List[int], List[List[int]]
-    for x, ys in [*enumerate(succ), *unions.items()]:
-        for y in ys:
-            readers[y].append(x)
-    # The worklist starts in depth-first postorder, successors first; a node
-    # is redone when a mask that it reads grows.
-    work, queued = [], bytearray(len(succ))  # type: List[int], bytearray
-    for root in range(len(succ)):
-        stack = [] if queued[root] else [root]
-        while stack:
-            queued[stack[-1]] = 1
-            y = next((y for y in succ[stack[-1]] if not queued[y]), -1)
-            if y < 0:
-                work.append(stack.pop())
-            else:
-                stack.append(y)
-    work.reverse()
-    operands = sum(1 << op for op in conjunctions)
-    while work:
-        x = work.pop()
-        queued[x] = 0
-        seen = old = reach[x]
-        mask = reduce(or_, [reach[y] for y in succ[x]], old | 1 << x)
-        if x in unions:
-            mask |= reduce(and_, [reach[op] for op in unions[x]])
-        while fresh := mask & ~seen & operands:  # new operands: try their intersections
-            seen = mask
-            for i, ops in [entry for op in _bit_ids(fresh) for entry in conjunctions[op]]:
-                if mask & ops == ops and not mask >> i & 1:
-                    succ[x].append(i)
-                    readers[i].append(x)
-                    mask |= 1 << i | reach[i]
-        if mask != old:
-            reach[x] = mask
-            for r in readers[x]:
-                if not queued[r]:
-                    queued[r] = 1
-                    work.append(r)
-    return reach
-
-
-def _structure_keys(universe: Iterable[ClassExpression]) -> Dict[ClassExpression, Tuple]:
-    """Sort keys: text, type name, then fields, a class expression by its key."""
-    keys: Dict[ClassExpression, Tuple] = {}
-    for ce in sorted(universe, key=lambda e: len(e.text)):  # a field's text is shorter
-        keys[ce] = (ce.text, type(ce).__name__, *[
-            tuple(map(keys.__getitem__, v)) if isinstance(v, tuple) else keys.get(v, getattr(v, "text", ""))
-            for v in map(ce.__getattribute__, ce.__match_args__)])
-    return keys
-
-
-class TBoxIndex:
-    """Schema-level closure shared by every materialization over the same models.
-    Expressions have dense ids in text order, property keys in name order, and
-    bit j of a ``_reach`` mask is set when id j is above; supers decode on request."""
-
-    def __init__(self, models: Sequence[OntologyModel]):
-        self.universe: Set[ClassExpression] = {THING}
-        self.edges: Dict[ClassExpression, Set[ClassExpression]] = {}
-        self.disjoint_pairs: Tuple[Tuple[ClassExpression, ClassExpression], ...] = ()
-        self.domains: Dict[str, List[ClassExpression]] = {}
-        self.ranges: Dict[str, List[ClassExpression]] = {}
-        self.inverse_pairs: Dict[str, Set[str]] = {}
-        self.prop_edges: Dict[PropKey, Set[PropKey]] = {}
-        # Plans for a non-literal object, then for a literal one.
-        self._prop_plans: Tuple[Dict[str, Tuple[PlanEntry, ...]], ...] = ({}, {})
-        self._load(models)
-        self._close_classes()
-        self._close_properties()
-
-    # -- loading -------------------------------------------------------------
-
-    def _edge(self, a: ClassExpression, b: ClassExpression) -> None:
-        self.edges.setdefault(a, set()).add(b)
-
-    def _prop_edge(self, a: PropKey, b: PropKey) -> None:
-        self.prop_edges.setdefault(a, set()).add(b)
-        self.prop_edges.setdefault(_flip(a), set()).add(_flip(b))
-
-    def _load(self, models: Sequence[OntologyModel]) -> None:
-        gated: Dict[Intersection, None] = {}
-        chains: List[Rule] = []
-        swrl: List[Rule] = []
-        disjoint: List[Tuple[ClassExpression, ClassExpression]] = []
-        # The class expressions that the axioms and rules use, which with their
-        # subexpressions make up the universe.
-        used: Set[ClassExpression] = set()
-        # Each model's class and property assertions, kept for every closure.
-        self._assertions: List[Tuple[OntologyModel, List[Axiom]]] = []
-        for model in models:
-            kept: List[Axiom] = []
-            self._assertions.append((model, kept))
-            add_uses(model.axioms, used, set(), set())
-            add_uses(model.rules, used, set(), set())
-            for ax in model.axioms:
-                kind, args = ax.kind, ax.args
-                if kind == "sub-class-of":
-                    self._edge(args[0], args[1])
-                elif kind == "equivalent-classes":
-                    self._edge(args[0], args[1])
-                    self._edge(args[1], args[0])
-                    gated.update((ce, None) for ce in args if isinstance(ce, Intersection))
-                elif kind == "disjoint-classes":
-                    disjoint.append(args)  # type: ignore[arg-type]
-                elif kind == "disjoint-union":
-                    union = DisjointUnionOf(args[1])
-                    self._edge(args[0], union)
-                    self._edge(union, args[0])
-                elif kind == "sub-property-of":
-                    self._prop_edge(_prop_key(args[0]), _prop_key(args[1]))
-                elif kind == "equivalent-properties":
-                    a, b = _prop_key(args[0]), _prop_key(args[1])
-                    self._prop_edge(a, b); self._prop_edge(b, a)
-                elif kind == "inverse-properties":
-                    a, b = _prop_key(args[0]), _prop_key(args[1])
-                    self._prop_edge(_flip(a), b); self._prop_edge(b, _flip(a))
-                    if not a[1] and not b[1]:
-                        self.inverse_pairs.setdefault(a[0], set()).add(b[0])
-                        self.inverse_pairs.setdefault(b[0], set()).add(a[0])
-                elif kind == "property-domain":
-                    name, inverted = _prop_key(args[0])
-                    (self.ranges if inverted else self.domains).setdefault(name, []).append(args[1])
-                elif kind == "property-range":
-                    name, inverted = _prop_key(args[0])
-                    (self.domains if inverted else self.ranges).setdefault(name, []).append(args[1])
-                elif kind == "property-chain":
-                    chains.append(("property-chain", f"chain into {_prop_key(args[1])[0]}",
-                                   tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
-                                         for i, pe in enumerate(args[0])),
-                                   (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
-                elif kind in ("class-assertion", "property-assertion"):
-                    kept.append(ax)
-            for rule in model.rules:
-                comment = next((value.lexical for pred, value in rule.annotations
-                                if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
-                swrl.append((f"swrl-rule-{len(swrl) + 1}", comment, rule.body, rule.head))
-        add_subexpressions(used, self.universe)
-        # Ids in text order; a shared text (IRIs with spaces) is a rare tie.
-        order = sorted(self.universe, key=attrgetter("text"))
-        if any(a.text == b.text for a, b in zip(order, order[1:])):
-            order.sort(key=_structure_keys(order).__getitem__)
-        self._order, self._ids = order, {ce: i for i, ce in enumerate(order)}
-        rank = self._ids.__getitem__
-
-        # Structural edges and disjointness contributed by expression shapes.
-        for ce in order:
-            if isinstance(ce, Intersection):
-                for op in ce.operands:
-                    self._edge(ce, op)
-            elif isinstance(ce, (UnionOf, DisjointUnionOf)):
-                for op in ce.operands:
-                    self._edge(op, ce)
-                if isinstance(ce, DisjointUnionOf):
-                    disjoint += [(a, b) for i, a in enumerate(ce.operands) for b in ce.operands[i + 1:]]
-        self.disjoint_pairs = tuple(sorted({(a, b) if rank(a) < rank(b) else (b, a) for a, b in disjoint
-                                            if a is not b}, key=lambda pair: (rank(pair[0]), rank(pair[1]))))
-        # Clash patterns: (kind, participants, the mask of their ids); owl:Nothing
-        # may have no id here, so check_clash adds its own.
-        self.clash_patterns: List[Tuple[str, Tuple[ClassExpression, ...], int]] = [
-            ("disjointness-violation", pair, 1 << rank(pair[0]) | 1 << rank(pair[1])) for pair in self.disjoint_pairs]
-        self.clash_patterns += [("complement-violation", (ce.operand, ce), 1 << rank(ce.operand) | 1 << rank(ce))
-                                for ce in order if isinstance(ce, Complement)]
-        for values in (*self.domains.values(), *self.ranges.values()):
-            values.sort(key=rank)
-
-        # Instance rules, in firing order: intersection composition, existential
-        # membership, property chains, then SWRL rules.
-        self.rules: List[Rule] = [
-            ("intersection-composition", "", tuple(ClassAtom(op, "x") for op in ce.operands),
-             (ClassAtom(ce, "x"),)) for ce in gated]
-        self.rules += [("existential-membership", "",
-                        (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
-                        (ClassAtom(ce, "x"),)) for ce in order if isinstance(ce, SomeValuesFrom)]
-        self.rules += chains + swrl
-        # Trigger index: the rules that read each class expression or property,
-        # bit i for rule i, and how many distinct predicates each rule's body reads.
-        self.readers: Dict[object, int] = {}
-        self.body_sizes: List[int] = []
-        for index, (_, _, body, _) in enumerate(self.rules):
-            predicates = {a.cls if isinstance(a, ClassAtom) else _prop_key(a.prop)[0] for a in body}
-            self.body_sizes.append(len(predicates))
-            for predicate in predicates:
-                self.readers[predicate] = self.readers.get(predicate, 0) | 1 << index
-        # The ids whose class facts need more than a bit in a mask: the classes
-        # that some rule reads, and existentials, which may need a witness.
-        self._watched = sum(1 << rank(ce) for ce in {
-            *(ce for ce in order if isinstance(ce, SomeValuesFrom)), *(p for p in self.readers if not isinstance(p, str))})
-
-    # -- closures --------------------------------------------------------------
-
-    def _close_classes(self) -> None:
-        ids = self._ids
-        succ = [sorted(ids[b] for b in self.edges.get(ce, ())) for ce in self._order]
-        conjunctions: Dict[int, List[Tuple[int, int]]] = {}
-        unions: Dict[int, List[int]] = {}
-        for i, ce in enumerate(self._order):
-            if isinstance(ce, Intersection):
-                ops = {ids[op] for op in ce.operands}
-                for op in ops:
-                    conjunctions.setdefault(op, []).append((i, sum(1 << j for j in ops)))
-            elif isinstance(ce, (UnionOf, DisjointUnionOf)):
-                unions[i] = [ids[op] for op in ce.operands]
-        self._reach = _close_masks(succ, conjunctions, unions)
-
-    def _close_properties(self) -> None:
-        # Property keys get ids 2 * (rank of the name) + inverted?.
-        self._prop_names = sorted({name for key, sups in self.prop_edges.items() for name, _ in (key, *sups)})
-        self._prop_ids = {name: 2 * i for i, name in enumerate(self._prop_names)}
-        succ: List[List[int]] = [[] for _ in range(2 * len(self._prop_names))]
-        for (name, inverted), sups in self.prop_edges.items():
-            succ[self._prop_ids[name] + inverted] = [self._prop_ids[q] + inv for q, inv in sups]
-        self._prop_reach = _close_masks(succ, {}, {})
-
-    # -- queries ---------------------------------------------------------------
-
-    def supers(self, ce: ClassExpression) -> Tuple[ClassExpression, ...]:
-        """Strict superexpressions of ``ce`` within the loaded universe, in id order,
-        decoded on each call."""
-        return tuple(map(self._order.__getitem__, _above(self._reach, self._ids.get(ce))))
-
-    def super_count(self, ce: ClassExpression) -> int:
-        """``len(self.supers(ce))``, counted on the mask without decoding it."""
-        i = self._ids.get(ce)
-        return 0 if i is None else self._reach[i].bit_count() - 1
-
-    def subsumed(self, sub: ClassExpression, sup: ClassExpression) -> bool:
-        if sub == sup:
-            return True
-        i, j = self._ids.get(sub), self._ids.get(sup)
-        return i is not None and j is not None and self._reach[i] >> j & 1 == 1
-
-    def named_prop_supers(self, name: str) -> Tuple[str, ...]:
-        """Strict named super-properties of ``name``, in name order, decoded on each call."""
-        return tuple([self._prop_names[j >> 1]
-                      for j in _above(self._prop_reach, self._prop_ids.get(name)) if not j & 1])
-
-    def prop_plan(self, name: str, literal: bool) -> Tuple[PlanEntry, ...]:
-        """The facts that a new fact of property ``name`` propagates to, in the
-        order of a depth-first walk: (property or class, onto the swapped pair?,
-        position of the premise, rule, trace detail). Position 0 is the new fact
-        and entry i is at position i + 1. A property fact leads to its named
-        supers not yet met on its side, lowest id first as read from the masks,
-        then to its inverses, domains and ranges. Last, the new fact leads to the
-        supers of ``name`` through an inverse that the walk has not met, as
-        through ``p0 rdfs:subPropertyOf [ owl:inverseOf p1 ]``. A ``literal``
-        object takes no flipped step."""
-        plans = self._prop_plans[literal]
-        plan = plans.get(name)
-        if plan is None:
-            ids, names, reach = self._prop_ids, self._prop_names, self._prop_reach
-            named = (4 ** len(names) - 1) // 3  # bits 0, 2, 4, ...: the non-inverted keys
-            seen = [1 << ids[name] if name in ids else 0, 0]  # property facts met, as-is and swapped
-
-            def steps(name: str, swapped: bool) -> Iterator[Tuple[object, bool, str, str]]:
-                supers = reach[ids[name]] & named if name in ids else 0
-                while left := supers & ~seen[swapped]:
-                    sup = names[(left & -left).bit_length() - 1 >> 1]
-                    yield sup, False, "subproperty", f"{name} is below {sup}"
-                yield from [(q, True, "inverse", f"{q} is the inverse of {name}")
-                            for q in sorted(self.inverse_pairs.get(name, ()))]
-                yield from [(c, False, "domain", f"domain of {name}") for c in self.domains.get(name, ())]
-                yield from [(c, True, "range", f"range of {name}") for c in self.ranges.get(name, ())]
-
-            def inverted() -> Iterator[Tuple[object, bool, str, str]]:
-                supers = reach[ids[name]] >> 1 & named if name in ids and not literal else 0
-                while left := supers & ~seen[True]:
-                    sup = names[(left & -left).bit_length() - 1 >> 1]
-                    yield sup, True, "subproperty", f"{name} is below the inverse of {sup}"
-
-            entries: List[PlanEntry] = []
-            stack = [(0, False, chain(steps(name, False), inverted()))]
-            while stack:
-                position, swapped, pending = stack[-1]
-                for target, flipped, rule, why in pending:
-                    if flipped and literal:
-                        continue
-                    onto = swapped != flipped
-                    if not isinstance(target, str):
-                        entries.append((target, onto, position, rule, why))
-                    elif not seen[onto] >> ids[target] & 1:
-                        seen[onto] |= 1 << ids[target]
-                        entries.append((target, onto, position, rule, why))
-                        stack.append((len(entries), onto, steps(target, onto)))
-                        break
-                else:
-                    stack.pop()
-            plan = plans[name] = tuple(entries)
-        return plan
-
-    def assertions(self, models: Sequence[OntologyModel]) -> Iterator[Axiom]:
-        """The class and property assertions of ``models``, in order; the models
-        this index was built from are not rescanned."""
-        for model in models:
-            kept = next((axioms for known, axioms in self._assertions if known is model), None)
-            yield from kept if kept is not None else (
-                ax for ax in model.axioms if ax.kind in ("class-assertion", "property-assertion"))
+def _mirror(mask: int) -> int:
+    """``mask`` with bits 2k and 2k + 1 swapped: each property key and its inverse."""
+    return int.from_bytes(mask.to_bytes((mask.bit_length() + 7) >> 3, "little").translate(_SWAP_SIDES), "little")
 
 
 def _mutual(pairs: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
@@ -486,32 +135,54 @@ class Clash:
 
 class ClosedKB:
     """Fixpoint of asserted plus derived facts, with derivation traces. Each
-    individual's classes are one mask over class ids; a class fact is logged
-    once per burst, a class with every superclass not yet held, and the facts'
-    traces are replayed from the log on read."""
+    individual's classes are one mask over class ids, and each pair's property
+    facts one mask over property keys. A call that adds a fact logs one burst,
+    the fact with all that it entails and the closure did not hold yet, and
+    the facts' traces are replayed from the log on read."""
 
     def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
-        self.prop_index: Dict[str, List[Tuple[Term, Term]]] = {}
         self.skolem_depths: Dict[Term, int] = {}
         self.skolem_budget_exceeded = False
         self.derived_count = 0
         self._masks: Dict[Term, int] = {}
-        # The index's classes and masks, and after them any class outside it.
+        self._pairs: Dict[Tuple[Term, Term], int] = {}
+        # The index's classes, masks and property keys, and after them any
+        # class or property outside it.
         self._extra: Dict[ClassExpression, int] = {}
         self._order, self._reach = tbox._order, tbox._reach
-        self._prop_traces: Dict[FactKey, Trace] = {}  # property facts, in derivation order
-        # Bursts: (property facts before it, individual, class id, its trace,
-        # the individual's mask before it, or -1 for one fact logged alone).
-        self._bursts: List[Tuple[int, Term, int, Trace, int]] = []
+        self._pids, self._pnames = tbox._prop_ids, tbox._prop_names
+        # Bursts, in derivation order: (individual, class id, the first fact's
+        # rule, premises and detail, the individual's mask before it), or (pair
+        # a, pair b, property key, the first fact's rule, premises and detail,
+        # the pair's mask before it, then a's and b's). A mask of -1 logs one
+        # fact alone.
+        self._bursts: List[Tuple] = []
         # Caches: the fact count and the replayed traces; the burst count and
-        # each individual's bursts.
+        # the bursts of each individual.
         self._replayed: Tuple[int, Dict[FactKey, Trace]] = (0, {})
-        self._by_individual: Tuple[int, Dict[Term, List]] = (0, {})
+        self._by_key: Tuple[int, Dict[object, List[Tuple]]] = (0, {})
 
     def _id(self, ce: ClassExpression) -> Optional[int]:
         i = self.tbox._ids.get(ce)
         return self._extra.get(ce) if i is None else i
+
+    def _pkey(self, name: str) -> int:
+        k = self._pids.get(name)
+        if k is None:
+            k = 2 * len(self._pnames)
+            self._pids, self._pnames = {**self._pids, name: k}, [*self._pnames, name]
+        return k
+
+    def _pair(self, k: int, s: Term, o: Term) -> Tuple[Term, Term, int, int]:
+        """The pair (a, b) that holds facts between ``s`` and ``o``, the key of
+        property key ``k`` from s to o on it, and the pair's mask."""
+        held = self._pairs.get((s, o))
+        if held is None:
+            held = self._pairs.get((o, s))
+            if held is not None:
+                return o, s, k ^ 1, held
+        return s, o, k, held or 0
 
     @property
     def memberships(self) -> Dict[Term, Set[ClassExpression]]:
@@ -522,20 +193,26 @@ class ClosedKB:
     def traces(self) -> Dict[FactKey, Trace]:
         """Every fact with its trace, in derivation order, replayed from the log."""
         if self._replayed[0] != self.derived_count:
-            props, done, traces = iter(self._prop_traces.items()), 0, {}
-            for at, *burst in self._bursts:
-                traces.update(islice(props, at - done))
-                traces.update(self._walk(*burst))
-                done = at
-            traces.update(props)
-            self._replayed = (self.derived_count, traces)
+            self._replayed = (self.derived_count, dict(chain.from_iterable(map(self._replay, self._bursts))))
         return self._replayed[1]
 
-    def _walk(self, x: Term, i: int, trace: Trace, before: int) -> Iterator[Tuple[FactKey, Trace]]:
-        """One burst's facts with their traces: class ``i``, then depth first each
-        superclass not in ``before``, lowest id first, as ``add_class`` met them."""
+    @property
+    def prop_index(self) -> Dict[str, List[Tuple[Term, Term]]]:
+        """Each property's facts as (subject, object), in derivation order."""
+        index: Dict[str, List[Tuple[Term, Term]]] = {}
+        for fact in self.traces:
+            if fact[0] == "prop":
+                index.setdefault(fact[1], []).append(fact[2:])
+        return index
+
+    def _replay(self, burst: Tuple) -> Iterator[Tuple[FactKey, Trace]]:
+        return self._walk(*burst) if len(burst) == 4 else self._walk_pair(*burst)
+
+    def _walk(self, x: Term, i: int, trace: Tuple, before: int) -> Iterator[Tuple[FactKey, Trace]]:
+        """One class burst's facts with their traces: class ``i``, then depth first
+        each superclass not in ``before``, lowest id first."""
         order = self._order
-        yield (fact := class_fact(x, order[i])), trace
+        yield (fact := class_fact(x, order[i])), Trace(*trace)
         held, stack = before | 1 << i, [(fact, i)]
         while stack:
             premise, n = stack[-1]
@@ -547,27 +224,76 @@ class ClosedKB:
             else:
                 stack.pop()
 
+    def _walk_pair(self, a: Term, b: Term, k: int, trace: Tuple, held: int, ma: int,
+                   mb: int) -> Iterator[Tuple[FactKey, Trace]]:
+        """One property burst's facts with their traces: the fact, then the plan's
+        entries whose property fact or class the pair and its sides did not hold,
+        each class as a class burst. An entry below a fact that the pair held is
+        skipped with it; on a loop a == b an entry and its mirror on the swapped
+        pair name one fact, and the later of the two is skipped so."""
+        name, flip, loop = self._pnames[k >> 1], k & 1, a == b
+        s, o = (b, a) if flip else (a, b)
+        masks, made = {a: ma, b: mb}, [prop_fact(name, s, o)]
+        held |= 1 << k | loop << (k ^ 1)
+        yield made[0], Trace(*trace)
+        for target, swapped, parent, rule, why in self.tbox.prop_plan(name, o.__class__ is Literal):
+            premise, fact = made[parent], None
+            if premise is None:
+                pass
+            elif target.__class__ is not str:
+                x, i = o if swapped else s, self.tbox._ids[target]
+                if not masks[x] >> i & 1:
+                    yield from self._walk(x, i, (rule, (premise,), why), masks[x])
+                    masks[x] |= self._reach[i]
+            elif not held >> (bit := self._pids[target] + (swapped != flip)) & 1:
+                held |= 1 << bit | loop << (bit ^ 1)
+                fact = prop_fact(target, o, s) if swapped else prop_fact(target, s, o)  # type: ignore[arg-type]
+                yield fact, Trace(rule, (premise,), why)
+            made.append(fact)
+
+    def _gains(self, burst: Tuple, key: object) -> int:
+        """The classes that a burst adds to individual ``key``, or the property
+        facts that it adds to pair ``key``."""
+        if len(burst) == 4:
+            return self._reach[burst[1]] & ~burst[3] | 1 << burst[1]
+        a, b, k, _, held, ma, mb = burst
+        reach, to_a, to_b, _ = self.tbox.prop_step(k, b.__class__ is Literal)
+        if key == (a, b):
+            new = reach & ~held | 1 << k
+            return new | _mirror(new) if a == b else new
+        if a == b:
+            to_a |= to_b
+        return to_a & ~ma if key == a else to_b & ~mb if key == b else 0
+
     def trace_of(self, fact: FactKey) -> Optional[Trace]:
         """The trace of one fact, replaying only the burst that derived it; None
         for a fact that the closure does not hold."""
-        if fact[0] != "class" or not self.has_class(fact[1], fact[2]):
-            return self._prop_traces.get(fact)
-        if self._by_individual[0] != len(self._bursts):
-            self._by_individual = (len(self._bursts), {})
+        if fact[0] == "class":
+            if not self.has_class(fact[1], fact[2]):
+                return None
+            x = key = fact[1]
+            bit = self._id(fact[2])
+        elif self.has_prop(*fact[1:]):
+            x, b, bit, _ = self._pair(self._pids[fact[1]], fact[2], fact[3])
+            key = (x, b)
+        else:
+            return None
+        if self._by_key[0] != len(self._bursts):
+            self._by_key = (len(self._bursts), {})
             for burst in self._bursts:
-                self._by_individual[1].setdefault(burst[1], []).append(burst)
-        i = self._id(fact[2])
-        # The first of the individual's bursts whose facts hold class i.
-        _, x, root, trace, before = next(burst for burst in self._by_individual[1][fact[1]]
-                                         if (self._reach[burst[2]] & ~burst[4] | 1 << burst[2]) >> i & 1)
-        return next(t for f, t in self._walk(x, root, trace, before) if f == fact)
+                self._by_key[1].setdefault(burst[0], []).append(burst)
+                if len(burst) > 4 and burst[1] != burst[0]:
+                    self._by_key[1].setdefault(burst[1], []).append(burst)
+        return next(trace for burst in self._by_key[1][x] if self._gains(burst, key) >> bit & 1
+                    for f, trace in self._replay(burst) if f == fact)
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
         i = self._id(ce)
         return i is not None and self._masks.get(individual, 0) >> i & 1 == 1
 
     def has_prop(self, prop_iri: str, s: Term, o: Term) -> bool:
-        return prop_fact(prop_iri, s, o) in self._prop_traces
+        k = self._pids.get(prop_iri)
+        return k is not None and (self._pairs.get((s, o), 0) >> k | self._pairs.get((o, s), 0) >> (k ^ 1)) & 1 == 1
 
     def individuals(self) -> List[Term]:
         return sorted(self._masks, key=term_sort_key)
@@ -584,8 +310,10 @@ class _Engine(ClosedKB):
         self.max_depth = skolem_depth
         self.fact_cap = fact_cap
         # Join indexes, in insertion order: the members of each class expression,
-        # and the prop_index positions of each (property, inverted?, subject).
+        # the facts of each property, and the positions there of each
+        # (property, inverted?, subject). Only facts that some rule reads.
         self.members_of: Dict[ClassExpression, List[Term]] = {}
+        self.pairs_of: Dict[str, List[Tuple[Term, Term]]] = {}
         self.links: Dict[Tuple[str, bool, Term], List[int]] = {}
         self.serial: Dict[FactKey, int] = {}  # rule-read facts, numbered in derivation order
         self.fresh: List[FactKey] = []  # existential memberships not yet skolemized
@@ -598,8 +326,9 @@ class _Engine(ClosedKB):
 
     def _record(self, fact: FactKey, trace: Optional[Trace] = None) -> None:
         """Count, trace and index one new fact, and wake the rules that read it
-        once each of their body predicates has a fact. A class fact without a
-        trace is one that ``add_class`` has counted and logged in its burst."""
+        once each of their body predicates has a fact. A fact without a trace
+        is one that ``add_class`` or ``add_prop`` has counted and logged in its
+        burst, and that a rule reads or, for a class, that may need a witness."""
         if trace is not None:
             self.derived_count += 1
             if self.derived_count > self.fact_cap:
@@ -613,20 +342,23 @@ class _Engine(ClosedKB):
                 if i is None:
                     i = self._extra[ce] = len(self._order)
                     self._order, self._reach = [*self._order, ce], [*self._reach, 1 << i]
-                self._bursts.append((len(self._prop_traces), x, i, trace, -1))  # -1: no superclass follows
+                self._bursts.append((x, i, trace, -1))
                 self._masks[x] = self._masks.get(x, 0) | 1 << i
             if isinstance(ce, SomeValuesFrom):
                 self.fresh.append(fact)
             if readers:
                 (facts := self.members_of.setdefault(ce, [])).append(x)
         else:
-            self._prop_traces[fact] = trace
             _, name, s, o = fact
-            facts = self.prop_index.setdefault(name, [])
+            if trace is not None:
+                a, b, k, held = self._pair(self._pkey(name), s, o)
+                self._pairs[a, b] = held | 1 << k | (a == b) << (k ^ 1)
+                self._bursts.append((a, b, k, trace, -1, -1, -1))
             if readers:
+                facts = self.pairs_of.setdefault(name, [])
                 self.links.setdefault((name, False, s), []).append(len(facts))
                 self.links.setdefault((name, True, o), []).append(len(facts))
-            facts.append((s, o))
+                facts.append((s, o))
         if readers:
             self.serial[fact] = len(self.serial)
             if len(facts) == 1:  # the predicate's first fact
@@ -660,7 +392,7 @@ class _Engine(ClosedKB):
         if self.derived_count > self.fact_cap:
             raise _cap_exceeded(self.fact_cap)
         self._masks[x] = before | new
-        self._bursts.append((len(self._prop_traces), x, i, Trace(rule, premises, detail), before))
+        self._bursts.append((x, i, (rule, premises, detail), before))
         if new & tbox._watched:
             for j in _bit_ids(new & tbox._watched):
                 self._record(class_fact(x, tbox._order[j]))
@@ -668,32 +400,51 @@ class _Engine(ClosedKB):
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
                  premises: Tuple[FactKey, ...], detail: str = "") -> bool:
-        fact, traces = prop_fact(name, s, o), self._prop_traces
+        """Add ``name(s, o)`` with every fact that it entails on the pair and not
+        held yet, and the domains and ranges of those facts: one OR into the
+        pair's mask, one into each side's class mask, and one log entry. The new
+        facts that a rule reads are indexed as the plan's walk meets them, and
+        the new classes as ``add_class`` indexes them; a class that a rule reads
+        and that both sides gain, in the walk's order too, since then the order
+        is observable."""
         # A literal subject, from an assertion through an inverse, derives
         # nothing, as a rule head's does not.
-        if s.__class__ is Literal or fact in traces:
+        if s.__class__ is Literal:
             return False
-        self._record(fact, Trace(rule, premises, detail))
-        # The plan is the depth-first walk's order. A property fact that the
-        # closure already holds was propagated when it arrived, so the facts it
-        # leads to, the entries below it, are skipped with it. On a loop s == o
-        # an entry and its mirror on the swapped pair name one fact, and the
-        # later of the two is skipped so.
-        made: List[Optional[FactKey]] = [fact]
-        for target, swapped, parent, step_rule, why in self.tbox.prop_plan(name, o.__class__ is Literal):
-            premise = made[parent]
-            if premise is None:
-                made.append(None)
-            elif target.__class__ is not str:
-                self.add_class(o if swapped else s, target, step_rule, (premise,), why)  # type: ignore[arg-type]
-                made.append(None)
-            else:
-                fact = prop_fact(target, o, s) if swapped else prop_fact(target, s, o)  # type: ignore[arg-type]
-                if fact in traces:
-                    made.append(None)
-                else:
-                    self._record(fact, Trace(step_rule, (premise,), why))
-                    made.append(fact)
+        a, b, k, held = self._pair(self._pkey(name), s, o)
+        if held >> k & 1:
+            return False
+        tbox, masks, loop = self.tbox, self._masks, a == b
+        reach, to_a, to_b, read = tbox.prop_step(k, b.__class__ is Literal)
+        new = reach & ~held
+        if loop:  # p(a, b) and p(b, a) are one fact
+            new |= _mirror(new)
+            to_a, to_b = to_a | to_b, 0
+        ma, mb = masks.get(a, 0), masks.get(b, 0)
+        gain_a, gain_b = to_a & ~ma, to_b & ~mb
+        self.derived_count += (new.bit_count() >> loop) + gain_a.bit_count() + gain_b.bit_count()
+        if self.derived_count > self.fact_cap:
+            raise _cap_exceeded(self.fact_cap)
+        self._pairs[a, b] = held | new
+        if gain_a:
+            masks[a] = ma | gain_a
+        if gain_b:
+            masks[b] = mb | gain_b
+        self._bursts.append(burst := (a, b, k, (rule, premises, detail), held, ma, mb))
+        for bit in read:
+            if new >> bit & 1:
+                new &= ~(1 << bit | loop << (bit ^ 1))
+                sup = self._pnames[bit >> 1]
+                self._record(prop_fact(sup, b, a) if bit & 1 else prop_fact(sup, a, b))
+        watched = tbox._watched
+        if gain_a & gain_b & watched:
+            for fact, _ in self._walk_pair(*burst):
+                if fact[0] == "class" and watched >> tbox._ids[fact[2]] & 1:
+                    self._record(fact)
+        elif (gain_a | gain_b) & watched:
+            for x, gain in ((a, gain_a & watched), (b, gain_b & watched)):
+                for j in _bit_ids(gain) if gain else ():
+                    self._record(class_fact(x, tbox._order[j]))
         return True
 
     # -- rule passes -----------------------------------------------------------
@@ -709,7 +460,7 @@ class _Engine(ClosedKB):
         for premise in fresh:
             _, x, ce = premise
             name, inverted = _prop_key(ce.prop)
-            facts, depth = self.prop_index.get(name, ()), self.skolem_depths.get(x, 0) + 1
+            facts, depth = self.pairs_of.get(name, ()), self.skolem_depths.get(x, 0) + 1
             successors = (facts[position][not inverted] for position in self.links.get((name, inverted, x), ()))
             if any(self.has_class(y, ce.filler) and self.skolem_depths.get(y, 0) <= depth
                    for y in successors):
@@ -740,7 +491,7 @@ class _Engine(ClosedKB):
         """
         label, detail, body, head = self.tbox.rules[index]
         sizes = [len(self.members_of[atom.cls] if isinstance(atom, ClassAtom)
-                     else self.prop_index[_prop_key(atom.prop)[0]]) for atom in body]
+                     else self.pairs_of[_prop_key(atom.prop)[0]]) for atom in body]
         marks, self.marks[index] = self.marks.get(index, [0] * len(body)), sizes
         queue: Dict[Tuple[int, ...], Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = {}
         for i in range(len(body)):
@@ -801,7 +552,7 @@ class _Engine(ClosedKB):
                 yield binding, premises + (class_fact(x, atom.cls),)
             return
         name, inverted = _prop_key(atom.prop)
-        facts, a, b = self.prop_index.get(name, ()), binding.get(atom.var1), binding.get(atom.var2)
+        facts, a, b = self.pairs_of.get(name, ()), binding.get(atom.var1), binding.get(atom.var2)
         positions: Iterable[int] = (self.links.get((name, inverted, a), ()) if a is not None else
                                     self.links.get((name, not inverted, b), ()) if b is not None else
                                     range(start, limit))

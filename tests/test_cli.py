@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import provalign
 import provalign.cli
@@ -526,3 +531,75 @@ def test_generated_reports_identical_across_hash_seeds(tmp_path, workload):
         assert done.returncode == request["answer"]["exit"], done.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# -- the exit-code contract on generated property-heavy stacks ---------------------
+
+_GEN_PREFIXES = ("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                 "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                 "@prefix ex: <http://example.org/src#> .\n@prefix t: <http://example.org/tgt#> .\n")
+
+
+def _schema_statements(props, classes):
+    """Turtle statements over ``props`` and ``classes``, one per line: the
+    property hierarchy, inverses, domains and ranges, chains, and the class
+    axioms that make clashes and witnesses; the first two classes are disjoint."""
+    p, c = st.sampled_from(props), st.sampled_from(classes)
+    return st.lists(st.one_of(
+        *[st.builds(f"{{}} {predicate} {{}} .".format, p, p)
+          for predicate in ("rdfs:subPropertyOf", "owl:equivalentProperty", "owl:inverseOf")],
+        *[st.builds(f"{{}} {predicate} {{}} .".format, p, c) for predicate in ("rdfs:domain", "rdfs:range")],
+        *[st.builds(f"{{}} {predicate} {{}} .".format, c, c) for predicate in ("rdfs:subClassOf", "owl:disjointWith")],
+        st.builds("{} owl:propertyChainAxiom ( {} {} ) .".format, p, p, p),
+        st.builds("{} rdfs:subClassOf [ a owl:Restriction ; owl:onProperty {} ; owl:someValuesFrom {} ] .".format,
+                  c, p, c)), max_size=12).map(lambda lines: [f"{classes[0]} owl:disjointWith {classes[1]} .", *lines])
+
+
+_SRC_PROPS, _SRC_CLASSES = [f"ex:p{k}" for k in range(4)], [f"ex:C{k}" for k in range(3)]
+_TGT_PROPS, _TGT_CLASSES = [f"t:q{k}" for k in range(3)], [f"t:D{k}" for k in range(3)]
+_GEN_INDIVIDUALS = [f"ex:i{k}" for k in range(4)]
+_GEN_STACK = st.fixed_dictionaries({
+    "source": _schema_statements(_SRC_PROPS, _SRC_CLASSES),
+    "target": _schema_statements(_TGT_PROPS, _TGT_CLASSES),
+    "alignment": st.lists(st.one_of(
+        *[st.builds(f"{{}} {predicate} {{}} .".format, st.sampled_from(_SRC_PROPS), st.sampled_from(_TGT_PROPS))
+          for predicate in ("owl:equivalentProperty", "rdfs:subPropertyOf", "owl:inverseOf")],
+        *[st.builds(f"{{}} {predicate} {{}} .".format, st.sampled_from(_SRC_CLASSES), st.sampled_from(_TGT_CLASSES))
+          for predicate in ("owl:equivalentClass", "rdfs:subClassOf")]), max_size=6),
+    "instances": st.lists(st.one_of(
+        st.builds("{} {} {} .".format, st.sampled_from(_GEN_INDIVIDUALS), st.sampled_from(_SRC_PROPS + _TGT_PROPS),
+                  st.sampled_from(_GEN_INDIVIDUALS + ['"1"'])),
+        st.builds("{} a {} .".format, st.sampled_from(_GEN_INDIVIDUALS),
+                  st.sampled_from(_SRC_CLASSES + _TGT_CLASSES))), min_size=1, max_size=12)})
+
+
+def _stack_reports(directory, stack):
+    """Each subcommand's exit code, error output and report bytes on ``stack``,
+    written under ``directory``."""
+    flags = ["--source-ns", "http://example.org/src#", "--target-ns", "http://example.org/tgt#"]
+    for role, statements in stack.items():
+        path = os.path.join(directory, role + ".ttl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_GEN_PREFIXES + "".join(line + "\n" for line in statements))
+        flags += ["--" + role, path]
+    results, out = [], os.path.join(directory, "out")
+    for command in (["check-consistency", "--format", "json"], ["check-all", "--format", "json"], ["materialize"]):
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors):
+            code = run([*command, *flags, "--out", out])
+        with open(out, "rb") as handle:
+            results.append((command[0], code, errors.getvalue(), handle.read()))
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GEN_STACK, st.randoms(use_true_random=False))
+def test_generated_property_stacks_keep_the_exit_code_contract(stack, rng):
+    """Every run ends in 0 or 1 without an internal error, and its report does
+    not depend on the order of the statements in each file."""
+    shuffled = {role: rng.sample(statements, len(statements)) for role, statements in stack.items()}
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        results = _stack_reports(first, stack)
+        assert results == _stack_reports(second, shuffled)
+    for command, code, errors, _ in results:
+        assert code in (0, 1) and "internal error" not in errors, (command, code, errors)

@@ -672,6 +672,30 @@ def test_plan_over_a_deep_sub_property_chain_is_the_chain_in_linear_memory():
                          for k in range(1500))
 
 
+def test_facts_below_a_deep_sub_property_chain_close_in_linear_memory():
+    """A fact at the foot of a 1,500-deep sub-property chain entails a fact of
+    each chain member: bits of its pair's mask, not one traced record each, and
+    ``prop_index`` decodes them on read."""
+    names = [EX + f"p{k:04d}" for k in range(1500)]
+    props = [NamedProperty(iri(name)) for name in names]
+    pairs = [(iri(EX + f"a{k}"), iri(EX + f"b{k}")) for k in range(100)]
+    models = [OntologyModel(axioms=[Axiom("sub-property-of", pair) for pair in zip(props, props[1:])]),
+              OntologyModel(axioms=[Axiom("property-assertion", (props[0], *pair)) for pair in pairs])]
+    tracemalloc.start()
+    try:
+        kb = materialize(models)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert kb.derived_count == 150_000
+    assert all(kb.has_prop(names[-1], a, b) and not kb.has_prop(names[-1], b, a) for a, b in pairs)
+    index = kb.prop_index
+    assert list(index) == names and index[names[0]] == index[names[777]] == index[names[-1]] == pairs
+    assert kb.trace_of(prop_fact(names[-1], *pairs[-1])) == reasoner.Trace(
+        "subproperty", (prop_fact(names[-2], *pairs[-1]),), f"{names[-2]} is below {names[-1]}")
+
+
 def test_sub_and_equivalent_property_axioms_into_an_inverse_propagate():
     kb = kb_of("""
     ex:p0 rdfs:subPropertyOf [ owl:inverseOf ex:p1 ] .
@@ -1081,7 +1105,8 @@ def test_mask_memberships_match_recursive_propagation(schema, rules, abox, fact_
 
 def test_only_facts_that_rules_read_or_witness_are_recorded_one_by_one(prov, bfo, cco, ro, align_model):
     """A membership that no rule reads and that needs no witness is a bit in its
-    individual's mask; every other fact goes through ``_record`` on its own."""
+    individual's mask, and a property fact that no rule reads a bit in its
+    pair's mask; every other fact goes through ``_record`` on its own."""
     record, calls = reasoner._Engine._record, []
 
     def counted(engine, fact, trace=None):
@@ -1090,7 +1115,7 @@ def test_only_facts_that_rules_read_or_witness_are_recorded_one_by_one(prov, bfo
 
     with mock.patch.object(reasoner._Engine, "_record", counted):
         kb = materialize([prov, bfo, cco, ro, align_model, load_model("instances/fig9.ttl")])
-    props = [fact for fact in kb.traces if fact[0] == "prop"]
+    props = [fact for fact in kb.traces if fact[0] == "prop" and fact[1] in kb.tbox.readers]
     watched = [fact for fact in kb.traces if fact[0] == "class"
                and (fact[2] in kb.tbox.readers or isinstance(fact[2], SomeValuesFrom))]
     assert len(calls) == len(props) + len(watched) < len(kb.traces) == kb.derived_count
@@ -1116,3 +1141,83 @@ def test_monotonicity_on_generated_aboxes(assertions, more):
     small, big = closure(assertions), closure(assertions + more)
     assert _non_skolem(small) <= _non_skolem(big)
     assert bool(check_clash(small)) <= bool(check_clash(big))
+
+
+# -- property facts as pair masks against recursive propagation --------------------
+
+_PAIR_CLASSES = [NamedClass(iri(EX + n)) for n in "ABC"]
+# A rule reads a property, maybe through its inverse, and writes a class or a
+# property, so one burst can hold facts that rules read and facts that none do.
+_PAIR_RULES = st.builds(
+    lambda body, cls, head: SwrlRule((PropertyAtom(body, "x", "y"), *([ClassAtom(cls, "y")] if cls else [])),
+                                     (head,)),
+    _PES, st.none() | _PLAN_CLASSES,
+    st.one_of(st.builds(lambda c: ClassAtom(c, "x"), _PLAN_CLASSES),
+              st.builds(lambda p: PropertyAtom(p, "y", "x"), _PES)))
+_PAIR_SCHEMA = st.one_of(
+    _PROPERTY_SCHEMA,
+    st.builds(lambda links, sup: Axiom("property-chain", (tuple(links), sup)),
+              st.lists(_PES, min_size=2, max_size=2), _PES))
+# ex:q has no axioms, so it has no edges; with the index over the schema
+# alone, it is outside the index too.
+_PAIR_ABOX = st.one_of(
+    _PROPERTY_ABOX,
+    st.builds(lambda s, o: Axiom("property-assertion", (NamedProperty(iri(EX + "q")), s, o)),
+              st.sampled_from(_PLAN_INDIVIDUALS), st.sampled_from(_PLAN_INDIVIDUALS + _PLAN_LITERALS)))
+
+
+def _pair_outcome(models, fact_cap, schema_index):
+    """``_closure_outcome`` with the property index and each has_prop answer;
+    with ``schema_index``, the closure runs on an index of the first model."""
+    tbox = TBoxIndex(models[:1]) if schema_index else None
+    try:
+        kb = materialize(models, skolem_depth=2, fact_cap=fact_cap, tbox=tbox)
+    except FactCapExceededError as exc:
+        return str(exc)
+    terms = _PLAN_INDIVIDUALS + _PLAN_LITERALS
+    answers = [kb.has_prop(p.iri.value, s, o) for p in [*_PROPS, NamedProperty(iri(EX + "q"))]
+               for s in terms for o in terms]
+    return (list(kb.traces.items()), kb.prop_index, answers, kb.memberships, kb.derived_count,
+            [explain(kb, fact) for fact in kb.fact_keys()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAIR_SCHEMA, max_size=8), st.lists(_PAIR_RULES, max_size=2),
+       st.lists(_PAIR_ABOX, min_size=1, max_size=6), st.sampled_from([1_000_000, 40, 12, 3]), st.booleans())
+# A rule that reads class A, which both sides of ex:p0's pair gain: the
+# object first, through the range of ex:p1 above ex:p0, then the subject.
+@example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])),
+          Axiom("property-range", (_PROPS[1], _PAIR_CLASSES[0])),
+          Axiom("property-domain", (_PROPS[0], _PAIR_CLASSES[0]))],
+         [SwrlRule((PropertyAtom(_PROPS[2], "x", "y"),), (ClassAtom(_PAIR_CLASSES[1], "x"),)),
+          SwrlRule((ClassAtom(_PAIR_CLASSES[0], "x"), PropertyAtom(_PROPS[3], "x", "y")),
+                   (PropertyAtom(_PROPS[2], "x", "y"),))],
+         [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1])),
+          Axiom("property-assertion", (_PROPS[3], _PLAN_INDIVIDUALS[1], _PLAN_INDIVIDUALS[2])),
+          Axiom("property-assertion", (_PROPS[3], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[2]))],
+         1_000_000, False)
+# The walk from ex:p0 meets ex:p3(o, s) through ex:p1's inverse before
+# ex:p3(s, o), and a rule reads ex:p3.
+@example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])), Axiom("inverse-properties", (_PROPS[1], _PROPS[2])),
+          Axiom("sub-property-of", (_PROPS[2], _PROPS[3])), Axiom("sub-property-of", (_PROPS[0], _PROPS[3]))],
+         [SwrlRule((PropertyAtom(_PROPS[3], "x", "y"),), (ClassAtom(_PAIR_CLASSES[0], "x"),))],
+         [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1]))],
+         1_000_000, False)
+# On a loop ex:p1(a, a) is met twice, below ex:p0 and through ex:p2's inverse.
+@example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])), Axiom("sub-property-of", (_PROPS[0], _PROPS[2])),
+          Axiom("inverse-properties", (_PROPS[2], _PROPS[1]))],
+         [SwrlRule((PropertyAtom(_PROPS[1], "x", "y"),), (ClassAtom(_PAIR_CLASSES[0], "y"),))],
+         [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[0]))],
+         1_000_000, False)
+# A self-inverse loop below a property that a rule reads through its inverse.
+@example([Axiom("inverse-properties", (_PROPS[0], _PROPS[0])), Axiom("sub-property-of", (_PROPS[0], _PROPS[1])),
+          Axiom("property-domain", (InverseProperty(_PROPS[1]), _PAIR_CLASSES[0]))],
+         [SwrlRule((PropertyAtom(InverseProperty(_PROPS[1]), "x", "y"),), (PropertyAtom(_PROPS[2], "y", "x"),))],
+         [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[0])),
+          Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1]))],
+         1_000_000, True)
+def test_pair_masks_match_recursive_propagation(schema, rules, abox, fact_cap, schema_index):
+    models = [OntologyModel(axioms=schema, rules=rules), OntologyModel(axioms=abox)]
+    with mock.patch.object(reasoner, "_Engine", RecursiveEngine):
+        reference = _pair_outcome(models, fact_cap, schema_index)
+    assert _pair_outcome(models, fact_cap, schema_index) == reference
