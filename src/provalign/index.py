@@ -86,7 +86,8 @@ def _close_masks(succ: List[List[int]], conjunctions: Dict[int, List[Tuple[int, 
     y in ``succ[x]``; transitivity; x <= an intersection i whose operands are
     all above x (``conjunctions`` lists (i, operand mask) under each operand);
     a union u is below all that its operands ``unions[u]`` are below. The
-    intersections found are appended to ``succ``."""
+    intersections found are appended to ``succ``. Only the ids that these
+    relations reach are visited; the mask of any other id is its own bit."""
     reach, readers = [0] * len(succ), [[] for _ in succ]  # type: List[int], List[List[int]]
     for x, ys in [*enumerate(succ), *unions.items()]:
         for y in ys:
@@ -94,7 +95,7 @@ def _close_masks(succ: List[List[int]], conjunctions: Dict[int, List[Tuple[int, 
     # The worklist starts in depth-first postorder, successors first; a node
     # is redone when a mask that it reads grows.
     work, queued = [], bytearray(len(succ))  # type: List[int], bytearray
-    for root in range(len(succ)):
+    for root in [*(x for x, ys in enumerate(succ) if ys), *unions]:
         stack = [] if queued[root] else [root]
         while stack:
             queued[stack[-1]] = 1
@@ -125,7 +126,7 @@ def _close_masks(succ: List[List[int]], conjunctions: Dict[int, List[Tuple[int, 
                 if not queued[r]:
                     queued[r] = 1
                     work.append(r)
-    return reach
+    return [mask or 1 << x for x, mask in enumerate(reach)]
 
 
 def _structure_keys(universe: Iterable[ClassExpression]) -> Dict[ClassExpression, Tuple]:

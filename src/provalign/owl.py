@@ -12,6 +12,7 @@ irrelevant to verification.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
@@ -357,6 +358,11 @@ def signature(model: OntologyModel, namespace_filter: Optional[Sequence[str]] = 
     return {k: {t for t in v if t.startswith(prefixes)} for k, v in sets.items()}
 
 
+def axiom_sort_key(axiom: Axiom) -> str:
+    """The key that orders a model's axioms."""
+    return repr((axiom.kind, axiom.args))
+
+
 def merge_models(models: Sequence[OntologyModel], source_label: str = "merged") -> OntologyModel:
     """Combine several models into one (axioms deduplicated, annotations merged)."""
     merged = OntologyModel(source_label=source_label)
@@ -374,7 +380,7 @@ def merge_models(models: Sequence[OntologyModel], source_label: str = "merged") 
         merged.declared_individuals |= m.declared_individuals
         merged.unmodeled.extend(m.unmodeled)
         merged.derived_from = tuple(sorted(set(merged.derived_from) | set(m.derived_from)))
-    merged.axioms = sorted(index.values(), key=lambda a: repr((a.kind, a.args)))
+    merged.axioms = sorted(index.values(), key=axiom_sort_key)
     return merged
 
 
@@ -430,7 +436,6 @@ _NARY = {vocab.OWL_INTERSECTION_OF: Intersection, vocab.OWL_UNION_OF: UnionOf,
 class _Extractor:
     def __init__(self, graph: Graph, source_label: str):
         self.graph = graph
-        self.spo = graph.spo()
         self.model = OntologyModel(source_label=source_label)
         self.consumed: Set[Triple] = set()
         self.axiom_index: Dict[Tuple, Axiom] = {}
@@ -486,7 +491,7 @@ class _Extractor:
         if node in visiting:
             raise MalformedExpressionError("cyclic class expression structure")
         visiting.add(node)
-        props = self.spo.get(node, {})
+        props = self.graph.spo().get(node, {})
         for pred, make in _NARY.items():
             if pred in props:
                 head = props[pred][0]
@@ -543,8 +548,7 @@ class _Extractor:
         self._swrl_rules()
         self._reified_axioms()
         self._all_disjoint_classes()
-        self._plain_triples()
-        self._finish()
+        self._finish(*self._plain_triples())
         return self.model
 
     def _declarations(self) -> None:
@@ -586,7 +590,7 @@ class _Extractor:
             self.model.derived_from = tuple(sorted(derived))
             for o in self.graph.objects(subject, vocab.OWL_IMPORTS):
                 self.consume(subject, vocab.OWL_IMPORTS, o)
-            for pred in list(self.spo.get(subject, {})):
+            for pred in list(self.graph.spo().get(subject, {})):
                 if pred in _BENIGN_ANNOTATIONS:
                     for o in self.graph.objects(subject, pred):
                         self.consume(subject, pred, o)
@@ -661,7 +665,7 @@ class _Extractor:
 
     def _collect_annotations(self, node: Term, exclude: Set[str]) -> Tuple[Annotation, ...]:
         pairs: List[Annotation] = []
-        for pred, objects in self.spo.get(node, {}).items():
+        for pred, objects in self.graph.spo().get(node, {}).items():
             if pred in exclude:
                 continue
             for o in objects:
@@ -730,61 +734,81 @@ class _Extractor:
                 for j in range(i + 1, len(classes)):
                     self.add_axiom(Axiom("disjoint-classes", (classes[i], classes[j])))
 
-    def _plain_triples(self) -> None:
-        consumed = self.consumed
-        for t in sorted(self.graph.triples - consumed, key=triple_sort_key):
+    def _plain_triples(self) -> Tuple[List[Tuple[str, Axiom]], List[Triple]]:
+        """Decide the triples that no earlier pass consumed per predicate, and for
+        rdf:type per object (``_classify``): assertions, with their sort keys,
+        and annotations in bulk, then the rest one by one in triple order.
+        Returns the assertions and the triples that may stay unmodeled."""
+        consumed, keyed, ordered, left = self.consumed, [], [], []
+        touched = {t.predicate.value for t in consumed}
+        for p in self.graph.predicates():
+            triples = [t for t in self.graph.with_predicate(p) if p not in touched or t not in consumed]
+            groups: Dict[Optional[Term], List[Triple]] = {None: triples}
+            if p == vocab.RDF_TYPE:
+                groups = {}
+                for t in triples:
+                    groups.setdefault(t.object, []).append(t)
+            for o, group in groups.items():
+                kind = self._classify(p, o)
+                if kind == "class-assertion":  # each key is axiom_sort_key's, built from the reprs
+                    text = repr(c := NamedClass(o))
+                    keyed += [(f"('{kind}', ({t.subject!r}, {text}))", Axiom(kind, (t.subject, c))) for t in group]
+                elif kind == "property-assertion":
+                    text = repr(prop := NamedProperty(iri(p)))
+                    keyed += [(f"('{kind}', ({text}, {t.subject!r}, {t.object!r}))",
+                               Axiom(kind, (prop, t.subject, t.object))) for t in group]
+                elif kind != "annotation":
+                    (ordered if kind == "ordered" else left).extend(group)
+        for t in sorted(ordered, key=triple_sort_key):
             if t in consumed:
                 continue
             try:
-                handled = self._plain_triple(t.subject, t.predicate, t.object)
+                handled = self._plain_triple(t.subject, t.predicate.value, t.object)
             except UnsupportedExpressionError:
                 handled = False  # outside the fragment: keep the triple unmodeled
             if handled:
                 consumed.add(t)
+        return keyed, left + ordered
 
-    def _plain_triple(self, s: Term, predicate: Iri, o: Term) -> bool:
-        p = predicate.value
+    def _classify(self, p: str, o: Optional[Term]) -> str:
+        """What the triples of ``p`` (with object ``o`` for rdf:type) are: assertion
+        axioms of a kind, an "annotation", "ordered" (decoding them may raise or
+        consume other triples) or "left" (unmodeled unless decoding consumes them)."""
         if p == vocab.RDF_TYPE:
-            return self._type_triple(s, o)
-        if p == vocab.OWL_DISJOINT_UNION_OF and isinstance(s, Iri):
+            if isinstance(o, BlankNode):
+                return "ordered"
+            named = isinstance(o, Iri) and o.value not in _DECLARATION_TYPES and not _is_builtin(o.value)
+            return "class-assertion" if named else "left"  # declarations have a pass of their own
+        if p in _REIFIED_KIND or p in vocab.SKOS_MAPPING_PREDICATES or p == vocab.OWL_DISJOINT_UNION_OF:
+            return "ordered"
+        if p in _BENIGN_ANNOTATIONS or p in self.model.declared_annotation_properties:
+            return "annotation"
+        return "left" if _is_builtin(p) else "property-assertion"
+
+    def _plain_triple(self, s: Term, p: str, o: Term) -> bool:
+        """Decode one "ordered" triple into an axiom; False if it stays unmodeled."""
+        if p == vocab.RDF_TYPE:
+            axiom = Axiom("class-assertion", (s, self.class_expression(o)))
+        elif p == vocab.OWL_DISJOINT_UNION_OF and isinstance(s, Iri):
             ops = tuple(self.class_expression(x) for x in self.read_list(o))
             if len(ops) < 2:
                 raise MalformedExpressionError("owl:disjointUnionOf needs at least two operands")
-            self.add_axiom(Axiom("disjoint-union", (NamedClass(s), ops)))
-            return True
-        if p == vocab.OWL_INVERSE_OF and isinstance(s, BlankNode):
+            axiom = Axiom("disjoint-union", (NamedClass(s), ops))
+        elif p == vocab.OWL_INVERSE_OF and isinstance(s, BlankNode):
             return False  # anonymous inverse: consumed by expression decoding when referenced
-        axiom = self._decode_statement(s, p, o)
-        if axiom is not None:
-            self.add_axiom(axiom)
-            return True
-        if p in _BENIGN_ANNOTATIONS or p in self.model.declared_annotation_properties:
-            return True
-        if _is_builtin(p):
-            return False
-        if isinstance(s, Literal):
-            return False
-        # Everything else with a non-vocabulary predicate is a property assertion.
-        self.add_axiom(Axiom("property-assertion", (NamedProperty(predicate), s, o)))
+        elif (axiom := self._decode_statement(s, p, o)) is None:  # owl:disjointUnionOf on a blank node
+            return p in self.model.declared_annotation_properties
+        self.add_axiom(axiom)
         return True
 
-    def _type_triple(self, s: Term, o: Term) -> bool:
-        if isinstance(o, Iri):
-            if o.value in _DECLARATION_TYPES:
-                return False  # handled by the declarations pass
-            if _is_builtin(o.value):
-                return False
-            self.add_axiom(Axiom("class-assertion", (s, NamedClass(o))))
-            return True
-        if isinstance(o, BlankNode):
-            ce = self.class_expression(o)
-            self.add_axiom(Axiom("class-assertion", (s, ce)))
-            return True
-        return False
-
-    def _finish(self) -> None:
-        self.model.axioms = sorted(self.axiom_index.values(), key=lambda a: repr((a.kind, a.args)))
-        self.model.unmodeled = sorted(self.graph.triples - self.consumed, key=triple_sort_key)
+    def _finish(self, keyed: List[Tuple[str, Axiom]], left: List[Triple]) -> None:
+        """Sort the axioms, dropping an assertion that a blank-node class
+        expression decoded to again, and the triples left unconsumed."""
+        keyed += [(axiom_sort_key(axiom), axiom) for axiom in self.axiom_index.values()]
+        keyed.sort(key=itemgetter(0))
+        self.model.axioms = [axiom for i, (key, axiom) in enumerate(keyed)
+                             if not i or key != keyed[i - 1][0] or axiom != keyed[i - 1][1]]
+        self.model.unmodeled = sorted([t for t in left if t not in self.consumed], key=triple_sort_key)
 
 
 def extract_axioms(graph: Graph, source_label: str = "") -> OntologyModel:
@@ -825,19 +849,11 @@ class _Encoder:
         return node
 
     def encode_list(self, items: Sequence[Term]) -> Term:
-        if not items:
-            return iri(vocab.RDF_NIL)
-        head = self.fresh()
-        current = head
-        for i, item in enumerate(items):
-            self.graph.add_triple(current, iri(vocab.RDF_FIRST), item)
-            if i + 1 < len(items):
-                nxt = self.fresh()
-                self.graph.add_triple(current, iri(vocab.RDF_REST), nxt)
-                current = nxt
-            else:
-                self.graph.add_triple(current, iri(vocab.RDF_REST), iri(vocab.RDF_NIL))
-        return head
+        cells = [self.fresh() for _ in items]
+        for cell, item, rest in zip(cells, items, [*cells[1:], iri(vocab.RDF_NIL)]):
+            self.graph.add_triple(cell, iri(vocab.RDF_FIRST), item)
+            self.graph.add_triple(cell, iri(vocab.RDF_REST), rest)
+        return cells[0] if cells else iri(vocab.RDF_NIL)
 
     def class_expression(self, ce: ClassExpression) -> Term:
         if isinstance(ce, NamedClass):

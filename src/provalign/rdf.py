@@ -128,16 +128,21 @@ def new_scope() -> int:
 
 
 class _TripleSlots:
-    """Triple's fields. Triple refuses attribute assignment, so its
-    constructor stores through these slots' descriptors."""
+    """Triple's fields. Triple refuses attribute assignment, so a triple is built
+    as one of these, which stores into the slots directly (faster than through
+    their descriptors), and then made a Triple."""
 
     __slots__ = ("subject", "predicate", "object", "_hash")
 
 
-_set_subject = _TripleSlots.subject.__set__
-_set_predicate = _TripleSlots.predicate.__set__
-_set_object = _TripleSlots.object.__set__
-_set_hash = _TripleSlots._hash.__set__
+def new_triple(subject: Term, predicate: "Iri", object: Term) -> "Triple":
+    """``Triple(subject, predicate, object)`` without its checks, for a caller
+    that guarantees them: the predicate is an Iri, the subject not a Literal."""
+    t = _TripleSlots()
+    t.subject, t.predicate, t.object = subject, predicate, object
+    t._hash = hash((subject, predicate, object))
+    t.__class__ = Triple
+    return t
 
 
 class Triple(_TripleSlots):
@@ -146,15 +151,12 @@ class Triple(_TripleSlots):
     __slots__ = ()
     __match_args__ = ("subject", "predicate", "object")
 
-    def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
         if predicate.__class__ is not Iri:
             raise RdfError(f"triple predicate must be an IRI, got {predicate!r}")
         if subject.__class__ is Literal:
             raise RdfError("triple subject cannot be a literal")
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
-        _set_hash(self, hash((subject, predicate, object)))
+        return new_triple(subject, predicate, object)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -206,11 +208,11 @@ class Graph:
         self.prefixes: Dict[str, str] = dict(prefixes or {})
         self.base: Optional[str] = base
         self._spo: Optional[Dict[Term, Dict[str, List[Term]]]] = None
-        self._by_predicate: Dict[str, List[Triple]] = {}
+        self._by_predicate: Optional[Dict[str, List[Triple]]] = None
 
     def add(self, t: Triple) -> None:
         self.triples.add(t)
-        self._spo = None
+        self._spo = self._by_predicate = None
 
     def add_triple(self, s: Term, p: Iri, o: Term) -> None:
         self.add(Triple(s, p, o))
@@ -227,35 +229,37 @@ class Graph:
     def __contains__(self, t: Triple) -> bool:
         return t in self.triples
 
-    def _index(self) -> None:
-        """Build, in one pass, the subject -> predicate IRI -> sorted objects
-        index and the predicate IRI -> triples index."""
-        spo: Dict[Term, Dict[str, List[Term]]] = {}
-        by_predicate: Dict[str, List[Triple]] = {}
-        for t in self.triples:
-            p = t.predicate.value
-            spo.setdefault(t.subject, {}).setdefault(p, []).append(t.object)
-            by_predicate.setdefault(p, []).append(t)
-        for props in spo.values():
-            for objects in props.values():
-                if len(objects) > 1:
-                    objects.sort(key=term_sort_key)
-        # _spo marks the indexes as built, so it is set last: a thread that
-        # sees it also sees the predicate index.
-        self._by_predicate = by_predicate
-        self._spo = spo
+    def _predicate_index(self) -> Dict[str, List[Triple]]:
+        """The predicate IRI -> triples index, built on first use."""
+        if self._by_predicate is None:
+            by_iri: Dict[Iri, List[Triple]] = {}
+            for t in self.triples:
+                by_iri.setdefault(t.predicate, []).append(t)
+            self._by_predicate = {p.value: triples for p, triples in by_iri.items()}
+        return self._by_predicate
 
     def spo(self) -> Dict[Term, Dict[str, List[Term]]]:
-        """Subject -> predicate IRI -> object list index, built on first use."""
+        """Subject -> predicate IRI -> object list index, objects in term order;
+        built on first use, which a graph of assertions alone may never need."""
         if self._spo is None:
-            self._index()
+            spo: Dict[Term, Dict[str, List[Term]]] = {}
+            for p, triples in self._predicate_index().items():
+                for t in triples:
+                    spo.setdefault(t.subject, {}).setdefault(p, []).append(t.object)
+            for props in spo.values():
+                for objects in props.values():
+                    if len(objects) > 1:
+                        objects.sort(key=term_sort_key)
+            self._spo = spo
         return self._spo
 
     def with_predicate(self, predicate: str) -> List[Triple]:
         """The triples whose predicate is ``predicate``, in no set order."""
-        if self._spo is None:
-            self._index()
-        return self._by_predicate.get(predicate, [])
+        return self._predicate_index().get(predicate, [])
+
+    def predicates(self) -> List[str]:
+        """The predicate IRIs of the graph's triples, in no set order."""
+        return list(self._predicate_index())
 
     def objects(self, subject: Term, predicate: str) -> List[Term]:
         return self.spo().get(subject, {}).get(predicate, [])

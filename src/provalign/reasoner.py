@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
+from operator import eq, is_, itemgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .index import TBoxIndex, _above, _bit_ids, _prop_key
+from .index import PlanEntry, TBoxIndex, _above, _bit_ids, _prop_key
 from .owl import (
     Atom,
     Axiom,
@@ -159,7 +160,7 @@ class ClosedKB:
         # fact alone.
         self._bursts: List[Tuple] = []
         # Caches: the fact count and the replayed traces; the burst count and
-        # the bursts of each individual.
+        # the bursts of each individual asked about.
         self._replayed: Tuple[int, Dict[FactKey, Trace]] = (0, {})
         self._by_key: Tuple[int, Dict[object, List[Tuple]]] = (0, {})
 
@@ -198,11 +199,16 @@ class ClosedKB:
 
     @property
     def prop_index(self) -> Dict[str, List[Tuple[Term, Term]]]:
-        """Each property's facts as (subject, object), in derivation order."""
+        """Each property's facts as (subject, object), in derivation order,
+        decoded from the pair bursts in plan order without their traces."""
         index: Dict[str, List[Tuple[Term, Term]]] = {}
-        for fact in self.traces:
-            if fact[0] == "prop":
-                index.setdefault(fact[1], []).append(fact[2:])
+        for burst in self._bursts:
+            if len(burst) > 4:
+                a, b, k, _, held = burst[:5]
+                index.setdefault(self._pnames[k >> 1], []).append((b, a) if k & 1 else (a, b))
+                for _, (target, *_), pair in self._pair_walk(a, b, k, held):
+                    if pair is not None:
+                        index.setdefault(target, []).append(pair)
         return index
 
     def _replay(self, burst: Tuple) -> Iterator[Tuple[FactKey, Trace]]:
@@ -224,32 +230,44 @@ class ClosedKB:
             else:
                 stack.pop()
 
-    def _walk_pair(self, a: Term, b: Term, k: int, trace: Tuple, held: int, ma: int,
-                   mb: int) -> Iterator[Tuple[FactKey, Trace]]:
-        """One property burst's facts with their traces: the fact, then the plan's
-        entries whose property fact or class the pair and its sides did not hold,
-        each class as a class burst. An entry below a fact that the pair held is
-        skipped with it; on a loop a == b an entry and its mirror on the swapped
-        pair name one fact, and the later of the two is skipped so."""
-        name, flip, loop = self._pnames[k >> 1], k & 1, a == b
-        s, o = (b, a) if flip else (a, b)
-        masks, made = {a: ma, b: mb}, [prop_fact(name, s, o)]
+    def _pair_walk(self, a: Term, b: Term, k: int, held: int) -> Iterator[Tuple[int, PlanEntry, Optional[Tuple]]]:
+        """A property burst's plan entries below facts that it made, with their
+        positions: each class with None, each property fact that the pair did not
+        hold with its (subject, object). On a loop a == b an entry and its mirror
+        on the swapped pair name one fact, and the later of the two is skipped."""
+        flip, loop = k & 1, a == b
+        pairs = ((b, a), (a, b)) if flip else ((a, b), (b, a))  # as-is and swapped
+        plan, made = self.tbox.prop_plan(self._pnames[k >> 1], pairs[0][1].__class__ is Literal), [True]
         held |= 1 << k | loop << (k ^ 1)
-        yield made[0], Trace(*trace)
-        for target, swapped, parent, rule, why in self.tbox.prop_plan(name, o.__class__ is Literal):
-            premise, fact = made[parent], None
-            if premise is None:
+        for position, entry in enumerate(plan, 1):
+            target, swapped, parent = entry[:3]
+            pair = None
+            if not made[parent]:
                 pass
             elif target.__class__ is not str:
-                x, i = o if swapped else s, self.tbox._ids[target]
-                if not masks[x] >> i & 1:
-                    yield from self._walk(x, i, (rule, (premise,), why), masks[x])
-                    masks[x] |= self._reach[i]
+                yield position, entry, None
             elif not held >> (bit := self._pids[target] + (swapped != flip)) & 1:
                 held |= 1 << bit | loop << (bit ^ 1)
-                fact = prop_fact(target, o, s) if swapped else prop_fact(target, s, o)  # type: ignore[arg-type]
-                yield fact, Trace(rule, (premise,), why)
-            made.append(fact)
+                pair = pairs[swapped]
+                yield position, entry, pair
+            made.append(pair is not None)
+
+    def _walk_pair(self, a: Term, b: Term, k: int, trace: Tuple, held: int, ma: int,
+                   mb: int) -> Iterator[Tuple[FactKey, Trace]]:
+        """One property burst's facts with their traces: the fact, then those of
+        ``_pair_walk``, each class as a class burst."""
+        s, o = (b, a) if k & 1 else (a, b)
+        masks, made = {a: ma, b: mb}, {0: prop_fact(self._pnames[k >> 1], s, o)}
+        yield made[0], Trace(*trace)
+        for position, (target, swapped, parent, rule, why), pair in self._pair_walk(a, b, k, held):
+            if pair is not None:
+                made[position] = prop_fact(target, *pair)
+                yield made[position], Trace(rule, (made[parent],), why)
+                continue
+            x, i = o if swapped else s, self.tbox._ids[target]
+            if not masks[x] >> i & 1:
+                yield from self._walk(x, i, (rule, (made[parent],), why), masks[x])
+                masks[x] |= self._reach[i]
 
     def _gains(self, burst: Tuple, key: object) -> int:
         """The classes that a burst adds to individual ``key``, or the property
@@ -280,11 +298,12 @@ class ClosedKB:
             return None
         if self._by_key[0] != len(self._bursts):
             self._by_key = (len(self._bursts), {})
-            for burst in self._bursts:
-                self._by_key[1].setdefault(burst[0], []).append(burst)
-                if len(burst) > 4 and burst[1] != burst[0]:
-                    self._by_key[1].setdefault(burst[1], []).append(burst)
-        return next(trace for burst in self._by_key[1][x] if self._gains(burst, key) >> bit & 1
+        bursts = self._by_key[1].get(x)
+        if bursts is None:  # the bursts that add facts about x, in log order
+            same, log = is_ if x.__class__ is Iri else eq, self._bursts  # an Iri is one object
+            bursts = self._by_key[1][x] = list(compress(log, map(or_, map(same, map(itemgetter(0), log), repeat(x)),
+                                                                 map(same, map(itemgetter(1), log), repeat(x)))))
+        return next(trace for burst in bursts if self._gains(burst, key) >> bit & 1
                     for f, trace in self._replay(burst) if f == fact)
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:

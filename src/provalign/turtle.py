@@ -16,6 +16,7 @@ isomorphic to the input, with deterministic ordering.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -27,10 +28,10 @@ from .rdf import (
     Iri,
     Literal,
     Term,
-    Triple,
     iri,
     iri_resolve,
     new_scope,
+    new_triple,
     triple_sort_key,
     MissingBaseError,
     UnknownPrefixError,
@@ -93,9 +94,14 @@ _TOKEN_KINDS = (
     ("name", _PREFIX),
     ("other", r"[\s\S]"),
 )
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
-    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")")
+_TOKEN_SOURCE = (r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
+                 + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")")
+# On ASCII text a class with the letters from U+00C0 up matches what its ASCII
+# part matches, so the ASCII twin accepts exactly the same tokens. It compiles
+# in a millisecond or two, the wide pattern in tens: that one waits for the
+# first document that needs it.
+_token_re = functools.cache(lambda ascii: re.compile(_TOKEN_SOURCE.replace("\u00c0-\uffff", ""), re.ASCII)
+                            if ascii else re.compile(_TOKEN_SOURCE))
 _NUMBER_TYPES = {"double": vocab.XSD_DOUBLE, "decimal": vocab.XSD_DECIMAL,
                  "integer": vocab.XSD_INTEGER}
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[\s\S]?)")
@@ -124,6 +130,7 @@ class _Parser:
 
     def __init__(self, text: str, base: Optional[str]):
         self.text = text
+        self.match = _token_re(text.isascii()).match
         self.pos = 0
         self.graph = Graph(base=base)
         self.triples = self.graph.triples
@@ -177,7 +184,7 @@ class _Parser:
     def _advance(self) -> None:
         """Make the next token current."""
         text = self.text
-        m = _TOKEN_RE.match(text, self.pos)
+        m = self.match(text, self.pos)
         kind = m.lastgroup
         start, end = m.span(kind)
         self.start = start
@@ -375,7 +382,7 @@ class _Parser:
     def _object_list(self, subject: Term, predicate: Iri) -> None:
         add = self.triples.add
         while True:
-            add(Triple(subject, predicate, self._object()))
+            add(new_triple(subject, predicate, self._object()))
             if self.kind != ",":
                 return
             self._advance()
@@ -432,18 +439,11 @@ class _Parser:
         self.depth -= 1
         if not items:
             return _RDF_NIL
-        add = self.triples.add
-        head = self._fresh_bnode()
-        current = head
-        for i, item in enumerate(items):
-            add(Triple(current, _RDF_FIRST, item))
-            if i + 1 < len(items):
-                nxt = self._fresh_bnode()
-                add(Triple(current, _RDF_REST, nxt))
-                current = nxt
-            else:
-                add(Triple(current, _RDF_REST, _RDF_NIL))
-        return head
+        add, cells = self.triples.add, [self._fresh_bnode() for _ in items]
+        for cell, item, rest in zip(cells, items, [*cells[1:], _RDF_NIL]):
+            add(new_triple(cell, _RDF_FIRST, item))
+            add(new_triple(cell, _RDF_REST, rest))
+        return cells[0]
 
 
 def parse_turtle(text: str, base: Optional[str] = None) -> Graph:
@@ -465,24 +465,10 @@ _INT_SHORT_RE = re.compile(r"[+-]?\d+")
 _DECIMAL_SHORT_RE = re.compile(r"(?:[+-]\d*|\d+)\.\d+")
 
 
-def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+# How a string literal's characters are written: the quote, the backslash and
+# every control character escaped.
+_STRING_ESCAPES = {**{c: f"\\u{c:04X}" for c in range(0x20)}, ord("\\"): "\\\\", ord('"'): '\\"',
+                   ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -522,7 +508,7 @@ def serialize_turtle(graph: Graph) -> str:
             return f"_:{name}"
         lex = term.lexical
         if term.language:
-            return f'"{_escape_string(lex)}"@{term.language}'
+            return f'"{lex.translate(_STRING_ESCAPES)}"@{term.language}'
         dt = term.datatype
         if dt == vocab.XSD_INTEGER and _INT_SHORT_RE.fullmatch(lex):
             return lex
@@ -531,10 +517,10 @@ def serialize_turtle(graph: Graph) -> str:
         if dt == vocab.XSD_BOOLEAN and lex in ("true", "false"):
             return lex
         if dt is None or dt == vocab.XSD_STRING:
-            return f'"{_escape_string(lex)}"'
+            return f'"{lex.translate(_STRING_ESCAPES)}"'
         dt_short = compress(dt)
         dt_text = dt_short if dt_short is not None else f"<{dt}>"
-        return f'"{_escape_string(lex)}"^^{dt_text}'
+        return f'"{lex.translate(_STRING_ESCAPES)}"^^{dt_text}'
 
     lines: List[str] = []
     for label, ns in sorted(graph.prefixes.items()):

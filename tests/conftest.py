@@ -1,5 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+import provalign
 from provalign.alignment import extract_mappings
 from provalign.fixtures import (
     SOURCE_NAMESPACES,
@@ -56,3 +60,18 @@ def instance_model(name):
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return fixture_path("prov-mini.ttl").parent
+
+
+@pytest.fixture(scope="session")
+def perfbench_requests(tmp_path_factory):
+    """Seed -> workload -> the requests of one lap, for perfbench seeds 1-3,
+    with their input files written."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fixtures = str(Path(provalign.__file__).resolve().parent / "fixtures")
+    return {seed: {workload: workloads.generate(workload, seed, str(tmp_path_factory.mktemp(f"{workload}-{seed}")),
+                                                fixtures)
+                   for workload in sorted(workloads.GENERATORS)}
+            for seed in (1, 2, 3)}

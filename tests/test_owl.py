@@ -1,5 +1,4 @@
 import copy
-import importlib.util
 import pickle
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -61,19 +60,11 @@ def axioms_of_kind(model, kind):
 
 
 @pytest.fixture(scope="module")
-def perfbench_inputs(tmp_path_factory):
+def perfbench_inputs(perfbench_requests):
     """The Turtle files of seed 1 of every perfbench workload."""
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     fixtures = str(Path(provalign.__file__).resolve().parent / "fixtures")
-    paths = set()
-    for workload in sorted(workloads.GENERATORS):
-        workdir = tmp_path_factory.mktemp(workload)
-        for request in workloads.generate(workload, 1, str(workdir), fixtures):
-            paths.update(p for p in request["files"] if str(p).startswith(str(workdir)))
-    return sorted(paths)
+    return sorted({path for requests in perfbench_requests[1].values() for request in requests
+                   for path in request["files"] if not path.startswith(fixtures)})
 
 
 def _assert_model_order(model):

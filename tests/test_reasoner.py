@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter, deque
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from provalign.owl import (
     extract_axioms,
     render_class_expression,
 )
-from provalign.rdf import Literal, iri, term_sort_key
+from provalign.rdf import BlankNode, Literal, iri, new_scope, term_sort_key
 from provalign.reasoner import (
     FactCapExceededError,
     TBoxIndex,
@@ -694,6 +695,96 @@ def test_facts_below_a_deep_sub_property_chain_close_in_linear_memory():
     assert list(index) == names and index[names[0]] == index[names[777]] == index[names[-1]] == pairs
     assert kb.trace_of(prop_fact(names[-1], *pairs[-1])) == reasoner.Trace(
         "subproperty", (prop_fact(names[-2], *pairs[-1]),), f"{names[-2]} is below {names[-1]}")
+
+
+def _prop_index_from_traces(kb):
+    """``prop_index`` as the full trace replay gives it: every property fact, in
+    derivation order."""
+    index = {}
+    for fact in kb.traces:
+        if fact[0] == "prop":
+            index.setdefault(fact[1], []).append(fact[2:])
+    return index
+
+
+def _perfbench_stacks(perfbench_requests, seeds=(1, 2, 3), kinds=None):
+    """The models of each distinct perfbench request's input files; ``kinds``
+    picks requests by kind."""
+    loaded, stacks = {}, {}
+    for seed in seeds:
+        for requests in perfbench_requests[seed].values():
+            for request in requests if kinds is None else [r for r in requests if r["kind"] in kinds]:
+                paths = tuple(request["files"])
+                stacks[paths] = [loaded.setdefault(path, extract_axioms(parse_turtle(
+                    open(path, encoding="utf-8").read()), source_label=path)) for path in paths]
+    return list(stacks.values())
+
+
+def test_prop_index_and_traces_of_a_closure_agree(full_stack, perfbench_requests):
+    """``prop_index``, decoded from the bursts' masks, and ``trace_of``, which
+    replays the bursts of one individual, agree with the full trace replay."""
+    kbs = [materialize(full_stack + [load_model(f"instances/{name}")])
+           for name in ("fig9.ttl", "fig11.ttl", "example4.ttl", "revision.ttl")]
+    kbs += [materialize(stack) for stack in _perfbench_stacks(perfbench_requests, (1,), ("check-consistency",
+                                                                                       "check-all"))]
+    for kb in kbs:
+        assert kb.prop_index == _prop_index_from_traces(kb)
+        sample = islice(kb.traces.items(), 0, None, 1 + len(kb.traces) // 300)
+        assert all(kb.trace_of(fact) == trace for fact, trace in sample)
+
+
+def test_trace_of_finds_a_blank_node_built_twice():
+    """An equal blank node that is another object still names the same individual."""
+    scope = new_scope()
+    x, same = BlankNode("x", scope), BlankNode("x", scope)
+    p, c = NamedProperty(iri(EX + "p")), NamedClass(iri(EX + "C"))
+    kb = materialize([OntologyModel(axioms=[Axiom("property-domain", (p, c))]),
+                      OntologyModel(axioms=[Axiom("property-assertion", (p, x, iri(EX + "b")))])])
+    assert kb.trace_of(class_fact(same, c)) == reasoner.Trace("domain", (prop_fact(EX + "p", x, iri(EX + "b")),),
+                                                             f"domain of {EX}p")
+
+
+def test_prop_index_below_a_deep_sub_property_chain_decodes_in_little_memory():
+    """Reading ``prop_index`` at the foot of a 1,500-deep chain with 100 facts
+    decodes its 150,000 pairs from the bursts without a trace each."""
+    names = [EX + f"p{k:04d}" for k in range(1500)]
+    props = [NamedProperty(iri(name)) for name in names]
+    pairs = [(iri(EX + f"a{k}"), iri(EX + f"b{k}")) for k in range(100)]
+    kb = materialize([OntologyModel(axioms=[Axiom("sub-property-of", pair) for pair in zip(props, props[1:])]),
+                      OntologyModel(axioms=[Axiom("property-assertion", (props[0], *pair)) for pair in pairs])])
+    tracemalloc.start()
+    try:
+        index = kb.prop_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert list(index) == names and all(facts == pairs for facts in index.values())
+
+
+def _prop_reach_by_search(tbox):
+    """Each property key's mask by a search over ``prop_edges``."""
+    masks = []
+    for key in range(2 * len(tbox._prop_names)):
+        start = (tbox._prop_names[key >> 1], bool(key & 1))
+        seen, queue = {start}, deque([start])
+        while queue:
+            for sup in tbox.prop_edges.get(queue.popleft(), ()):
+                if sup not in seen:
+                    seen.add(sup)
+                    queue.append(sup)
+        masks.append(sum(1 << tbox._prop_ids[name] + inverted for name, inverted in seen))
+    return masks
+
+
+def test_property_masks_match_a_search_over_prop_edges(full_stack, perfbench_requests):
+    """Only the keys with edges are closed, and every mask is still the one a
+    search finds: an edge-less key's is its own bit."""
+    stacks = [full_stack + [load_model(f"instances/{name}")] for name in ("fig9.ttl", "example4.ttl")]
+    for models in stacks + _perfbench_stacks(perfbench_requests):
+        tbox = TBoxIndex(models)
+        assert tbox._prop_reach == _prop_reach_by_search(tbox)
+        assert any(mask == 1 << key for key, mask in enumerate(tbox._prop_reach))
 
 
 def test_sub_and_equivalent_property_axioms_into_an_inverse_propagate():
