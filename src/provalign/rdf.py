@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from urllib.parse import urljoin
 
@@ -34,10 +34,27 @@ class IsomorphismLimitError(RdfError):
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
+class _Frozen:
+    """Refuses assignment, as a frozen dataclass does. Blank nodes, literals and
+    triples derive from a plain slots class and from this: each is built as its
+    slots class, which stores into the slots directly (faster than through
+    their descriptors), and then given its class. Its hash is computed there,
+    once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the term, as string hashes differ by process.
+        return (self.__class__, tuple(getattr(self, name) for name in self.__match_args__))
+
+
 _IRIS: Dict[str, "Iri"] = {}
 
 
-class Iri:
+class Iri(_Frozen):
     """An absolute IRI. Instances are interned, so ``Iri(v) is iri(v)`` and
     equality and hashing are by identity."""
 
@@ -55,54 +72,60 @@ class Iri:
             term = _IRIS.setdefault(value, term)
         return term
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (Iri, (self.value,))
-
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    node_id: str
-    scope: int
-    # Computed once, at construction; __reduce__ rebuilds it, as string hashes differ by process.
-    _hash: int = field(init=False, repr=False, compare=False)
+class _BlankNodeSlots:
+    __slots__ = ("node_id", "scope", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.node_id, self.scope)))
+
+class BlankNode(_BlankNodeSlots, _Frozen):
+    __slots__ = ()
+    __match_args__ = ("node_id", "scope")
+
+    def __new__(cls, node_id: str, scope: int) -> "BlankNode":
+        node = _BlankNodeSlots()
+        node.node_id, node.scope, node._hash = node_id, scope, hash((node_id, scope))
+        node.__class__ = BlankNode
+        return node
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return (BlankNode, (self.node_id, self.scope))
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BlankNode:
+            return NotImplemented
+        return (self.node_id, self.scope) == (other.node_id, other.scope)
 
     def __repr__(self) -> str:
         return f"_:{self.node_id}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: Optional[str] = None
-    language: Optional[str] = None
-    # Computed once, at construction; __reduce__ rebuilds it, as string hashes differ by process.
-    _hash: int = field(init=False, repr=False, compare=False)
+class _LiteralSlots:
+    __slots__ = ("lexical", "datatype", "language", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+
+class Literal(_LiteralSlots, _Frozen):
+    __slots__ = ()
+    __match_args__ = ("lexical", "datatype", "language")
+
+    def __new__(cls, lexical: str, datatype: Optional[str] = None, language: Optional[str] = None) -> "Literal":
+        if datatype is not None and language is not None:
             raise RdfError("literal cannot carry both a datatype and a language tag")
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+        lit = _LiteralSlots()
+        lit.lexical, lit.datatype, lit.language = lexical, datatype, language
+        lit._hash = hash((lexical, datatype, language))
+        lit.__class__ = Literal
+        return lit
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return (Literal, (self.lexical, self.datatype, self.language))
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return (self.lexical, self.datatype, self.language) == (other.lexical, other.datatype, other.language)
 
     def __repr__(self) -> str:
         if self.language:
@@ -128,10 +151,6 @@ def new_scope() -> int:
 
 
 class _TripleSlots:
-    """Triple's fields. Triple refuses attribute assignment, so a triple is built
-    as one of these, which stores into the slots directly (faster than through
-    their descriptors), and then made a Triple."""
-
     __slots__ = ("subject", "predicate", "object", "_hash")
 
 
@@ -145,7 +164,7 @@ def new_triple(subject: Term, predicate: "Iri", object: Term) -> "Triple":
     return t
 
 
-class Triple(_TripleSlots):
+class Triple(_TripleSlots, _Frozen):
     """An RDF statement. Immutable; its hash is computed once, at construction."""
 
     __slots__ = ()
@@ -158,9 +177,6 @@ class Triple(_TripleSlots):
             raise RdfError("triple subject cannot be a literal")
         return new_triple(subject, predicate, object)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -169,9 +185,6 @@ class Triple(_TripleSlots):
             return NotImplemented
         return (self._hash == other._hash and self.predicate is other.predicate
                 and self.subject == other.subject and self.object == other.object)
-
-    def __reduce__(self):
-        return (Triple, (self.subject, self.predicate, self.object))
 
     def __repr__(self) -> str:
         return f"Triple(subject={self.subject!r}, predicate={self.predicate!r}, object={self.object!r})"

@@ -1,14 +1,16 @@
 """RDF Turtle parsing and serialization.
 
-The parser is a table-driven tokenizer plus recursive descent over the Turtle
-subset used by OWL ontologies and alignment files: prefix/base directives
-(both '@' and SPARQL spellings), prefixed names, IRI references, blank node
-labels and anonymous property lists, collections, 'a', predicate-object and
-object lists, string/typed/language literals, numeric and boolean shorthand,
-and comments. Quoted triples and TriG blocks are hard errors: silently
-dropping triples would corrupt verification verdicts downstream. So is
-nesting '[ ]' and '( )' more than MAX_NESTING levels deep, which would
-otherwise exhaust the interpreter's stack.
+The parser reads a document in two flat passes: one regular-expression
+``findall`` cuts the whole text into token lexemes, and one loop drives the
+grammar over them with an explicit stack of the open '[ ]' and '( )'. It
+covers the Turtle subset used by OWL ontologies and alignment files:
+prefix/base directives (both '@' and SPARQL spellings), prefixed names, IRI
+references, blank node labels and anonymous property lists, collections, 'a',
+predicate-object and object lists, string/typed/language literals, numeric
+and boolean shorthand, and comments. Quoted triples and TriG blocks are hard
+errors: silently dropping triples would corrupt verification verdicts
+downstream. So is nesting '[ ]' and '( )' more than MAX_NESTING levels deep,
+which later stages walk recursively.
 
 Serialization is semantic, not byte-preserving: output re-parses to a graph
 isomorphic to the input, with deterministic ordering.
@@ -17,6 +19,7 @@ isomorphic to the input, with deterministic ordering.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -94,16 +97,29 @@ _TOKEN_KINDS = (
     ("name", _PREFIX),
     ("other", r"[\s\S]"),
 )
-_TOKEN_SOURCE = (r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
-                 + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")")
-# On ASCII text a class with the letters from U+00C0 up matches what its ASCII
-# part matches, so the ASCII twin accepts exactly the same tokens. It compiles
-# in a millisecond or two, the wide pattern in tens: that one waits for the
-# first document that needs it.
-_token_re = functools.cache(lambda ascii: re.compile(_TOKEN_SOURCE.replace("\u00c0-\uffff", ""), re.ASCII)
-                            if ascii else re.compile(_TOKEN_SOURCE))
-_NUMBER_TYPES = {"double": vocab.XSD_DOUBLE, "decimal": vocab.XSD_DECIMAL,
-                 "integer": vocab.XSD_INTEGER}
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_TOKEN_SOURCE = _SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")"
+# The parser's twin of it: the same alternatives in one unnamed group, so that
+# one findall returns every token's lexeme. A permissive body also takes its
+# terminator when one follows, so a terminated token stays one lexeme.
+_TERMINATORS = {"iriref": ">?", "long_string": "(?:\"\"\"|''')?", "short_string": "[\"']?"}
+_SEGMENT_SOURCE = _SKIP + "(" + "|".join(f"(?:{pattern}){_TERMINATORS.get(kind, '')}"
+                                         for kind, pattern in _TOKEN_KINDS) + ")"
+
+
+def _compile(source: str, ascii: bool) -> "re.Pattern[str]":
+    # On ASCII text a class with the letters from U+00C0 up matches what its
+    # ASCII part matches, so the ASCII twin accepts exactly the same tokens.
+    # It compiles in a millisecond or two, the wide pattern in tens: that one
+    # waits for the first document that needs it.
+    return re.compile(source.replace("\u00c0-\uffff", ""), re.ASCII) if ascii else re.compile(source)
+
+
+# _token_re(ascii) is the lexer's pattern, each kind by name; the parser asks it
+# which twin a document needs and cuts the document with that twin's segmenter.
+_token_re = functools.cache(lambda ascii: _compile(_TOKEN_SOURCE, ascii))
+_segment_re = functools.cache(lambda token_re: _compile(_SEGMENT_SOURCE, token_re.flags & re.ASCII))
+_PUNCT = frozenset(".;,[]()") | {"^^"}
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[\s\S]?)")
 _LOCAL_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
@@ -112,6 +128,11 @@ _RDF_FIRST = iri(vocab.RDF_FIRST)
 _RDF_REST = iri(vocab.RDF_REST)
 _RDF_NIL = iri(vocab.RDF_NIL)
 
+# Grammar states: what the current token is read as. The first four each
+# yield a term: an object, a collection item, a statement's subject, or the
+# blank node that a ']' closes.
+_OBJECT, _ITEM, _SUBJECT, _CLOSE, _AFTER_OBJECT, _VERB, _DOT = range(7)
+
 
 def _unescape_local(local: str) -> str:
     """Drop the backslash of each '\\' escape in a local name or label."""
@@ -119,50 +140,42 @@ def _unescape_local(local: str) -> str:
 
 
 class _Parser:
-    """Recursive descent over a streaming tokenizer.
+    """One findall for the token lexemes, then one grammar loop over them.
 
-    The current token is ``kind``, ``value`` and ``start``, its offset into
-    the text. A punctuation token is its own kind. A prefixed name's value is
-    its lexeme, resolved when it is used. A lexical error is raised when its
-    token becomes current, and line and column are worked out only when a
-    diagnostic is raised.
+    A token is an index into ``tokens``; its kind follows from its lexeme.
+    A token is decoded only when the grammar reaches it, so a syntax error
+    wins over a bad escape further on. Offsets are not kept: a diagnostic
+    scans the text again up to its token.
     """
 
     def __init__(self, text: str, base: Optional[str]):
         self.text = text
-        self.match = _token_re(text.isascii()).match
-        self.pos = 0
+        self.segment_re = _segment_re(_token_re(text.isascii()))
+        self.tokens: List[str] = self.segment_re.findall(text)
         self.graph = Graph(base=base)
-        self.triples = self.graph.triples
         self.base = base
         self.scope = new_scope()
         self.labelled: Dict[str, BlankNode] = {}
-        # Resolved names: prefixed-name lexemes under the current prefixes,
-        # IRI references under the current base.
-        self.pnames: Dict[str, Iri] = {}
-        self.irirefs: Dict[str, Iri] = {}
+        # Resolved names by lexeme: prefixed names under the current prefixes,
+        # IRI references under the current base. A directive clears it.
+        self.terms: Dict[str, Iri] = {}
         self.anon_count = 0
-        self.depth = 0
-        self.kind = ""
-        self.value: object = None
-        self.start = 0
-        self._advance()
 
     # -- tokens ------------------------------------------------------------
 
-    def _error(self, message: str, offset: Optional[int] = None):
-        """Raise a diagnostic at ``offset``, by default the current token's."""
-        if offset is None:
-            offset = self.start
+    def _error(self, message: str, i: int, delta: int = 0):
+        """Raise a diagnostic ``delta`` code points into token ``i``."""
+        text = self.text
+        offset = next(itertools.islice(self.segment_re.finditer(text), i, None)).start(1) + delta
         # Columns count code points, so a '\r' before the offset is a column.
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        line = self.text.count("\n", 0, line_start) + 1
+        line_start = text.rfind("\n", 0, offset) + 1
+        line = text.count("\n", 0, line_start) + 1
         raise TurtleParseError([ParseDiagnostic(line, offset - line_start + 1, message)])
 
-    def _unescape(self, body: str, offset: int, table: Dict[str, str]) -> str:
-        """Decode the escapes of a body that starts at ``offset``: ``\\u``
-        and ``\\U`` everywhere, other characters through ``table``. IRI
-        references pass an empty table."""
+    def _unescape(self, body: str, i: int, delta: int, table: Dict[str, str]) -> str:
+        """Decode the escapes of a body that starts ``delta`` into token ``i``:
+        ``\\u`` and ``\\U`` everywhere, other characters through ``table``.
+        IRI references pass an empty table."""
         if "\\" not in body:
             return body
 
@@ -170,276 +183,246 @@ class _Parser:
             esc = m.group(1)
             if len(esc) > 1:
                 if int(esc[1:], 16) > 0x10FFFF:
-                    self._error(f"escape \\{esc} is beyond U+10FFFF", offset + m.start())
+                    self._error(f"escape \\{esc} is beyond U+10FFFF", i, delta + m.start())
                 return chr(int(esc[1:], 16))
             if esc in ("u", "U"):
-                self._error(f"bad \\{esc} escape", offset + m.end())
+                self._error(f"bad \\{esc} escape", i, delta + m.end())
             if esc not in table:
                 where = "" if table else " in IRI reference"
-                self._error(f"unknown escape \\{esc}{where}", offset + m.start() + 1)
+                self._error(f"unknown escape \\{esc}{where}", i, delta + m.start() + 1)
             return table[esc]
 
         return _ESCAPE_RE.sub(decode, body)
 
-    def _advance(self) -> None:
-        """Make the next token current."""
-        text = self.text
-        m = self.match(text, self.pos)
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        self.start = start
-        self.pos = end
-        if kind == "pname":
-            self.kind = kind
-            self.value = text[start:end]
-        elif kind == "punct":
-            self.kind = self.value = text[start:end]
-        elif kind == "name":
-            lexeme = self.value = text[start:end]
-            self.kind = "boolean" if lexeme == "true" or lexeme == "false" else "word"
-        elif kind == "iri":
-            self.kind = "iriref"
-            self.value = text[start + 1:end - 1]
-        elif kind == "string":
-            self.kind = kind
-            self.value = text[start + 1:end - 1]
-        else:
-            self._advance_rare(kind, start, end)
+    def _body(self, i: int, opening: str, close: str, table: Dict[str, str]) -> str:
+        """The decoded body of IRI or string token ``i``, whose ``close`` may be missing."""
+        tok = self.tokens[i]
+        end = len(tok) - len(close)
+        closed = end >= len(opening) and tok.endswith(close)
+        if closed and "\\" not in tok:
+            return tok[len(opening):end]
+        # A closing character that an odd run of backslashes escapes is body.
+        closed = closed and (end - len(tok[:end].rstrip("\\"))) % 2 == 0
+        value = self._unescape(tok[len(opening):end if closed else None], i, len(opening), table)
+        if not closed:
+            if close != ">":
+                self._error("unterminated literal", i)
+            end = next(itertools.islice(self.segment_re.finditer(self.text), i, None)).end(1)
+            if end == len(self.text):
+                self._error("unterminated IRI reference", i)
+            self._error(f"character {self.text[end]!r} not allowed inside IRI reference", i, len(tok))
+        return value
 
-    def _advance_rare(self, kind: str, start: int, end: int) -> None:
-        text = self.text
-        lexeme = text[start:end]
-        if kind == "iriref":
-            value = self._unescape(lexeme[1:], start + 1, {})
-            if end == len(text):
-                self._error("unterminated IRI reference", start)
-            if text[end] != ">":
-                self._error(f"character {text[end]!r} not allowed inside IRI reference", end)
-            self.pos = end + 1
-            self.kind, self.value = "iriref", value
-        elif kind in ("long_string", "short_string"):
-            quote = lexeme[0] * (3 if kind == "long_string" else 1)
-            value = self._unescape(lexeme[len(quote):], start + len(quote), _ESCAPES)
-            if not text.startswith(quote, end):
-                self._error("unterminated literal", start)
-            self.pos = end + len(quote)
-            self.kind, self.value = "string", value
-        elif kind in _NUMBER_TYPES:
-            self.kind, self.value = "number", (lexeme, _NUMBER_TYPES[kind])
-        elif kind == "at":
-            if lexeme == "@":
-                self._error("bad @ directive or language tag", start)
-            if lexeme in ("@prefix", "@base"):
-                self.kind, self.value = "word", lexeme
-            else:
-                self.kind, self.value = "lang", lexeme[1:]
-        elif kind == "bnode_label":
-            label = _unescape_local(lexeme[2:])
+    def _token(self, i: int) -> Tuple[str, object]:
+        """Token i's kind and value, as the grammar reads them; a lexical error in it raises here."""
+        tok = self.tokens[i]
+        c = tok[:1]
+        if c == '"' or c == "'":
+            quote = c * 3 if tok.startswith(c * 3) else c
+            return "string", self._body(i, quote, quote, _ESCAPES)
+        if c == "<" and tok != "<<":
+            return "iriref", self._body(i, "<", ">", {})
+        if not tok:
+            return "eof", None
+        if tok in _PUNCT:
+            return tok, tok
+        if ":" in tok and c != "_":
+            return "pname", tok
+        if c.isdecimal() or c in "+-." and len(tok) > 1:
+            return "number", (tok, vocab.XSD_DOUBLE if "e" in tok or "E" in tok
+                              else vocab.XSD_DECIMAL if "." in tok else vocab.XSD_INTEGER)
+        if "A" <= c <= "Z" or "a" <= c <= "z" or "\u00c0" <= c <= "\uffff":
+            return ("boolean" if tok == "true" or tok == "false" else "word"), tok
+        if c == "@":
+            if tok == "@":
+                self._error("bad @ directive or language tag", i)
+            return ("word", tok) if tok == "@prefix" or tok == "@base" else ("lang", tok[1:])
+        if tok.startswith("_:"):
+            label = _unescape_local(tok[2:])
             if not label:
-                self._error("empty blank node label", start)
-            self.kind, self.value = "bnode_label", label
-        elif kind == "eof":
-            self.kind, self.value = "eof", None
-        elif kind == "quoted":
-            self._error("quoted triples are not supported", start)
-        elif kind == "trig":
-            self._error("TriG graph blocks are not supported", start)
-        else:
-            self._error(f"unexpected character {lexeme!r}", start)
+                self._error("empty blank node label", i)
+            return "bnode_label", label
+        if c == "<":
+            self._error("quoted triples are not supported", i)
+        if c == "{" or c == "}":
+            self._error("TriG graph blocks are not supported", i)
+        self._error(f"unexpected character {tok!r}", i)
 
-    def _describe(self) -> str:
-        if self.kind == "eof":
+    @staticmethod
+    def _describe(kind: str, value: object) -> str:
+        if kind == "eof":
             return "end of input"
-        if self.kind == "pname":
-            label, local = self.value.split(":", 1)
+        if kind == "pname":
+            label, local = value.split(":", 1)
             return repr((label, _unescape_local(local)))
-        return repr(self.value)
+        return repr(value)
 
-    def _expect(self, punct: str) -> None:
-        if self.kind != punct:
-            self._error(f"expected {punct!r}, found {self._describe()}")
-        self._advance()
+    def _expected(self, punct: str, i: int) -> None:
+        kind, value = self._token(i)
+        self._error(f"expected {punct!r}, found {self._describe(kind, value)}", i)
 
-    def _open(self, opener: str) -> None:
-        """Consume '[' or '(', keeping the parser's recursion within MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            self._error(f"more than {MAX_NESTING} nested '[' or '('")
-        self._expect(opener)
-        self.depth += 1
-
-    def _iri(self) -> Iri:
-        """Resolve the current 'iriref' or 'pname' token and move past it."""
-        kind, value, start = self.kind, self.value, self.start
-        self._advance()
-        resolved = self.pnames if kind == "pname" else self.irirefs
-        term = resolved.get(value)
+    def _resolve(self, i: int) -> Iri:
+        """The IRI that pname or IRI reference token ``i`` names."""
+        tok = self.tokens[i]
+        term = self.terms.get(tok)
         if term is None:
+            kind, value = self._token(i)
             name = _unescape_local(value) if kind == "pname" else f"<{value}>"
             try:
                 term = iri_resolve(self.graph.prefixes, name, self.base)
             except (UnknownPrefixError, MissingBaseError) as exc:
-                self._error(str(exc), start)
-            resolved[value] = term
+                self._token(i + 1)  # the next token is read first, and so is its lexical error
+                self._error(str(exc), i)
+            self.terms[tok] = term
         return term
 
     # -- grammar -----------------------------------------------------------
+
+    def parse(self) -> Graph:
+        tokens, terms, add = self.tokens, self.terms, self.graph.triples.add
+        # Each open '[' or '(' saves the state, subject, predicate and
+        # collection items it interrupts.
+        stack: List[tuple] = []
+        state, subject, predicate, items = _SUBJECT, None, None, None
+        i = 0
+        while True:
+            tok = tokens[i]
+            if state <= _CLOSE:
+                if state == _CLOSE:
+                    if tok != "]":
+                        self._expected("]", i)
+                    i += 1
+                    term = subject
+                    state, subject, predicate, items = stack.pop()
+                elif (term := terms.get(tok)) is not None:
+                    i += 1
+                elif tok == "[" or tok == "(":
+                    if len(stack) == MAX_NESTING:
+                        self._error(f"more than {MAX_NESTING} nested '[' or '('", i)
+                    stack.append((state, subject, predicate, items))
+                    i += 1
+                    if tok == "[":
+                        subject = self._fresh_bnode()
+                        state = _CLOSE if tokens[i] == "]" else _VERB
+                    else:
+                        items, state = [], _ITEM
+                    continue
+                elif tok == ")" and state == _ITEM:
+                    i += 1
+                    term = self._collection(items)
+                    state, subject, predicate, items = stack.pop()
+                elif state == _SUBJECT and not tok:
+                    return self.graph
+                elif state == _SUBJECT and (tok == "@prefix" or tok == "@base" or tok.lower() in ("prefix", "base")):
+                    i = self._directive(i)
+                    continue
+                else:
+                    term, i = self._term(i, state)
+                if state == _OBJECT:
+                    add(new_triple(subject, predicate, term))
+                    state = _AFTER_OBJECT
+                elif state == _ITEM:
+                    items.append(term)
+                else:
+                    subject = term
+                    # '[ ... ] .' is a statement of its own.
+                    state = _DOT if tok == "]" and tokens[i] == "." else _VERB
+            elif state == _AFTER_OBJECT:
+                if tok == ",":
+                    i += 1
+                    state = _OBJECT
+                    continue
+                if tok == ";":
+                    i += 1
+                    while tokens[i] == ";":
+                        i += 1
+                    # A trailing ';' before '.' or ']' is legal.
+                    if tokens[i] != "." and tokens[i] != "]":
+                        state = _VERB
+                        continue
+                state = _CLOSE if stack else _DOT
+            elif state == _VERB:
+                predicate = terms.get(tok) or (_RDF_TYPE if tok == "a" else self._term(i, _VERB)[0])
+                i += 1
+                state = _OBJECT
+            else:  # _DOT
+                if tok != ".":
+                    self._expected(".", i)
+                i += 1
+                state = _SUBJECT
+
+    def _directive(self, i: int) -> int:
+        """Read the PREFIX or BASE directive at token ``i``, in either spelling; return the index after it."""
+        word = self.tokens[i]
+        kind, value = self._token(i + 1)
+        if word.lower().endswith("prefix"):
+            if kind != "pname":
+                self._error("expected prefix label ending in ':'", i + 1)
+            label, local = value.split(":", 1)
+            if _unescape_local(local):
+                self._error("prefix label must end with ':'", i + 1)
+            i += 1
+            if self._token(i + 1)[0] != "iriref":
+                self._error("expected namespace IRI", i + 1)
+            self.graph.bind(label, self._resolve(i + 1).value)
+        elif kind != "iriref":
+            self._error("expected base IRI", i + 1)
+        else:
+            self.base = self.graph.base = self._resolve(i + 1).value
+        self.terms.clear()
+        i += 2
+        if word[0] == "@":
+            if self.tokens[i] != ".":
+                self._expected(".", i)
+            i += 1
+        return i
+
+    def _term(self, i: int, state: int) -> Tuple[Term, int]:
+        """The term at token ``i`` in subject, verb, object or item position, and the index after it."""
+        kind, value = self._token(i)
+        if kind == "pname" or kind == "iriref":
+            return self._resolve(i), i + 1
+        if state == _VERB:
+            self._error(f"expected predicate, found {self._describe(kind, value)}", i)
+        if kind == "bnode_label":
+            node = self.labelled.get(value)
+            if node is None:
+                node = self.labelled[value] = BlankNode(value, self.scope)
+            return node, i + 1
+        if state != _SUBJECT:
+            if kind == "string":
+                return self._literal(value, i + 1)
+            if kind == "number":
+                return Literal(value[0], datatype=value[1]), i + 1
+            if kind == "boolean":
+                return Literal(value, datatype=vocab.XSD_BOOLEAN), i + 1
+            if kind == "eof" and state == _ITEM:
+                self._error("unterminated collection", i)
+        self._error(f"expected subject, found {self._describe(kind, value)}", i)
+
+    def _literal(self, lexical: str, i: int) -> Tuple[Literal, int]:
+        """A string literal whose language tag or datatype, if it has one, starts at token ``i``."""
+        tok = self.tokens[i]
+        if tok[:1] == "@":
+            kind, value = self._token(i)
+            if kind == "lang":
+                return Literal(lexical, language=value), i + 1
+        elif tok == "^^":
+            if self.tokens[i + 1] not in self.terms and self._token(i + 1)[0] not in ("iriref", "pname"):
+                self._error("expected datatype IRI after '^^'", i + 1)
+            return Literal(lexical, datatype=self._resolve(i + 1).value), i + 2
+        return Literal(lexical, datatype=vocab.XSD_STRING), i
 
     def _fresh_bnode(self) -> BlankNode:
         node = BlankNode(f"b{self.anon_count}", self.scope)
         self.anon_count += 1
         return node
 
-    def _labelled_bnode(self, label: str) -> BlankNode:
-        node = self.labelled.get(label)
-        if node is None:
-            node = BlankNode(label, self.scope)
-            self.labelled[label] = node
-        return node
-
-    def parse(self) -> Graph:
-        while self.kind != "eof":
-            if self.kind == "word":
-                word = self.value
-                if word == "@prefix" or word.lower() == "prefix":
-                    self._directive_prefix(sparql=not word.startswith("@"))
-                    continue
-                if word == "@base" or word.lower() == "base":
-                    self._directive_base(sparql=not word.startswith("@"))
-                    continue
-            self._triples()
-            self._expect(".")
-        return self.graph
-
-    def _directive_prefix(self, sparql: bool) -> None:
-        self._advance()
-        if self.kind != "pname":
-            self._error("expected prefix label ending in ':'")
-        label, local = self.value.split(":", 1)
-        if _unescape_local(local):
-            self._error("prefix label must end with ':'")
-        self._advance()
-        if self.kind != "iriref":
-            self._error("expected namespace IRI")
-        self.graph.bind(label, self._iri().value)
-        self.pnames.clear()
-        if not sparql:
-            self._expect(".")
-
-    def _directive_base(self, sparql: bool) -> None:
-        self._advance()
-        if self.kind != "iriref":
-            self._error("expected base IRI")
-        self.base = self._iri().value
-        self.graph.base = self.base
-        self.irirefs.clear()
-        if not sparql:
-            self._expect(".")
-
-    def _triples(self) -> None:
-        if self.kind == "[":
-            subject = self._bnode_property_list()
-            if self.kind == ".":
-                return  # bare [ ... ] . statement
-            self._predicate_object_list(subject)
-            return
-        subject = self._subject()
-        self._predicate_object_list(subject)
-
-    def _subject(self) -> Term:
-        kind = self.kind
-        if kind == "pname" or kind == "iriref":
-            return self._iri()
-        if kind == "bnode_label":
-            label = self.value
-            self._advance()
-            return self._labelled_bnode(label)
-        if kind == "(":
-            return self._collection()
-        self._error(f"expected subject, found {self._describe()}")
-
-    def _verb(self) -> Iri:
-        kind = self.kind
-        if kind == "pname" or kind == "iriref":
-            return self._iri()
-        if kind == "word" and self.value == "a":
-            self._advance()
-            return _RDF_TYPE
-        self._error(f"expected predicate, found {self._describe()}")
-
-    def _predicate_object_list(self, subject: Term) -> None:
-        while True:
-            predicate = self._verb()
-            self._object_list(subject, predicate)
-            if self.kind != ";":
-                return
-            self._advance()
-            # Trailing ';' before '.' or ']' is legal.
-            while self.kind == ";":
-                self._advance()
-            if self.kind == "." or self.kind == "]":
-                return
-
-    def _object_list(self, subject: Term, predicate: Iri) -> None:
-        add = self.triples.add
-        while True:
-            add(new_triple(subject, predicate, self._object()))
-            if self.kind != ",":
-                return
-            self._advance()
-
-    def _object(self) -> Term:
-        kind = self.kind
-        if kind == "pname" or kind == "iriref":
-            return self._iri()
-        if kind == "[":
-            return self._bnode_property_list()
-        if kind == "string":
-            return self._string_literal()
-        if kind == "number":
-            lexical, datatype = self.value
-            self._advance()
-            return Literal(lexical, datatype=datatype)
-        if kind == "boolean":
-            lexical = self.value
-            self._advance()
-            return Literal(lexical, datatype=vocab.XSD_BOOLEAN)
-        return self._subject()
-
-    def _string_literal(self) -> Literal:
-        lexical = self.value
-        self._advance()
-        if self.kind == "lang":
-            lang = self.value
-            self._advance()
-            return Literal(lexical, language=lang)
-        if self.kind == "^^":
-            self._advance()
-            if self.kind != "iriref" and self.kind != "pname":
-                self._error("expected datatype IRI after '^^'")
-            return Literal(lexical, datatype=self._iri().value)
-        return Literal(lexical, datatype=vocab.XSD_STRING)
-
-    def _bnode_property_list(self) -> BlankNode:
-        self._open("[")
-        node = self._fresh_bnode()
-        if self.kind != "]":
-            self._predicate_object_list(node)
-        self._expect("]")
-        self.depth -= 1
-        return node
-
-    def _collection(self) -> Term:
-        self._open("(")
-        items: List[Term] = []
-        while self.kind != ")":
-            if self.kind == "eof":
-                self._error("unterminated collection")
-            items.append(self._object())
-        self._advance()
-        self.depth -= 1
+    def _collection(self, items: List[Term]) -> Term:
+        """The head of a collection of ``items``; its cells come after them."""
         if not items:
             return _RDF_NIL
-        add, cells = self.triples.add, [self._fresh_bnode() for _ in items]
+        add, cells = self.graph.triples.add, [self._fresh_bnode() for _ in items]
         for cell, item, rest in zip(cells, items, [*cells[1:], _RDF_NIL]):
             add(new_triple(cell, _RDF_FIRST, item))
             add(new_triple(cell, _RDF_REST, rest))

@@ -109,15 +109,28 @@ def test_blank_nodes_and_literals_keep_their_value_semantics(term, twin, other, 
     assert repr(term) == text
     with pytest.raises(TypeError):
         term < twin  # noqa: B015 -- unordered, as before
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(term, dataclasses.fields(term)[0].name, "x")
+    for name in type(term).__match_args__:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(term, name, "x")
+    assert fields == tuple(getattr(term, name) for name in type(term).__match_args__)
     # Copies and pickles rebuild the object, so the hash follows this process's
     # string hashing and the pickle carries no hash.
     for clone in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
         assert clone == term and hash(clone) == hash(term) and repr(clone) == text
     assert b"_hash" not in pickle.dumps(term)
-    assert type(term).__match_args__ == tuple(f.name for f in dataclasses.fields(term) if f.init)
+    assert type(term).__match_args__ == (("node_id", "scope") if isinstance(term, BlankNode)
+                                         else ("lexical", "datatype", "language"))
+    assert term.__reduce__() == (type(term), fields) and not hasattr(term, "__dict__")
 
+
+def test_blank_nodes_and_literals_destructure_by_their_fields():
+    match Literal("1", datatype=vocab.XSD_INTEGER), BlankNode("b0", 3):
+        case Literal(lexical, datatype, None), BlankNode(node_id, scope):
+            assert (lexical, datatype, node_id, scope) == ("1", vocab.XSD_INTEGER, "b0", 3)
+        case _:
+            pytest.fail("terms did not destructure")
+    with pytest.raises(RdfError, match="literal cannot carry both a datatype and a language tag"):
+        Literal("x", datatype=vocab.XSD_STRING, language="en")
 
 def test_blank_node_and_literal_hash_once():
     class Text(str):
