@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from operator import and_, attrgetter, or_
+from operator import and_, attrgetter, is_, or_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import vocab
@@ -28,6 +28,7 @@ from .owl import (
     Complement,
     DisjointUnionOf,
     Intersection,
+    NamedClass,
     NamedProperty,
     OntologyModel,
     PropertyAtom,
@@ -38,7 +39,7 @@ from .owl import (
     add_subexpressions,
     add_uses,
 )
-from .rdf import Literal
+from .rdf import Literal, iri
 
 
 PropKey = Tuple[str, bool]  # (property IRI, inverted?)
@@ -142,9 +143,12 @@ def _structure_keys(universe: Iterable[ClassExpression]) -> Dict[ClassExpression
 class TBoxIndex:
     """Schema-level closure shared by every materialization over the same models.
     Expressions have dense ids in text order, property keys in name order, and
-    bit j of a ``_reach`` mask is set when id j is above; supers decode on request."""
+    bit j of a ``_reach`` mask is set when id j is above; supers decode on request.
+    Every class and property that a closure over exactly these models meets has
+    an id: the models' declared classes are in the universe too."""
 
     def __init__(self, models: Sequence[OntologyModel]):
+        self.models = tuple(models)
         self.universe: Set[ClassExpression] = {THING}
         self.edges: Dict[ClassExpression, Set[ClassExpression]] = {}
         self.disjoint_pairs: Tuple[Tuple[ClassExpression, ClassExpression], ...] = ()
@@ -176,11 +180,10 @@ class TBoxIndex:
         # subexpressions make up the universe.
         used: Set[ClassExpression] = set()
         props: Set[PropertyExpression] = set()
-        # Each model's class and property assertions, kept for every closure.
-        self._assertions: List[Tuple[OntologyModel, List[Axiom]]] = []
+        # The models' class and property assertions, in order, for every closure.
+        self.assertions: List[Axiom] = []
         for model in models:
-            kept: List[Axiom] = []
-            self._assertions.append((model, kept))
+            used.update(NamedClass(iri(c)) for c in model.declared_classes)
             add_uses(model.axioms, used, props, set())
             add_uses(model.rules, used, props, set())
             for ax in model.axioms:
@@ -220,7 +223,7 @@ class TBoxIndex:
                                          for i, pe in enumerate(args[0])),
                                    (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
                 elif kind in ("class-assertion", "property-assertion"):
-                    kept.append(ax)
+                    self.assertions.append(ax)
             for rule in model.rules:
                 comment = next((value.lexical for pred, value in rule.annotations
                                 if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
@@ -391,10 +394,7 @@ class TBoxIndex:
         pair's facts that it entails, as bits on the same keys; the classes, with
         their supers, that a and b gain as domains and ranges of those facts; and
         the keys of the entailed facts that rules read, in ``prop_plan`` order.
-        A ``literal`` object takes no flipped step and gains no class; a key
-        outside the index is a property with no axioms."""
-        if key >= len(self._prop_reach):
-            return 1 << key, 0, 0, ()
+        A ``literal`` object takes no flipped step and gains no class."""
         step = self._steps.get(key << 1 | literal)
         if step is None:
             names, ids, reach = self._prop_names, self._prop_ids, self._prop_reach[key]
@@ -413,10 +413,6 @@ class TBoxIndex:
             step = self._steps[key << 1 | literal] = (reach, sides[0], 0 if literal else sides[1], read)
         return step
 
-    def assertions(self, models: Sequence[OntologyModel]) -> Iterator[Axiom]:
-        """The class and property assertions of ``models``, in order; the models
-        this index was built from are not rescanned."""
-        for model in models:
-            kept = next((axioms for known, axioms in self._assertions if known is model), None)
-            yield from kept if kept is not None else (
-                ax for ax in model.axioms if ax.kind in ("class-assertion", "property-assertion"))
+    def built_from(self, models: Sequence[OntologyModel]) -> bool:
+        """Whether this index was built from exactly ``models``: the same objects, in order."""
+        return len(models) == len(self.models) and all(map(is_, models, self.models))

@@ -148,9 +148,6 @@ class ClosedKB:
         self.derived_count = 0
         self._masks: Dict[Term, int] = {}
         self._pairs: Dict[Tuple[Term, Term], int] = {}
-        # The index's classes, masks and property keys, and after them any
-        # class or property outside it.
-        self._extra: Dict[ClassExpression, int] = {}
         self._order, self._reach = tbox._order, tbox._reach
         self._pids, self._pnames = tbox._prop_ids, tbox._prop_names
         # Bursts, in derivation order: (individual, class id, the first fact's
@@ -163,17 +160,6 @@ class ClosedKB:
         # the bursts of each individual asked about.
         self._replayed: Tuple[int, Dict[FactKey, Trace]] = (0, {})
         self._by_key: Tuple[int, Dict[object, List[Tuple]]] = (0, {})
-
-    def _id(self, ce: ClassExpression) -> Optional[int]:
-        i = self.tbox._ids.get(ce)
-        return self._extra.get(ce) if i is None else i
-
-    def _pkey(self, name: str) -> int:
-        k = self._pids.get(name)
-        if k is None:
-            k = 2 * len(self._pnames)
-            self._pids, self._pnames = {**self._pids, name: k}, [*self._pnames, name]
-        return k
 
     def _pair(self, k: int, s: Term, o: Term) -> Tuple[Term, Term, int, int]:
         """The pair (a, b) that holds facts between ``s`` and ``o``, the key of
@@ -290,7 +276,7 @@ class ClosedKB:
             if not self.has_class(fact[1], fact[2]):
                 return None
             x = key = fact[1]
-            bit = self._id(fact[2])
+            bit = self.tbox._ids[fact[2]]
         elif self.has_prop(*fact[1:]):
             x, b, bit, _ = self._pair(self._pids[fact[1]], fact[2], fact[3])
             key = (x, b)
@@ -307,7 +293,7 @@ class ClosedKB:
                     for f, trace in self._replay(burst) if f == fact)
 
     def has_class(self, individual: Term, ce: ClassExpression) -> bool:
-        i = self._id(ce)
+        i = self.tbox._ids.get(ce)
         return i is not None and self._masks.get(individual, 0) >> i & 1 == 1
 
     def has_prop(self, prop_iri: str, s: Term, o: Term) -> bool:
@@ -343,36 +329,21 @@ class _Engine(ClosedKB):
         self.waiting = list(tbox.body_sizes)  # each rule's body predicates that have no fact yet
         self.marks: Dict[int, List[int]] = {}  # each rule's body fact counts at its last turn
 
-    def _record(self, fact: FactKey, trace: Optional[Trace] = None) -> None:
-        """Count, trace and index one new fact, and wake the rules that read it
-        once each of their body predicates has a fact. A fact without a trace
-        is one that ``add_class`` or ``add_prop`` has counted and logged in its
-        burst, and that a rule reads or, for a class, that may need a witness."""
-        if trace is not None:
-            self.derived_count += 1
-            if self.derived_count > self.fact_cap:
-                raise _cap_exceeded(self.fact_cap)
+    def _record(self, fact: FactKey) -> None:
+        """Index one new fact that ``add_class`` or ``add_prop`` has counted and
+        logged in its burst, and that a rule reads or, for a class, that may
+        need a witness; wake the rules that read it once each of their body
+        predicates has a fact."""
         # Only the facts that some rule reads go into the join indexes.
         readers = self.tbox.readers.get(fact[2] if fact[0] == "class" else fact[1])
         if fact[0] == "class":
             _, x, ce = fact
-            if trace is not None:
-                i = self._id(ce)
-                if i is None:
-                    i = self._extra[ce] = len(self._order)
-                    self._order, self._reach = [*self._order, ce], [*self._reach, 1 << i]
-                self._bursts.append((x, i, trace, -1))
-                self._masks[x] = self._masks.get(x, 0) | 1 << i
             if isinstance(ce, SomeValuesFrom):
                 self.fresh.append(fact)
             if readers:
                 (facts := self.members_of.setdefault(ce, [])).append(x)
         else:
             _, name, s, o = fact
-            if trace is not None:
-                a, b, k, held = self._pair(self._pkey(name), s, o)
-                self._pairs[a, b] = held | 1 << k | (a == b) << (k ^ 1)
-                self._bursts.append((a, b, k, trace, -1, -1, -1))
             if readers:
                 facts = self.pairs_of.setdefault(name, [])
                 self.links.setdefault((name, False, s), []).append(len(facts))
@@ -397,12 +368,7 @@ class _Engine(ClosedKB):
         if isinstance(x, Literal):
             return False
         tbox = self.tbox
-        i = tbox._ids.get(ce)
-        if i is None:  # a class outside the index has no superclasses and no readers
-            if self.has_class(x, ce):
-                return False
-            self._record(class_fact(x, ce), Trace(rule, premises, detail))
-            return True
+        i = tbox._ids[ce]
         before = self._masks.get(x, 0)
         if before >> i & 1:
             return False
@@ -430,7 +396,7 @@ class _Engine(ClosedKB):
         # nothing, as a rule head's does not.
         if s.__class__ is Literal:
             return False
-        a, b, k, held = self._pair(self._pkey(name), s, o)
+        a, b, k, held = self._pair(self._pids[name], s, o)
         if held >> k & 1:
             return False
         tbox, masks, loop = self.tbox, self._masks, a == b
@@ -596,16 +562,19 @@ class _Engine(ClosedKB):
                 index += 1
 
 
-def _close(models: Sequence[OntologyModel], tbox: TBoxIndex, skolem_depth: int,
-           fact_cap: int) -> ClosedKB:
-    """Load the models' assertions and run the engine to fixpoint."""
+def _close(tbox: TBoxIndex, skolem_depth: int, fact_cap: int,
+           probe: Optional[ClassExpression] = None) -> ClosedKB:
+    """Load the assertions of the models that ``tbox`` was built from, then
+    ``_PROBE`` into ``probe`` if one is given, and run the engine to fixpoint."""
     engine = _Engine(tbox, skolem_depth, fact_cap)
-    for ax in tbox.assertions(models):
+    for ax in tbox.assertions:
         if ax.kind == "class-assertion":
             engine.add_class(ax.args[0], ax.args[1], "asserted", ())
         else:
             (name, inverted), s, o = _prop_key(ax.args[0]), ax.args[1], ax.args[2]
             engine.add_prop(name, *((o, s) if inverted else (s, o)), "asserted", ())
+    if probe is not None:
+        engine.add_class(_PROBE, probe, "asserted", ())
     engine.run()
     return engine
 
@@ -615,20 +584,21 @@ def materialize(models: Sequence[OntologyModel], abox: Optional[Graph] = None, *
                 tbox: Optional[TBoxIndex] = None) -> ClosedKB:
     """Compute the closure of the models plus (optional) instance graph.
 
-    ``tbox`` may be passed to reuse a precomputed schema index across many
-    materializations over the same models (satisfiability probing does this).
+    A ``tbox`` is reused when it was built from exactly the closure's models,
+    the same objects in the same order (the instance graph's model is a new
+    one, so never with ``abox``); otherwise a new index is built.
     """
     all_models = list(models)
     if abox is not None:
         all_models.append(extract_axioms(abox, source_label="instances"))
-    if tbox is None:
+    if tbox is None or not tbox.built_from(all_models):
         tbox = TBoxIndex(all_models)
-    return _close(all_models, tbox, skolem_depth, fact_cap)
+    return _close(tbox, skolem_depth, fact_cap)
 
 
 def check_clash(kb: ClosedKB) -> List[Clash]:
     """All contradictions present in a completed closure (collect-all)."""
-    patterns, nothing = list(kb.tbox.clash_patterns), kb._id(NOTHING)
+    patterns, nothing = list(kb.tbox.clash_patterns), kb.tbox._ids.get(NOTHING)
     if nothing is not None:
         patterns.append(("nothing-membership", (NOTHING,), 1 << nothing))
     # Each mask is tested against each pattern; the sort fixes the order.
@@ -646,16 +616,14 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
                       tbox: Optional[TBoxIndex] = None) -> bool:
     """Probe satisfiability: assert a fresh individual into ``ce`` and look for clashes.
 
-    The probe and its skolem descendants live only in this closure and are
-    discarded afterwards.
+    A ``tbox`` built from exactly ``models`` whose universe holds ``ce`` is
+    reused; otherwise the index is built from ``models`` and a model that
+    asserts the probe, which brings ``ce`` into it. The probe and its skolem
+    descendants live only in this closure and are discarded afterwards.
     """
-    seed = OntologyModel(axioms=[Axiom("class-assertion", (_PROBE, ce))], source_label="probe-seed")
-    probed = list(models) + [seed]
-    # A named class outside the universe has no axioms: no edges, rules or
-    # disjointness, so its closure is the same without it in the index.
-    if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
-        tbox = TBoxIndex(probed)
-    return not check_clash(_close(probed, tbox, skolem_depth, fact_cap))
+    if tbox is None or not tbox.built_from(models) or ce not in tbox.universe:
+        tbox = TBoxIndex([*models, OntologyModel(axioms=[Axiom("class-assertion", (_PROBE, ce))])])
+    return not check_clash(_close(tbox, skolem_depth, fact_cap, ce))
 
 
 def entailed_taxonomy(models: Sequence[OntologyModel],

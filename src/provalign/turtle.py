@@ -98,10 +98,9 @@ _TOKEN_KINDS = (
     ("other", r"[\s\S]"),
 )
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
-_TOKEN_SOURCE = _SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_KINDS) + ")"
-# The parser's twin of it: the same alternatives in one unnamed group, so that
-# one findall returns every token's lexeme. A permissive body also takes its
-# terminator when one follows, so a terminated token stays one lexeme.
+# The segmenter: the alternatives in one unnamed group, so that one findall
+# returns every token's lexeme. A permissive body also takes its terminator
+# when one follows, so a terminated token stays one lexeme.
 _TERMINATORS = {"iriref": ">?", "long_string": "(?:\"\"\"|''')?", "short_string": "[\"']?"}
 _SEGMENT_SOURCE = _SKIP + "(" + "|".join(f"(?:{pattern}){_TERMINATORS.get(kind, '')}"
                                          for kind, pattern in _TOKEN_KINDS) + ")"
@@ -115,10 +114,9 @@ def _compile(source: str, ascii: bool) -> "re.Pattern[str]":
     return re.compile(source.replace("\u00c0-\uffff", ""), re.ASCII) if ascii else re.compile(source)
 
 
-# _token_re(ascii) is the lexer's pattern, each kind by name; the parser asks it
-# which twin a document needs and cuts the document with that twin's segmenter.
-_token_re = functools.cache(lambda ascii: _compile(_TOKEN_SOURCE, ascii))
-_segment_re = functools.cache(lambda token_re: _compile(_SEGMENT_SOURCE, token_re.flags & re.ASCII))
+# _segment_re(text.isascii()) cuts a document: one pattern per flag, compiled
+# when the first document that needs it arrives.
+_segment_re = functools.cache(lambda ascii: _compile(_SEGMENT_SOURCE, ascii))
 _PUNCT = frozenset(".;,[]()") | {"^^"}
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[\s\S]?)")
 _LOCAL_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
@@ -150,11 +148,13 @@ class _Parser:
 
     def __init__(self, text: str, base: Optional[str]):
         self.text = text
-        self.segment_re = _segment_re(_token_re(text.isascii()))
+        self.segment_re = _segment_re(text.isascii())
         self.tokens: List[str] = self.segment_re.findall(text)
         self.graph = Graph(base=base)
         self.base = base
-        self.scope = new_scope()
+        # Labelled blank nodes keep their text in one scope; anonymous ones,
+        # named b0, b1, ..., take a second, so no label can name one of them.
+        self.scope, self.anon_scope = new_scope(), new_scope()
         self.labelled: Dict[str, BlankNode] = {}
         # Resolved names by lexeme: prefixed names under the current prefixes,
         # IRI references under the current base. A directive clears it.
@@ -414,7 +414,7 @@ class _Parser:
         return Literal(lexical, datatype=vocab.XSD_STRING), i
 
     def _fresh_bnode(self) -> BlankNode:
-        node = BlankNode(f"b{self.anon_count}", self.scope)
+        node = BlankNode(f"b{self.anon_count}", self.anon_scope)
         self.anon_count += 1
         return node
 

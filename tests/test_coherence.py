@@ -42,14 +42,12 @@ HEADER = """
 EX = "http://example.org/tree#"
 
 
-def engine_probe(models, ce, fact_cap=1_000_000, tbox=None):
-    """The engine's closure of a probe into ``ce``, as ``class_satisfiable`` runs
-    it: satisfiable, or the fact-cap message."""
-    probed = list(models) + [OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), ce))])]
-    if tbox is None or (ce not in tbox.universe and not isinstance(ce, NamedClass)):
-        tbox = TBoxIndex(probed)
+def engine_probe(models, ce, fact_cap=1_000_000):
+    """The engine's closure of a probe into ``ce`` on an index of the models and
+    a seed model that asserts it: satisfiable, or the fact-cap message."""
+    seed = OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), ce))])
     try:
-        return not check_clash(_close(probed, tbox, 3, fact_cap))
+        return not check_clash(_close(TBoxIndex([*models, seed]), 3, fact_cap))
     except FactCapExceededError as exc:
         return str(exc)
 
@@ -57,12 +55,9 @@ def engine_probe(models, ce, fact_cap=1_000_000, tbox=None):
 def probe_every_class(models, fact_cap=1_000_000):
     """(unsatisfiable, undetermined, probed) with one engine probe per named class."""
     classes = sorted(merged_signature(models)["classes"])
-    seed = OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"),
-                                                           NamedClass(iri(c)))) for c in classes])
-    tbox = TBoxIndex(list(models) + [seed])
     unsat, undetermined = [], []
     for c in classes:
-        verdict = engine_probe(models, NamedClass(iri(c)), fact_cap, tbox)
+        verdict = engine_probe(models, NamedClass(iri(c)), fact_cap)
         if isinstance(verdict, str):
             undetermined.append((c, verdict))
         elif not verdict:
@@ -110,6 +105,21 @@ def assert_same_as_probing_every_class(models, fact_cap=1_000_000):
 @pytest.mark.parametrize("fact_cap", [1_000_000, 25, 6])
 def test_pruned_coherence_matches_probing_every_class_on_fixtures(names, fact_cap):
     assert_same_as_probing_every_class([load_model(name) for name in names], fact_cap)
+
+
+@pytest.mark.parametrize("source", ["prov-mini.ttl", "prov-tiny.ttl"])
+@pytest.mark.parametrize("alignment", ["align-paper.ttl", "align-counterexample.ttl", "align-plan-incoherent.ttl"])
+def test_coherence_builds_one_index_for_every_probe(monkeypatch, source, alignment):
+    """Every probed class has an id in the index of the stack, so no probe
+    builds an index of its own. Under align-plan-incoherent.ttl, prov-tiny.ttl
+    declares classes that no axiom uses."""
+    models = [load_model(name) for name in (source, "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", alignment)]
+    used = TBoxIndex([OntologyModel(axioms=m.axioms, rules=m.rules) for m in models]).universe
+    declared_only = merged_signature(models)["classes"] - {ce.iri.value for ce in used if isinstance(ce, NamedClass)}
+    assert bool(declared_only) == ((source, alignment) == ("prov-tiny.ttl", "align-plan-incoherent.ttl"))
+    built, init = [], TBoxIndex.__init__
+    monkeypatch.setattr(TBoxIndex, "__init__", lambda tbox, models: built.append(models) or init(tbox, models))
+    assert check_coherence(models).probed and len(built) == 1
 
 
 def test_pruned_coherence_on_tree_finds_planted_clashes_with_fewer_probes(monkeypatch):
@@ -178,7 +188,7 @@ def test_mask_decided_probes_match_the_engine(axioms, rules, assertions, fact_ca
             verdict = class_satisfiable(models, ce, fact_cap=fact_cap, tbox=tbox)
         except FactCapExceededError as exc:
             verdict = str(exc)
-        assert verdict == engine_probe(models, ce, fact_cap, tbox), ce.text
+        assert verdict == engine_probe(models, ce, fact_cap), ce.text
 
 
 def traces_digest(kbs):
@@ -209,8 +219,7 @@ def test_rules_take_turns_only_when_each_body_atom_has_facts(monkeypatch, stack,
         models = [tree_model()]
         tbox = TBoxIndex(models)
         for c in sorted(merged_signature(models)["classes"]):
-            seed = OntologyModel(axioms=[Axiom("class-assertion", (Iri("urn:probe:individual"), NamedClass(iri(c))))])
-            kbs.append(_close(models + [seed], tbox, 3, 1_000_000))
+            kbs.append(_close(tbox, 3, 1_000_000, NamedClass(iri(c))))
     else:
         names = ["prov-mini.ttl", "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", "align-paper.ttl", "instances/example4.ttl"]
         kbs.append(reasoner.materialize([load_model(name) for name in names]))

@@ -1,7 +1,8 @@
-"""The load path: the Turtle lexer's two token patterns, and extraction that
+"""The load path: the Turtle segmenter's ASCII and wide patterns, and extraction that
 decides plain triples per predicate, against the per-triple extractor it
 replaced."""
 
+import functools
 import re
 from collections import Counter
 from pathlib import Path
@@ -230,28 +231,29 @@ def test_a_pure_abox_is_decided_per_predicate(monkeypatch, perfbench_requests):
 # ---------------------------------------------------------------------------
 
 def _tokens(pattern, text):
-    """The (kind, span) of each token of ``text``, each matched where the last ended."""
-    tokens, pos = [], 0
-    while True:
+    """The segmenter's lexemes of ``text`` from one findall, and each token's
+    span from a match where the last one ended."""
+    lexemes, spans, pos = pattern.findall(text), [], 0
+    for _ in lexemes:
         m = pattern.match(text, pos)
-        tokens.append((m.lastgroup, m.span(m.lastgroup)))
-        if m.lastgroup == "eof":
-            return tokens
+        spans.append(m.span(1))
         pos = m.end()
+    assert [text[start:end] for start, end in spans] == lexemes and spans[-1] == (len(text), len(text))
+    return lexemes, spans
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + INSTANCE_NAMES)
 def test_ascii_and_wide_patterns_tokenize_fixtures_alike(name):
     text = fixture_text(name)
     assert text.isascii()
-    assert _tokens(turtle._token_re(True), text) == _tokens(turtle._token_re(False), text)
+    assert _tokens(turtle._segment_re(True), text) == _tokens(turtle._segment_re(False), text)
 
 
 def test_ascii_and_wide_patterns_tokenize_perfbench_inputs_alike(perfbench_requests):
     for path in _input_files(perfbench_requests):
         text = Path(path).read_text(encoding="utf-8")
         assert text.isascii()
-        assert _tokens(turtle._token_re(True), text) == _tokens(turtle._token_re(False), text), path
+        assert _tokens(turtle._segment_re(True), text) == _tokens(turtle._segment_re(False), text), path
 
 
 _TURTLE_PIECES = ["@prefix", "@base", "PREFIX", "a", "true", "ex:", ":", "ex:a.b", "ex:a.", "_:b1", "<", ">",
@@ -264,20 +266,25 @@ _TURTLE_PIECES = ["@prefix", "@base", "PREFIX", "a", "true", "ex:", ":", "ex:a.b
 @given(st.lists(st.sampled_from(_TURTLE_PIECES) | st.text(st.characters(max_codepoint=127), max_size=3),
                 max_size=30).map("".join))
 def test_ascii_and_wide_patterns_match_alike_at_every_offset(text):
-    ascii_re, wide_re = turtle._token_re(True), turtle._token_re(False)
+    ascii_re, wide_re = turtle._segment_re(True), turtle._segment_re(False)
     for pos in range(len(text) + 1):
-        a, w = ascii_re.match(text, pos), wide_re.match(text, pos)
-        assert (a.lastgroup, a.span(a.lastgroup)) == (w.lastgroup, w.span(w.lastgroup))
+        assert ascii_re.match(text, pos).span(1) == wide_re.match(text, pos).span(1)
+    assert ascii_re.findall(text) == wide_re.findall(text)
 
 
-def test_a_fixture_with_a_non_ascii_name_parses_through_the_wide_pattern(monkeypatch):
+def _non_ascii_document():
     text = fixture_text("prov-mini.ttl")
     wide = re.sub(r"prov:Entity\b", "prov:Entité", text)
     assert wide != text and not wide.isascii()
+    return text, wide
+
+
+def test_a_fixture_with_a_non_ascii_name_parses_through_the_wide_pattern(monkeypatch):
+    text, wide = _non_ascii_document()
     # The ASCII pattern would cut the name short.
-    assert _tokens(turtle._token_re(True), wide) != _tokens(turtle._token_re(False), wide)
-    chosen, token_re = [], turtle._token_re
-    monkeypatch.setattr(turtle, "_token_re", lambda ascii: chosen.append(ascii) or token_re(ascii))
+    assert _tokens(turtle._segment_re(True), wide) != _tokens(turtle._segment_re(False), wide)
+    chosen, segment_re = [], turtle._segment_re
+    monkeypatch.setattr(turtle, "_segment_re", lambda ascii: chosen.append(ascii) or segment_re(ascii))
     graph = parse_turtle(wide)
     assert chosen == [False]
     renamed = {iri(PROV + "Entity"): iri(PROV + "Entité")}
@@ -285,3 +292,14 @@ def test_a_fixture_with_a_non_ascii_name_parses_through_the_wide_pattern(monkeyp
     for t in parse_turtle(text).triples:
         expected.add(Triple(renamed.get(t.subject, t.subject), t.predicate, renamed.get(t.object, t.object)))
     assert graph_isomorphic(graph, expected)
+
+
+def test_a_first_non_ascii_parse_compiles_one_wide_pattern(monkeypatch):
+    _, wide = _non_ascii_document()
+    compiled, compile_ = [], re.compile
+    monkeypatch.setattr(re, "compile", lambda source, flags=0: compiled.append((source, flags)) or compile_(source, flags))
+    # As in a new process: no segmenter compiled yet.
+    monkeypatch.setattr(turtle, "_segment_re", functools.cache(turtle._segment_re.__wrapped__))
+    parse_turtle(wide)
+    parse_turtle(wide)
+    assert compiled == [(turtle._SEGMENT_SOURCE, 0)]

@@ -2,6 +2,7 @@
 grammar loop with an explicit stack, against the recursive parser they
 replaced; and checks that the passes stay flat."""
 
+import functools
 import re
 import sys
 from pathlib import Path
@@ -41,6 +42,9 @@ from provalign.turtle import (
 )
 
 _NUMBER_TYPES = {"double": vocab.XSD_DOUBLE, "decimal": vocab.XSD_DECIMAL, "integer": vocab.XSD_INTEGER}
+# The streaming tokenizer's pattern: the token kinds, each in a named group.
+_NAMED_SOURCE = turtle._SKIP + "(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in turtle._TOKEN_KINDS) + ")"
+_named_re = functools.cache(lambda ascii: turtle._compile(_NAMED_SOURCE, ascii))
 
 
 class ReferenceParser:
@@ -56,12 +60,12 @@ class ReferenceParser:
 
     def __init__(self, text: str, base: Optional[str]):
         self.text = text
-        self.match = turtle._token_re(text.isascii()).match
+        self.match = _named_re(text.isascii()).match
         self.pos = 0
         self.graph = turtle.Graph(base=base)
         self.triples = self.graph.triples
         self.base = base
-        self.scope = new_scope()
+        self.scope, self.anon_scope = new_scope(), new_scope()
         self.labelled: Dict[str, BlankNode] = {}
         # Resolved names: prefixed-name lexemes under the current prefixes,
         # IRI references under the current base.
@@ -211,7 +215,7 @@ class ReferenceParser:
     # -- grammar -----------------------------------------------------------
 
     def _fresh_bnode(self) -> BlankNode:
-        node = BlankNode(f"b{self.anon_count}", self.scope)
+        node = BlankNode(f"b{self.anon_count}", self.anon_scope)
         self.anon_count += 1
         return node
 
@@ -396,20 +400,22 @@ class _RecordingGraph(Graph):
         self.triples = _OrderedTriples()
 
 
-def _label(term):
-    return ("_", term.node_id) if term.__class__ is BlankNode else term
-
-
 def _outcome(parser, text, base=None):
-    """The triples in the order they were added, blank nodes by label, with the
-    prefixes and base; or the diagnostic's message, line and column."""
+    """The triples in the order they were added, blank nodes by label and by the
+    rank of their scope in that order, with the prefixes and base; or the
+    diagnostic's message, line and column."""
     with mock.patch.object(turtle, "Graph", _RecordingGraph):
         try:
             graph = parser(text, base).parse()
         except TurtleParseError as exc:
             (diagnostic,) = exc.diagnostics
             return diagnostic.message, diagnostic.line, diagnostic.column
-    return ([(_label(t.subject), t.predicate, _label(t.object)) for t in graph.triples.order],
+    scopes = {}
+
+    def label(term):
+        return ("_", term.node_id, scopes.setdefault(term.scope, len(scopes))) if term.__class__ is BlankNode else term
+
+    return ([(label(t.subject), t.predicate, label(t.object)) for t in graph.triples.order],
             graph.prefixes, graph.base)
 
 
@@ -462,6 +468,18 @@ EX = "@prefix ex: <http://example.org/> .\n"
 def test_edge_documents_parse_as_the_recursive_parser_parses_them(text):
     _same_outcome(text)
     _same_outcome(text, "http://example.org/doc/")
+
+
+@pytest.mark.parametrize("text, nodes", [
+    (EX + "_:b0 ex:p [] .", 2), (EX + "_:b0 ex:q ( ex:a ) .", 2), (EX + "[] ex:p _:b0 .", 2),
+    (EX + "_:b0 ex:p _:b0 , [ ex:q _:b0 ] .", 2), (EX + "_:b0 ex:p _:b0 .", 1),
+])
+def test_a_label_never_names_an_anonymous_node(text, nodes):
+    """Anonymous nodes and collection cells, named b0, b1, ..., are not the
+    labelled node of the same name; a label names one node throughout."""
+    graph = parse_turtle(text)
+    found = {term for t in graph.triples for term in (t.subject, t.object) if isinstance(term, BlankNode)}
+    assert len(found) == nodes and {node.node_id for node in found} == {"b0"}
 
 
 _SUBJECTS = ["ex:a", "ex:b.c", ":c", "ex2:d", "ex:Entité", "ex:x\\-y", "ex:%41", "<http://example.org/i>",
@@ -550,9 +568,8 @@ def test_parsing_runs_the_token_pattern_once_per_document(monkeypatch, perfbench
                 calls.append(name)
             return attr
 
-    token_re, segment_re = turtle._token_re, turtle._segment_re
-    monkeypatch.setattr(turtle, "_token_re", lambda ascii: Counting(token_re(ascii)))
-    monkeypatch.setattr(turtle, "_segment_re", lambda counting: Counting(segment_re(counting.wrapped)))
+    segment_re = turtle._segment_re
+    monkeypatch.setattr(turtle, "_segment_re", lambda ascii: Counting(segment_re(ascii)))
     (path,) = [p for p in perfbench_requests[1]["prov-trace"][0]["files"] if p.endswith("trace0.ttl")]
     graph = parse_turtle(Path(path).read_text(encoding="utf-8"))
     assert len(graph) > 3000 and calls == ["findall"]

@@ -478,7 +478,25 @@ def test_fig11_trace_cites_domain_then_equivalence(prov, bfo, align_model):
 class RecursiveEngine(reasoner._Engine):
     """The engine with recursive fact propagation, as a reference order. After
     everything else, a fact that arrives from outside propagation leads to its
-    property's supers through an inverse, in name order."""
+    property's supers through an inverse, in name order. Each fact is a burst
+    of its own, logged with masks of -1, so that it replays as that fact alone."""
+
+    def _log(self, fact, trace):
+        """Count one new fact, set its bit, log it alone and index it as the engine does."""
+        self.derived_count += 1
+        if self.derived_count > self.fact_cap:
+            raise reasoner._cap_exceeded(self.fact_cap)
+        if fact[0] == "class":
+            _, x, ce = fact
+            i = self.tbox._ids[ce]
+            self._masks[x] = self._masks.get(x, 0) | 1 << i
+            self._bursts.append((x, i, trace, -1))
+        else:
+            _, name, s, o = fact
+            a, b, k, held = self._pair(self._pids[name], s, o)
+            self._pairs[a, b] = held | 1 << k | (a == b) << (k ^ 1)
+            self._bursts.append((a, b, k, trace, -1, -1, -1))
+        self._record(fact)
 
     def add_class(self, x, ce, rule, premises, detail=""):
         if isinstance(x, Literal):
@@ -486,7 +504,7 @@ class RecursiveEngine(reasoner._Engine):
         members = self.memberships.setdefault(x, set())
         if ce in members:
             return False
-        self._record(class_fact(x, ce), reasoner.Trace(rule, premises, detail))
+        self._log(class_fact(x, ce), reasoner.Trace(rule, premises, detail))
         for sup in self.tbox.supers(ce):
             if sup not in members:
                 self.add_class(x, sup, "subsumption", (class_fact(x, ce),),
@@ -496,7 +514,7 @@ class RecursiveEngine(reasoner._Engine):
     def add_prop(self, name, s, o, rule, premises, detail="", outside=True):
         if isinstance(s, Literal) or prop_fact(name, s, o) in self.traces:
             return False
-        self._record(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
+        self._log(prop_fact(name, s, o), reasoner.Trace(rule, premises, detail))
         premise = (prop_fact(name, s, o),)
         for sup in self.tbox.named_prop_supers(name):
             self.add_prop(sup, s, o, "subproperty", premise, f"{name} is below {sup}", False)
@@ -1200,9 +1218,9 @@ def test_only_facts_that_rules_read_or_witness_are_recorded_one_by_one(prov, bfo
     pair's mask; every other fact goes through ``_record`` on its own."""
     record, calls = reasoner._Engine._record, []
 
-    def counted(engine, fact, trace=None):
+    def counted(engine, fact):
         calls.append(fact)
-        return record(engine, fact, trace)
+        return record(engine, fact)
 
     with mock.patch.object(reasoner._Engine, "_record", counted):
         kb = materialize([prov, bfo, cco, ro, align_model, load_model("instances/fig9.ttl")])
@@ -1249,18 +1267,15 @@ _PAIR_SCHEMA = st.one_of(
     _PROPERTY_SCHEMA,
     st.builds(lambda links, sup: Axiom("property-chain", (tuple(links), sup)),
               st.lists(_PES, min_size=2, max_size=2), _PES))
-# ex:q has no axioms, so it has no edges; with the index over the schema
-# alone, it is outside the index too.
+# ex:q has no axioms, so it has no edges.
 _PAIR_ABOX = st.one_of(
     _PROPERTY_ABOX,
     st.builds(lambda s, o: Axiom("property-assertion", (NamedProperty(iri(EX + "q")), s, o)),
               st.sampled_from(_PLAN_INDIVIDUALS), st.sampled_from(_PLAN_INDIVIDUALS + _PLAN_LITERALS)))
 
 
-def _pair_outcome(models, fact_cap, schema_index):
-    """``_closure_outcome`` with the property index and each has_prop answer;
-    with ``schema_index``, the closure runs on an index of the first model."""
-    tbox = TBoxIndex(models[:1]) if schema_index else None
+def _pair_outcome(models, fact_cap, tbox=None):
+    """``_closure_outcome`` with the property index and each has_prop answer."""
     try:
         kb = materialize(models, skolem_depth=2, fact_cap=fact_cap, tbox=tbox)
     except FactCapExceededError as exc:
@@ -1274,7 +1289,7 @@ def _pair_outcome(models, fact_cap, schema_index):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_PAIR_SCHEMA, max_size=8), st.lists(_PAIR_RULES, max_size=2),
-       st.lists(_PAIR_ABOX, min_size=1, max_size=6), st.sampled_from([1_000_000, 40, 12, 3]), st.booleans())
+       st.lists(_PAIR_ABOX, min_size=1, max_size=6), st.sampled_from([1_000_000, 40, 12, 3]))
 # A rule that reads class A, which both sides of ex:p0's pair gain: the
 # object first, through the range of ex:p1 above ex:p0, then the subject.
 @example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])),
@@ -1286,29 +1301,45 @@ def _pair_outcome(models, fact_cap, schema_index):
          [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1])),
           Axiom("property-assertion", (_PROPS[3], _PLAN_INDIVIDUALS[1], _PLAN_INDIVIDUALS[2])),
           Axiom("property-assertion", (_PROPS[3], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[2]))],
-         1_000_000, False)
+         1_000_000)
 # The walk from ex:p0 meets ex:p3(o, s) through ex:p1's inverse before
 # ex:p3(s, o), and a rule reads ex:p3.
 @example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])), Axiom("inverse-properties", (_PROPS[1], _PROPS[2])),
           Axiom("sub-property-of", (_PROPS[2], _PROPS[3])), Axiom("sub-property-of", (_PROPS[0], _PROPS[3]))],
          [SwrlRule((PropertyAtom(_PROPS[3], "x", "y"),), (ClassAtom(_PAIR_CLASSES[0], "x"),))],
          [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1]))],
-         1_000_000, False)
+         1_000_000)
 # On a loop ex:p1(a, a) is met twice, below ex:p0 and through ex:p2's inverse.
 @example([Axiom("sub-property-of", (_PROPS[0], _PROPS[1])), Axiom("sub-property-of", (_PROPS[0], _PROPS[2])),
           Axiom("inverse-properties", (_PROPS[2], _PROPS[1]))],
          [SwrlRule((PropertyAtom(_PROPS[1], "x", "y"),), (ClassAtom(_PAIR_CLASSES[0], "y"),))],
          [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[0]))],
-         1_000_000, False)
+         1_000_000)
 # A self-inverse loop below a property that a rule reads through its inverse.
 @example([Axiom("inverse-properties", (_PROPS[0], _PROPS[0])), Axiom("sub-property-of", (_PROPS[0], _PROPS[1])),
           Axiom("property-domain", (InverseProperty(_PROPS[1]), _PAIR_CLASSES[0]))],
          [SwrlRule((PropertyAtom(InverseProperty(_PROPS[1]), "x", "y"),), (PropertyAtom(_PROPS[2], "y", "x"),))],
          [Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[0])),
           Axiom("property-assertion", (_PROPS[0], _PLAN_INDIVIDUALS[0], _PLAN_INDIVIDUALS[1]))],
-         1_000_000, True)
-def test_pair_masks_match_recursive_propagation(schema, rules, abox, fact_cap, schema_index):
+         1_000_000)
+def test_pair_masks_match_recursive_propagation(schema, rules, abox, fact_cap):
     models = [OntologyModel(axioms=schema, rules=rules), OntologyModel(axioms=abox)]
     with mock.patch.object(reasoner, "_Engine", RecursiveEngine):
-        reference = _pair_outcome(models, fact_cap, schema_index)
-    assert _pair_outcome(models, fact_cap, schema_index) == reference
+        reference = _pair_outcome(models, fact_cap)
+    assert _pair_outcome(models, fact_cap) == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PAIR_SCHEMA, max_size=8), st.lists(_PAIR_RULES, max_size=2),
+       st.lists(_PAIR_ABOX, min_size=1, max_size=6), st.sampled_from([1_000_000, 12]))
+def test_an_index_of_other_models_is_not_reused(schema, rules, abox, fact_cap):
+    """An index built from the schema alone lacks the assertions' individuals,
+    classes and properties, so ``materialize`` builds its own; one built from
+    exactly the closure's models is reused."""
+    models = [OntologyModel(axioms=schema, rules=rules), OntologyModel(axioms=abox)]
+    expected = _pair_outcome(models, fact_cap)
+    assert _pair_outcome(models, fact_cap, TBoxIndex(models[:1])) == expected
+    assert _pair_outcome(models, fact_cap, TBoxIndex(models)) == expected
+    tbox = TBoxIndex(models)
+    assert materialize(models, tbox=tbox).tbox is tbox
+    assert materialize(list(reversed(models)), tbox=tbox).tbox is not tbox

@@ -183,7 +183,7 @@ def reference_subexpressions(ce: ClassExpression):
 
 
 def reference_universe(model: OntologyModel) -> Set[ClassExpression]:
-    seen: List[ClassExpression] = [THING]
+    seen: List[ClassExpression] = [THING, *(NamedClass(iri(c)) for c in model.declared_classes)]
     for ax in model.axioms:
         kind, args = ax.kind, ax.args
         if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
