@@ -267,17 +267,17 @@ def _fact_text(fact) -> str:
 
 
 def trace_tree_dict(kb: ClosedKB, fact) -> dict:
-    node = explain(kb, fact)
+    return _tree_dict(explain(kb, fact))
 
-    def walk(n) -> dict:
-        return {
-            "fact": _fact_text(n.fact),
-            "rule": n.rule,
-            "detail": n.detail,
-            "premises": [walk(child) for child in n.children],
-        }
 
-    return walk(node)
+def _tree_dict(n) -> dict:
+    # Not a nested function: one that calls itself is a cycle the CLI's paused collector keeps.
+    return {
+        "fact": _fact_text(n.fact),
+        "rule": n.rule,
+        "detail": n.detail,
+        "premises": [_tree_dict(child) for child in n.children],
+    }
 
 
 def clash_finding(kb: ClosedKB, clash: Clash) -> dict:

@@ -9,9 +9,11 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+import threading
 from functools import cache, cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -326,6 +328,10 @@ _DOC_COMMANDS = {
 }
 
 
+_PAUSE = threading.Lock()  # guards _paused: [runs in the pause, collector on before the first]
+_paused = [0, False]
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
@@ -333,6 +339,13 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     inputs = _Inputs(args)
+    # A run's graph, index and closure are long-lived and acyclic: collector
+    # passes would only rescan them, and reference counting frees them.
+    with _PAUSE:
+        if not _paused[0]:
+            _paused[1] = gc.isenabled()
+            gc.disable()
+        _paused[0] += 1
     try:
         if args.subcommand == "export-sssom":
             return _run_export_sssom(inputs)
@@ -349,6 +362,11 @@ def run(argv: Sequence[str]) -> int:
         print(f"provalign: error: internal error: {type(exc).__name__}: {message}",
               file=sys.stderr)
         return 2
+    finally:
+        with _PAUSE:
+            _paused[0] -= 1
+            if not _paused[0] and _paused[1]:
+                gc.enable()
 
 
 def main() -> None:

@@ -463,7 +463,9 @@ def serialize_turtle(graph: Graph) -> str:
     """
     namespaces = sorted(graph.prefixes.items(), key=lambda kv: (kv[1], kv[0]))
 
-    def compress(value: str) -> Optional[str]:
+    @functools.cache  # within this call: an IRI recurs on many triples
+    def iri_text(value: str) -> str:
+        """The IRI as a prefixed name where a prefix fits it, else as ``<value>``."""
         best: Optional[Tuple[str, str]] = None
         for label, ns in namespaces:
             if value.startswith(ns):
@@ -472,17 +474,13 @@ def serialize_turtle(graph: Graph) -> str:
                     continue
                 if best is None or len(ns) > len(graph.prefixes[best[0]]):
                     best = (label, local)
-        if best is None:
-            return None
-        label, local = best
-        return f"{label}:{local}"
+        return f"<{value}>" if best is None else f"{best[0]}:{best[1]}"
 
     bnode_names: Dict[BlankNode, str] = {}
 
     def render(term: Term) -> str:
         if isinstance(term, Iri):
-            short = compress(term.value)
-            return short if short is not None else f"<{term.value}>"
+            return iri_text(term.value)
         if isinstance(term, BlankNode):
             name = bnode_names.get(term)
             if name is None:
@@ -501,9 +499,7 @@ def serialize_turtle(graph: Graph) -> str:
             return lex
         if dt is None or dt == vocab.XSD_STRING:
             return f'"{lex.translate(_STRING_ESCAPES)}"'
-        dt_short = compress(dt)
-        dt_text = dt_short if dt_short is not None else f"<{dt}>"
-        return f'"{lex.translate(_STRING_ESCAPES)}"^^{dt_text}'
+        return f'"{lex.translate(_STRING_ESCAPES)}"^^{iri_text(dt)}'
 
     lines: List[str] = []
     for label, ns in sorted(graph.prefixes.items()):
