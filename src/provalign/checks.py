@@ -12,6 +12,8 @@ disjointness is counted but is not a violation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .alignment import (
@@ -24,6 +26,7 @@ from .alignment import (
     SWRL_RULE,
     render_side,
 )
+from .index import _bit_ids
 from .owl import (
     Axiom,
     ClassExpression,
@@ -36,12 +39,13 @@ from .owl import (
     render_class_expression,
     signature,
 )
-from .rdf import BlankNode, Iri, Term, iri
+from .rdf import Iri, Term, iri
 from .reasoner import (
     Clash,
     ClosedKB,
     FactCapExceededError,
     TBoxIndex,
+    _mutual,
     class_satisfiable,
     check_clash,
     entailed_taxonomy,
@@ -126,11 +130,8 @@ def check_totality(source: OntologyModel, others: Sequence[OntologyModel],
     declarations but does not add source terms.
     """
     sig = signature(source, alignment.source_namespaces)
-    categories: Dict[str, str] = {}
-    for c in sig["classes"]:
-        categories[c] = "class"
-    for p in sig["object_properties"]:
-        categories[p] = "object-property"
+    categories = {**dict.fromkeys(sig["classes"], "class"),
+                  **dict.fromkeys(sig["object_properties"], "object-property")}
     terms = set(categories)
     credit: Dict[str, CreditEntry] = {}
 
@@ -155,31 +156,28 @@ def check_totality(source: OntologyModel, others: Sequence[OntologyModel],
         for name in _top_level_names(m.subject):
             credit_term(name, CreditEntry(kind, render_side(m.object), m.predicate))
 
-    align_model = alignment_axiom_model(alignment)
-    taxonomy = entailed_taxonomy([source, align_model])
-    inverse_pairs: Dict[str, Set[str]] = {}
-    for model in (source, align_model, *others):
-        for ax in model.axioms:
-            if ax.kind != "inverse-properties":
-                continue
-            a, b = ax.args
-            if isinstance(a, NamedProperty) and isinstance(b, NamedProperty):
-                inverse_pairs.setdefault(a.iri.value, set()).add(b.iri.value)
-                inverse_pairs.setdefault(b.iri.value, set()).add(a.iri.value)
+    taxonomy = entailed_taxonomy([source, alignment_axiom_model(alignment)])
+    inverse_pairs = {name: set(inverses) for name, inverses in taxonomy.tbox.inverse_pairs.items()}
+    for a, b in (ax.args for model in others for ax in model.axioms if ax.kind == "inverse-properties"):
+        if isinstance(a, NamedProperty) and isinstance(b, NamedProperty):
+            inverse_pairs.setdefault(a.iri.value, set()).add(b.iri.value)
+            inverse_pairs.setdefault(b.iri.value, set()).add(a.iri.value)
 
+    credited = taxonomy.mask(credit)  # the credited terms, grown with credit
     changed = True
     while changed:
         changed = False
         for term in sorted(terms - set(credit)):
-            supers = sorted(u for sups in taxonomy.supers(term) for u in sups if u in credit and u in terms)
-            if supers:
-                credit[term] = CreditEntry("via-superterm", supers[0])
-                changed = True
-                continue
-            inverses = sorted(q for q in inverse_pairs.get(term, ()) if q in credit)
-            if inverses:
+            above = min(chain(*taxonomy.decode(taxonomy.above(term, credited))), default=None)
+            if above is not None:
+                credit[term] = CreditEntry("via-superterm", above)
+            else:
+                inverses = sorted(q for q in inverse_pairs.get(term, ()) if q in credit)
+                if not inverses:
+                    continue
                 credit[term] = CreditEntry("via-inverse", inverses[0])
-                changed = True
+            credited = tuple(map(or_, credited, taxonomy.mask((term,))))
+            changed = True
 
     unmapped = sorted((t, categories[t]) for t in terms - set(credit))
     return TotalityReport(unmapped=unmapped, credit_trace=credit,
@@ -252,18 +250,10 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
 # Consistency
 # ---------------------------------------------------------------------------
 
-def _term_text(t: Term) -> str:
-    if isinstance(t, Iri):
-        return t.value
-    if isinstance(t, BlankNode):
-        return f"_:{t.node_id}"
-    return t.lexical
-
-
 def _fact_text(fact) -> str:
     if fact[0] == "class":
-        return f"{_term_text(fact[1])} a {render_class_expression(fact[2])}"
-    return f"{_term_text(fact[2])} {fact[1]} {_term_text(fact[3])}"
+        return f"{render_side(fact[1])} a {render_class_expression(fact[2])}"
+    return f"{render_side(fact[2])} {fact[1]} {render_side(fact[3])}"
 
 
 def trace_tree_dict(kb: ClosedKB, fact) -> dict:
@@ -283,7 +273,7 @@ def _tree_dict(n) -> dict:
 def clash_finding(kb: ClosedKB, clash: Clash) -> dict:
     return {
         "kind": clash.kind,
-        "individual": _term_text(clash.individual),
+        "individual": render_side(clash.individual),
         "participants": [render_class_expression(p) for p in clash.participants],
         "traces": [trace_tree_dict(kb, fact) for fact in clash.trace_facts],
     }
@@ -357,13 +347,14 @@ class ConservativityReport:
 
 
 def _named_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:
-    """Pairs of distinct ``names``, ordered by name, under the two sides of a disjoint pair."""
+    """Pairs of distinct ``names``, ordered by name, under the two sides of a
+    disjoint pair; each name's supers are decoded only at those sides."""
+    sides = sum(1 << i for i in {tbox._ids[ce] for pair in tbox.disjoint_pairs for ce in pair})
     below: Dict[ClassExpression, List[str]] = {}
     for n in names:
-        c = NamedClass(iri(n))
-        if c in tbox.universe:
-            for ce in (c, *tbox.supers(c)):
-                below.setdefault(ce, []).append(n)
+        i = tbox._ids.get(NamedClass(iri(n)))
+        for j in () if i is None else _bit_ids(tbox._reach[i] & sides):
+            below.setdefault(tbox._order[j], []).append(n)
     return {(c, d) if c < d else (d, c) for a, b in tbox.disjoint_pairs
             for c in below.get(a, ()) for d in below.get(b, ()) if c != d}
 
@@ -373,45 +364,40 @@ def check_conservativity(o1: OntologyModel, o2: Sequence[OntologyModel],
     """Approximate deductive difference of the merge against each input.
 
     Reports subsumptions/equivalences between same-signature terms that the
-    merge entails but the input alone does not. Newly entailed disjointness
-    between same-ontology terms is counted informationally only.
+    merge entails but the input alone does not: the merge's pairs minus the
+    input's, and its mutual pairs minus the input's. Newly entailed
+    disjointness between same-ontology terms is counted informationally only.
     """
-    align_model = alignment_axiom_model(alignment)
     o2 = list(o2)
-    tbox_m = TBoxIndex([o1, *o2, align_model])
-    tm = entailed_taxonomy([], tbox=tbox_m)
+    merge = entailed_taxonomy([o1, *o2, alignment_axiom_model(alignment)])
     new_subs: List[Tuple[str, str, str]] = []
     new_equivs: List[Tuple[str, str, str]] = []
     disjoint_note = 0
-
-    sides = [
-        ("o1", [o1]),
-        ("o2", o2),
-    ]
-    for label, side_models in sides:
+    for label, side_models in (("o1", [o1]), ("o2", o2)):
         if not side_models:
             continue
-        tbox_own = TBoxIndex(side_models)
-        own = entailed_taxonomy([], tbox=tbox_own)
+        own = entailed_taxonomy(side_models)
         sig = merged_signature(side_models)
         names = sig["classes"] | sig["object_properties"]
-        subs: Set[Tuple[str, str]] = set()
-        equivs: Set[Tuple[str, str]] = set()
-        for a in names:
-            merged, mine = tm.supers(a), own.supers(a)
-            # Candidates per kind: a pair equivalent in the merge is new when it
-            # is equivalent in the side under neither kind.
-            fresh = [set(merged[k]).difference(mine[k]) for k in (0, 1)]
-            subs.update((a, b) for b in fresh[0].union(fresh[1]).difference(*mine) if b in names)
-            for k in (0, 1):
-                for b in fresh[k].intersection(names):
-                    if a in tm.supers(b)[k] and not any(b in mine[j] and a in own.supers(b)[j] for j in (0, 1)):
-                        equivs.add((a, b) if a < b else (b, a))
+        # The merge holds every axiom of the side and the closure is monotone,
+        # so a name with as many names above it in both has the same ones. A
+        # new pair has an end among the rest (``grown``); a pair without one is
+        # in both or in neither, and a mutual pair with one has its other end
+        # above a grown name in the merge.
+        masks = merge.mask(names), own.mask(names)
+        grown = {a for a in names if sum(map(int.bit_count, merge.above(a, masks[0])))
+                 != sum(map(int.bit_count, own.above(a, masks[1])))}
+        merged = merge.pairs(grown, names)
+        upper = {b for pairs in merged for _, b in pairs}
+        merged = [p | q for p, q in zip(merged, merge.pairs(upper, grown))]
+        mine = [p | q for p, q in zip(own.pairs(grown, names), own.pairs(upper, grown))]
+        equivs = (_mutual(merged[0]) | _mutual(merged[1])) - _mutual(mine[0]) - _mutual(mine[1])
         new_equivs += [(a, b, label) for a, b in sorted(equivs)]
-        equiv_members = {(a, b) for a, b, _ in new_equivs}
-        new_subs += [(a, b, label) for a, b in sorted(subs) if ((a, b) if a < b else (b, a)) not in equiv_members]
+        members = {(a, b) for a, b, _ in new_equivs}
+        new_subs += [(a, b, label) for a, b in sorted((merged[0] | merged[1]) - mine[0] - mine[1])
+                     if ((a, b) if a < b else (b, a)) not in members]
         disjoint_note += len(
-            _named_disjoint_pairs(tbox_m, sig["classes"]) - _named_disjoint_pairs(tbox_own, sig["classes"]))
+            _named_disjoint_pairs(merge.tbox, sig["classes"]) - _named_disjoint_pairs(own.tbox, sig["classes"]))
 
     return ConservativityReport(new_subsumptions=new_subs, new_equivalences=new_equivs,
                                 new_disjointness_count=disjoint_note)

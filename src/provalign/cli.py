@@ -15,7 +15,7 @@ import os
 import sys
 import threading
 from functools import cache, cached_property
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import vocab
 from .alignment import Alignment, NamespaceOverlapError, _group, extract_mappings, export_sssom
@@ -261,12 +261,11 @@ def _cross_pairs(taxonomy: Taxonomy, source_ns: List[str],
     """(predicate IRI, a, b, predicate) for each entailed pair across the two
     namespace groups: equivalent classes, equivalent properties, then the
     sub-class and sub-property pairs that are no equivalence, each sorted."""
-    group = {name: _group(name, source_ns, target_ns) for name in taxonomy.names}
-    subs: List[Set[Tuple[str, str]]] = [set(), set()]  # classes, properties
-    for a in taxonomy.names:
-        if group[a] is not None:
-            for kind, sups in enumerate(taxonomy.supers(a)):
-                subs[kind].update((a, b) for b in sups if group[b] not in (None, group[a]))
+    groups: Dict[Optional[str], Set[str]] = {"source": set(), "target": set(), None: set()}
+    for name in taxonomy.names:
+        groups[_group(name, source_ns, target_ns)].add(name)
+    subs = [p | q for p, q in zip(taxonomy.pairs(groups["source"], groups["target"]),
+                                  taxonomy.pairs(groups["target"], groups["source"]))]  # classes, properties
     equivs = [_mutual(pairs) for pairs in subs]
     out = [(vocab.OWL_EQUIVALENT_CLASS, a, b, "equivalent-class") for a, b in sorted(equivs[0])]
     out += [(vocab.OWL_EQUIVALENT_PROPERTY, a, b, "equivalent-property") for a, b in sorted(equivs[1])]
@@ -281,37 +280,25 @@ def _run_materialize(inp: _Inputs) -> int:
     """Write the alignment plus every entailed cross-namespace mapping as Turtle."""
     args = inp.args
     _require(args, "source", "alignment", "source-ns", "target-ns")
-    models = inp.stack
-    alignment = inp.alignment
+    models, alignment = inp.stack, inp.alignment
     taxonomy = entailed_taxonomy(models)
-
-    asserted: set = set()
-    for m in alignment.mappings:
-        if m.is_simple() and isinstance(m.subject, (NamedClass, NamedProperty)) \
-                and isinstance(m.object, (NamedClass, NamedProperty)):
-            asserted.add((m.predicate, m.subject.iri.value, m.object.iri.value))
+    named = (NamedClass, NamedProperty)
+    asserted = {(m.predicate, m.subject.iri.value, m.object.iri.value) for m in alignment.mappings
+                if m.is_simple() and isinstance(m.subject, named) and isinstance(m.object, named)}
 
     out = Graph(prefixes={"owl": vocab.OWL, "rdfs": vocab.RDFS, "rdf": vocab.RDF})
     scope = new_scope()
-    emitted = 0
-
-    def emit(predicate_iri: str, a: str, b: str, derived: bool) -> None:
-        nonlocal emitted
-        node_id = f"m{emitted}"
-        emitted += 1
-        node = BlankNode(node_id, scope)
+    for k, (predicate_iri, a, b, predicate) in enumerate(_cross_pairs(taxonomy, args.source_ns, args.target_ns)):
+        derived = (predicate, a, b) not in asserted and (
+            predicate not in ("equivalent-class", "equivalent-property")
+            or (predicate, b, a) not in asserted)
+        node = BlankNode(f"m{k}", scope)
         out.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_AXIOM))
         out.add_triple(node, iri(vocab.OWL_ANNOTATED_SOURCE), iri(a))
         out.add_triple(node, iri(vocab.OWL_ANNOTATED_PROPERTY), iri(predicate_iri))
         out.add_triple(node, iri(vocab.OWL_ANNOTATED_TARGET), iri(b))
         comment = "entailed by the asserted alignment" if derived else "asserted mapping"
         out.add_triple(node, iri(vocab.RDFS_COMMENT), Literal(comment))
-
-    for predicate_iri, a, b, predicate in _cross_pairs(taxonomy, args.source_ns, args.target_ns):
-        derived = (predicate, a, b) not in asserted and (
-            predicate not in ("equivalent-class", "equivalent-property")
-            or (predicate, b, a) not in asserted)
-        emit(predicate_iri, a, b, derived)
 
     _write(args, serialize_turtle(out))
     return 0

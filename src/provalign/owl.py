@@ -11,12 +11,12 @@ irrelevant to verification.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import vocab
-from .rdf import BlankNode, Graph, Iri, Literal, Term, Triple, iri, new_scope, term_sort_key, triple_sort_key
+from .rdf import BlankNode, Graph, Iri, Literal, Term, Triple, _Frozen, iri, new_scope, term_sort_key, triple_sort_key
 from .turtle import MAX_NESTING
 
 
@@ -51,11 +51,12 @@ _EXPRESSIONS: Dict[tuple, "_Expression"] = {}
 _REPRS: Dict["_Expression", str] = {}
 
 
-class _Expression:
+class _Expression(_Frozen):
     """A class or property expression. Instances are interned, as ``rdf.Iri``
     is: equal expressions are one object, so equality and hashing are by
     identity, and ``text``, the compact rendering, is built once from the
-    operands' ``text``, as ``repr`` is on first use."""
+    operands' ``text``, as ``repr`` is on first use. Assignment is refused, and
+    copies and pickles rebuild the expression, as for ``rdf`` terms."""
 
     __slots__ = ("text",)
     __match_args__: Tuple[str, ...] = ()
@@ -72,12 +73,6 @@ class _Expression:
             # setdefault keeps one object per expression when two threads race here.
             expr = _EXPRESSIONS.setdefault(key, expr)
         return expr
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
     def __repr__(self) -> str:
         text = _REPRS.get(self)

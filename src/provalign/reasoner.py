@@ -23,7 +23,7 @@ from itertools import chain, compress, islice, repeat
 from operator import eq, is_, itemgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .index import PlanEntry, TBoxIndex, _above, _bit_ids, _prop_key
+from .index import PlanEntry, TBoxIndex, _bit_ids, _prop_key
 from .owl import (
     Atom,
     Axiom,
@@ -100,24 +100,52 @@ def _mutual(pairs: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
 
 
 class Taxonomy:
-    """The entailed named-term hierarchy, a view on one schema index. Reflexive
-    pairs are excluded; the pair sets are computed each time they are read."""
+    """The entailed named-term hierarchy, a view on one schema index: the named
+    classes other than owl:Thing and owl:Nothing, and the named properties.
+    Its one query, ``above``, answers with a mask over class ids and one over
+    property keys, which ``decode`` turns into names. Reflexive pairs are
+    excluded; the pair sets are computed each time they are read."""
 
     def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
         self._class_ids = {ce.iri.value: i for ce, i in tbox._ids.items()
                            if isinstance(ce, NamedClass) and ce not in (THING, NOTHING)}
-        self._named = set(self._class_ids.values())
         self.names = {*self._class_ids, *tbox._prop_names}
+        self._all = self.mask(self.names)
+
+    def mask(self, names: Iterable[str]) -> Tuple[int, int]:
+        """The class ids and property keys of those ``names`` that the taxonomy holds."""
+        classes, props, names = self._class_ids, self.tbox._prop_ids, set(names)
+        return (sum(1 << classes[n] for n in names if n in classes),
+                sum(1 << props[n] for n in names if n in props))
+
+    def above(self, name: str, within: Tuple[int, int]) -> Tuple[int, int]:
+        """The names of mask ``within`` strictly above ``name``, as the same two masks."""
+        i, k = self._class_ids.get(name), self.tbox._prop_ids.get(name)
+        return (0 if i is None else self.tbox._reach[i] & within[0] & ~(1 << i),
+                0 if k is None else self.tbox._prop_reach[k] & within[1] & ~(1 << k))
+
+    def decode(self, masks: Tuple[int, int]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The class names and the property names of two masks from ``above``, each sorted."""
+        order, props = self.tbox._order, self.tbox._prop_names
+        return (tuple([order[j].iri.value for j in _bit_ids(masks[0])]),
+                tuple([props[k >> 1] for k in _bit_ids(masks[1])]))
 
     def supers(self, name: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """The named classes other than owl:Thing and owl:Nothing, and the named
-        properties, strictly above ``name``; each sorted."""
-        order, ids = self.tbox._order, _above(self.tbox._reach, self._class_ids.get(name))
-        return tuple([order[j].iri.value for j in ids if j in self._named]), self.tbox.named_prop_supers(name)
+        """Every name of the taxonomy strictly above ``name``, decoded."""
+        return self.decode(self.above(name, self._all))
 
-    subclass_pairs = property(lambda self: {(a, b) for a in self._class_ids for b in self.supers(a)[0]})
-    subproperty_pairs = property(lambda self: {(a, b) for a in self.tbox._prop_names for b in self.supers(a)[1]})
+    def pairs(self, names: Iterable[str], within: Iterable[str]) -> List[Set[Tuple[str, str]]]:
+        """The class pairs, then the property pairs, (a, b) of each a of ``names``
+        and each b of ``within`` strictly above it."""
+        mask, out = self.mask(within), [set(), set()]  # type: Tuple[int, int], List[Set[Tuple[str, str]]]
+        for a in names:
+            for pairs, sups in zip(out, self.decode(self.above(a, mask))):
+                pairs.update((a, b) for b in sups)
+        return out
+
+    subclass_pairs = property(lambda self: self.pairs(self.names, self.names)[0])
+    subproperty_pairs = property(lambda self: self.pairs(self.names, self.names)[1])
     equivalent_class_pairs = property(lambda self: _mutual(self.subclass_pairs))
     equivalent_property_pairs = property(lambda self: _mutual(self.subproperty_pairs))
 
@@ -626,11 +654,10 @@ def class_satisfiable(models: Sequence[OntologyModel], ce: ClassExpression, *,
     return not check_clash(_close(tbox, skolem_depth, fact_cap, ce))
 
 
-def entailed_taxonomy(models: Sequence[OntologyModel],
-                      tbox: Optional[TBoxIndex] = None) -> Taxonomy:
+def entailed_taxonomy(models: Sequence[OntologyModel]) -> Taxonomy:
     """Named-class and named-property subsumption/equivalence closure, as a
-    view on ``tbox`` or on a new index over ``models``."""
-    return Taxonomy(TBoxIndex(list(models)) if tbox is None else tbox)
+    view on a new index over ``models``."""
+    return Taxonomy(TBoxIndex(list(models)))
 
 
 def explain(kb: ClosedKB, fact: FactKey) -> TraceNode:

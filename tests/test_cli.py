@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import provalign
+import provalign.checks
 import provalign.cli
+import provalign.index
 from provalign import owl, rdf
 from provalign.cli import run
 from provalign.fixtures import fixture_path
@@ -300,25 +302,18 @@ def test_deep_subclass_chain_exits_zero(tmp_path, capsys):
 
 
 
-def _property_chain(tmp_path, depth):
-    """ex:p0 below ex:p1 ... below ex:p<depth>, whose domain and range alone are
-    declared and map onto those of t:q; returns every subcommand's flags."""
-    header = ("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
-              "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
-              "@prefix ex: <http://example.org/src#> .\n"
-              "@prefix t: <http://example.org/tgt#> .\n")
-    files = {
-        "source": header + "".join(f"ex:p{k} a owl:ObjectProperty ; rdfs:subPropertyOf ex:p{k + 1} .\n"
-                                   for k in range(depth))
-        + f"ex:p{depth} a owl:ObjectProperty ; rdfs:domain ex:C ; rdfs:range ex:D .\n",
-        "target": header + "t:q a owl:ObjectProperty ; rdfs:domain t:C ; rdfs:range t:D .\n",
-        "alignment": header + "ex:C owl:equivalentClass t:C .\nex:D owl:equivalentClass t:D .\n",
-        "instances": header + "ex:a ex:p0 ex:b .\n",
-    }
+_CHAIN_HEADER = ("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+                 "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                 "@prefix ex: <http://example.org/src#> .\n"
+                 "@prefix t: <http://example.org/tgt#> .\n")
+
+
+def _chain_flags(tmp_path, files):
+    """Writes each role's Turtle of ``files`` and returns every subcommand's flags."""
     flags = {}
     for role, text in files.items():
         path = tmp_path / f"chain-{role}.ttl"
-        path.write_text(text)
+        path.write_text(_CHAIN_HEADER + text)
         flags[role] = ["--" + role, str(path)]
     common = [*flags["source"], *flags["target"], *flags["alignment"],
               "--source-ns", "http://example.org/src#", "--target-ns", "http://example.org/tgt#"]
@@ -327,6 +322,33 @@ def _property_chain(tmp_path, depth):
             "check-conservativity": common, "check-all": common + flags["instances"],
             "suggest": common + ["--property", "http://example.org/src#p0"],
             "materialize": common, "export-sssom": common, "stats": common}
+
+
+def _property_chain(tmp_path, depth):
+    """ex:p0 below ex:p1 ... below ex:p<depth>, whose domain and range alone are
+    declared and map onto those of t:q; returns every subcommand's flags."""
+    return _chain_flags(tmp_path, {
+        "source": "".join(f"ex:p{k} a owl:ObjectProperty ; rdfs:subPropertyOf ex:p{k + 1} .\n"
+                          for k in range(depth))
+        + f"ex:p{depth} a owl:ObjectProperty ; rdfs:domain ex:C ; rdfs:range ex:D .\n",
+        "target": "t:q a owl:ObjectProperty ; rdfs:domain t:C ; rdfs:range t:D .\n",
+        "alignment": "ex:C owl:equivalentClass t:C .\nex:D owl:equivalentClass t:D .\n",
+        "instances": "ex:a ex:p0 ex:b .\n",
+    })
+
+
+def _class_chain(tmp_path, depth):
+    """ex:C0 below ex:C1 ... below ex:C<depth>, which is disjoint with ex:E; the
+    alignment puts ex:C0 below t:A and t:A below ex:E, so the merge adds one
+    subsumption and makes ex:C0 disjoint with every other chain member; returns
+    every subcommand's flags."""
+    return _chain_flags(tmp_path, {
+        "source": "".join(f"ex:C{k} rdfs:subClassOf ex:C{k + 1} .\n" for k in range(depth))
+        + f"ex:C{depth} owl:disjointWith ex:E .\n",
+        "target": "t:A a owl:Class .\n",
+        "alignment": "ex:C0 rdfs:subClassOf t:A .\nt:A rdfs:subClassOf ex:E .\n",
+        "instances": "ex:a a ex:C1 .\n",
+    })
 
 
 def test_suggest_inherits_through_a_deep_subproperty_chain(tmp_path):
@@ -341,6 +363,40 @@ def test_every_subcommand_survives_a_deep_subproperty_chain(tmp_path, capsys):
     for subcommand, argv in _property_chain(tmp_path, 3000).items():
         assert run([subcommand, *argv, "--out", str(tmp_path / "out")]) in (0, 1), subcommand
         assert "internal error" not in capsys.readouterr().err
+
+
+def test_conservativity_on_a_deep_subclass_chain_with_one_disjointness(tmp_path):
+    doc = run_json(["check-conservativity", *_class_chain(tmp_path, 3000)["check-conservativity"]], tmp_path, 1)
+    src = "http://example.org/src#"
+    assert doc["findings"] == [{"new_subsumption": {"sub": src + "C0", "super": src + "E", "signature": "o1"}}]
+    assert doc["counts"]["new_disjointness_informational"] == 3000
+
+
+def _decoded_ids(monkeypatch, argv):
+    """How many ids the mask decoder returns while ``argv`` runs."""
+    decoded = [0]
+    bit_ids = provalign.index._bit_ids
+
+    def counting(mask):
+        ids = bit_ids(mask)
+        decoded[0] += len(ids)
+        return ids
+
+    with monkeypatch.context() as patch:
+        for module in (provalign.index, provalign.reasoner, provalign.checks):
+            patch.setattr(module, "_bit_ids", counting, raising=False)
+        assert run([*argv, "--out", os.devnull]) in (0, 1)
+    return decoded[0]
+
+
+@pytest.mark.parametrize("chain,subcommand", [
+    (_property_chain, "check-conservativity"), (_property_chain, "check-totality"),
+    (_property_chain, "materialize"), (_class_chain, "check-conservativity")])
+def test_decoded_names_grow_linearly_with_chain_depth(chain, subcommand, tmp_path, monkeypatch):
+    # A check that decodes each chain member's whole hierarchy decodes about
+    # depth squared / 2 names: 4.5 million at 3,000.
+    counts = [_decoded_ids(monkeypatch, [subcommand, *chain(tmp_path, depth)[subcommand]]) for depth in (1500, 3000)]
+    assert counts[1] <= 2 * counts[0] + 16 and counts[1] <= 8 * 3000, counts
 
 
 @pytest.mark.parametrize("subcommand", ["check-all", "check-totality", "check-conservativity",

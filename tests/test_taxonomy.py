@@ -2,7 +2,7 @@
 
 Conservativity and materialize used to compare and filter whole sets of
 entailed (sub, super) pairs. The reference functions below are that pair-set
-code, kept as the oracle for the per-name queries on ``Taxonomy.supers``.
+code, kept as the oracle for the masked queries on ``Taxonomy.above``.
 """
 
 import random
@@ -145,6 +145,21 @@ def test_taxonomy_pairs_match_the_eager_pair_sets():
         actual = (tax.subclass_pairs, tax.equivalent_class_pairs,
                   tax.subproperty_pairs, tax.equivalent_property_pairs)
         assert actual == _reference_taxonomy(models), f"stack {trial}"
+
+
+def test_the_merge_holds_each_sides_pairs():
+    # check_conservativity reads only the names whose count of signature names
+    # above them differs between the merge and a side. Equal counts mean equal
+    # sets only while the merge holds each of the side's pairs, kind by kind:
+    # the closure must stay monotone.
+    for trial, (o1, o2, alignment) in enumerate(_stacks()):
+        merged = _reference_taxonomy([o1, *o2, alignment_axiom_model(alignment)])
+        for side in ([o1], o2):
+            sig = merged_signature(side)
+            names = sig["classes"] | sig["object_properties"]
+            for kind, pairs in enumerate(_reference_taxonomy(side)):
+                own = {(a, b) for a, b in pairs if a in names and b in names}
+                assert own <= merged[kind], f"stack {trial}, kind {kind}"
 
 
 def test_conservativity_matches_the_pair_set_reference():
