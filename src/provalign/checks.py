@@ -218,19 +218,22 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
     """Probe satisfiability of every named class in the merged signature.
 
     Probes run bottom-up: most entailed superclasses first, then by name. A
-    clash-free probe under the fact cap also decides every named superclass
-    satisfiable, as its probe closure is a subset. Pruning never runs
-    downward, so a subclass whose own probe exceeds the cap stays undetermined.
+    clash-free probe under the fact cap also decides every superclass
+    satisfiable, as its probe closure is a subset: the decided classes are one
+    mask over class ids, which each such probe ORs its class's reach mask
+    into. Pruning never runs downward, so a subclass whose own probe exceeds
+    the cap stays undetermined.
     """
     models = list(models)
     seen_classes = sorted(merged_signature(models)["classes"])
     tbox = TBoxIndex(models)
     named = {c: NamedClass(iri(c)) for c in seen_classes}
-    satisfiable: Set[str] = set()
+    satisfiable = 0
     unsat: List[str] = []
     undetermined: List[Tuple[str, str]] = []
     for c in sorted(seen_classes, key=lambda c: (-tbox.super_count(named[c]), c)):
-        if c in satisfiable:
+        i = tbox._ids.get(named[c])
+        if i is not None and satisfiable >> i & 1:
             continue
         try:
             ok = class_satisfiable(models, named[c], skolem_depth=skolem_depth,
@@ -238,10 +241,10 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
         except FactCapExceededError as exc:
             undetermined.append((c, str(exc)))
             continue
-        if ok:
-            satisfiable.update(sup.iri.value for sup in tbox.supers(named[c]) if isinstance(sup, NamedClass))
-        else:
+        if not ok:
             unsat.append(c)
+        elif i is not None:
+            satisfiable |= tbox._reach[i]
     return CoherenceReport(unsatisfiable=sorted(unsat), undetermined=sorted(undetermined),
                            probed=len(seen_classes), unmodeled_count=unmodeled_total(models))
 

@@ -121,9 +121,10 @@ def effective_domain_range(prop: str, models: Sequence[OntologyModel]) -> Tuple[
 def _translations(term: str, source_index: TBoxIndex, alignment: Alignment) -> List[ClassExpression]:
     """Target-side class expressions the source class translates to.
 
-    Uses mappings on the class itself, else on the nearest mapped ancestor in
-    the source hierarchy (an upper approximation, which is the right direction
-    for checking whether a property can accept the translated instances).
+    Uses mappings on the class itself, else the union of the mappings on all
+    its mapped ancestors in the source hierarchy (an upper approximation,
+    which is the right direction for checking whether a property can accept
+    the translated instances).
     """
     by_term: Dict[str, List[ClassExpression]] = {}
     for m in alignment.mappings:

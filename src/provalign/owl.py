@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from . import vocab
 from .rdf import BlankNode, Graph, Iri, Literal, Term, Triple, _Frozen, iri, new_scope, term_sort_key, triple_sort_key
@@ -423,6 +423,8 @@ _REIFIED_KIND = {
     vocab.OWL_PROPERTY_CHAIN: "property-chain",
 }
 
+_T = TypeVar("_T")
+
 # The n-ary class constructors, in the order in which decoding tries them.
 _NARY = {vocab.OWL_INTERSECTION_OF: Intersection, vocab.OWL_UNION_OF: UnionOf,
          vocab.OWL_DISJOINT_UNION_OF: DisjointUnionOf}
@@ -440,6 +442,20 @@ class _Extractor:
 
     def consume(self, s: Term, p: str, o: Term) -> None:
         self.consumed.add(Triple(s, iri(p), o))
+
+    def attempt(self, decode: Callable[..., _T], *args: object) -> Optional[_T]:
+        """``decode(*args)``, or None if it meets a construct outside the
+        fragment; then the triples that it read stay unconsumed, so that all of
+        the dropped statement's triples are unmodeled."""
+        outer, self.consumed = self.consumed, set()
+        try:
+            result = decode(*args)
+            outer |= self.consumed
+            return result
+        except UnsupportedExpressionError:
+            return None
+        finally:
+            self.consumed = outer
 
     def add_axiom(self, axiom: Axiom) -> None:
         key = (axiom.kind, axiom.args)
@@ -585,10 +601,6 @@ class _Extractor:
             self.model.derived_from = tuple(sorted(derived))
             for o in self.graph.objects(subject, vocab.OWL_IMPORTS):
                 self.consume(subject, vocab.OWL_IMPORTS, o)
-            for pred in list(self.graph.spo().get(subject, {})):
-                if pred in _BENIGN_ANNOTATIONS:
-                    for o in self.graph.objects(subject, pred):
-                        self.consume(subject, pred, o)
 
     def _swrl_rules(self) -> None:
         variable_terms = set(self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.SWRL_VARIABLE)))
@@ -676,23 +688,15 @@ class _Extractor:
             target = self.graph.object(node, vocab.OWL_ANNOTATED_TARGET)
             if source is None or prop is None or target is None or not isinstance(prop, Iri):
                 continue  # incomplete reification: leave its triples unmodeled
-            structural = {vocab.RDF_TYPE, vocab.OWL_ANNOTATED_SOURCE,
-                          vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET}
-            try:
-                axiom = self._decode_statement(source, prop.value, target)
-            except UnsupportedExpressionError:
-                continue  # outside the fragment: the node's triples stay unmodeled
+            axiom = self.attempt(self._decode_statement, source, prop.value, target)
             if axiom is None:
-                continue
+                continue  # not an axiom, or outside the fragment: the node's triples stay unmodeled
             self.consume(node, vocab.RDF_TYPE, iri(vocab.OWL_AXIOM))
             self.consume(node, vocab.OWL_ANNOTATED_SOURCE, source)
             self.consume(node, vocab.OWL_ANNOTATED_PROPERTY, prop)
             self.consume(node, vocab.OWL_ANNOTATED_TARGET, target)
-            annotations = self._collect_annotations(node, exclude=structural)
-            if isinstance(axiom, SwrlRule):
-                self.model.rules.append(SwrlRule(axiom.body, axiom.head, annotations))
-            else:
-                self.add_axiom(axiom.with_annotations(annotations))
+            self.add_axiom(axiom.with_annotations(self._collect_annotations(node, exclude={
+                vocab.RDF_TYPE, vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET})))
 
     def _decode_statement(self, s: Term, p: str, o: Term) -> Optional[Axiom]:
         """Fold one (s, p, o) with a recognized axiom predicate into an Axiom."""
@@ -719,9 +723,8 @@ class _Extractor:
             members = self.graph.object(node, vocab.OWL_MEMBERS)
             if members is None:
                 continue
-            try:
-                classes = [self.class_expression(x) for x in self.read_list(members)]
-            except UnsupportedExpressionError:
+            classes = self.attempt(lambda: [self.class_expression(x) for x in self.read_list(members)])
+            if classes is None:
                 continue
             self.consume(node, vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES))
             self.consume(node, vocab.OWL_MEMBERS, members)
@@ -755,13 +758,7 @@ class _Extractor:
                 elif kind != "annotation":
                     (ordered if kind == "ordered" else left).extend(group)
         for t in sorted(ordered, key=triple_sort_key):
-            if t in consumed:
-                continue
-            try:
-                handled = self._plain_triple(t.subject, t.predicate.value, t.object)
-            except UnsupportedExpressionError:
-                handled = False  # outside the fragment: keep the triple unmodeled
-            if handled:
+            if t not in consumed and self.attempt(self._plain_triple, t.subject, t.predicate.value, t.object):
                 consumed.add(t)
         return keyed, left + ordered
 

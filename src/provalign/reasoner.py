@@ -165,9 +165,9 @@ class Clash:
 class ClosedKB:
     """Fixpoint of asserted plus derived facts, with derivation traces. Each
     individual's classes are one mask over class ids, and each pair's property
-    facts one mask over property keys. A call that adds a fact logs one burst,
-    the fact with all that it entails and the closure did not hold yet, and
-    the facts' traces are replayed from the log on read."""
+    facts one mask over property keys. A call that adds a fact logs one burst:
+    the fact, and the masks of all that it added with it. The facts' traces are
+    replayed from the log on read."""
 
     def __init__(self, tbox: TBoxIndex):
         self.tbox = tbox
@@ -179,10 +179,10 @@ class ClosedKB:
         self._order, self._reach = tbox._order, tbox._reach
         self._pids, self._pnames = tbox._prop_ids, tbox._prop_names
         # Bursts, in derivation order: (individual, class id, the first fact's
-        # rule, premises and detail, the individual's mask before it), or (pair
-        # a, pair b, property key, the first fact's rule, premises and detail,
-        # the pair's mask before it, then a's and b's). A mask of -1 logs one
-        # fact alone.
+        # rule, premises and detail, the classes that it added), or (pair a,
+        # pair b, property key, the first fact's rule, premises and detail, the
+        # property keys that it added to the pair, then the classes that it
+        # added to a and to b).
         self._bursts: List[Tuple] = []
         # Caches: the fact count and the replayed traces; the burst count and
         # the bursts of each individual asked about.
@@ -218,9 +218,9 @@ class ClosedKB:
         index: Dict[str, List[Tuple[Term, Term]]] = {}
         for burst in self._bursts:
             if len(burst) > 4:
-                a, b, k, _, held = burst[:5]
+                a, b, k, _, added = burst[:5]
                 index.setdefault(self._pnames[k >> 1], []).append((b, a) if k & 1 else (a, b))
-                for _, (target, *_), pair in self._pair_walk(a, b, k, held):
+                for _, (target, *_), pair in self._pair_walk(a, b, k, added):
                     if pair is not None:
                         index.setdefault(target, []).append(pair)
         return index
@@ -228,31 +228,32 @@ class ClosedKB:
     def _replay(self, burst: Tuple) -> Iterator[Tuple[FactKey, Trace]]:
         return self._walk(*burst) if len(burst) == 4 else self._walk_pair(*burst)
 
-    def _walk(self, x: Term, i: int, trace: Tuple, before: int) -> Iterator[Tuple[FactKey, Trace]]:
+    def _walk(self, x: Term, i: int, trace: Tuple, added: int) -> Iterator[Tuple[FactKey, Trace]]:
         """One class burst's facts with their traces: class ``i``, then depth first
-        each superclass not in ``before``, lowest id first."""
+        each superclass in ``added`` not met yet, lowest id first."""
         order = self._order
         yield (fact := class_fact(x, order[i])), Trace(*trace)
-        held, stack = before | 1 << i, [(fact, i)]
+        left, stack = added & ~(1 << i), [(fact, i)]
         while stack:
             premise, n = stack[-1]
-            if left := self._reach[n] & ~held:
-                j = (left & -left).bit_length() - 1
-                held |= 1 << j
+            if above := self._reach[n] & left:
+                j = (above & -above).bit_length() - 1
+                left ^= 1 << j
                 stack.append((class_fact(x, order[j]), j))
                 yield stack[-1][0], Trace("subsumption", (premise,), f"{order[n].text} is below {order[j].text}")
             else:
                 stack.pop()
 
-    def _pair_walk(self, a: Term, b: Term, k: int, held: int) -> Iterator[Tuple[int, PlanEntry, Optional[Tuple]]]:
+    def _pair_walk(self, a: Term, b: Term, k: int, added: int) -> Iterator[Tuple[int, PlanEntry, Optional[Tuple]]]:
         """A property burst's plan entries below facts that it made, with their
-        positions: each class with None, each property fact that the pair did not
-        hold with its (subject, object). On a loop a == b an entry and its mirror
-        on the swapped pair name one fact, and the later of the two is skipped."""
+        positions: each class with None, each property fact of the keys it
+        ``added`` with its (subject, object). On a loop a == b an entry and its
+        mirror on the swapped pair name one fact, and the later of the two is
+        skipped."""
         flip, loop = k & 1, a == b
         pairs = ((b, a), (a, b)) if flip else ((a, b), (b, a))  # as-is and swapped
         plan, made = self.tbox.prop_plan(self._pnames[k >> 1], pairs[0][1].__class__ is Literal), [True]
-        held |= 1 << k | loop << (k ^ 1)
+        left = added & ~(1 << k | loop << (k ^ 1))
         for position, entry in enumerate(plan, 1):
             target, swapped, parent = entry[:3]
             pair = None
@@ -260,42 +261,35 @@ class ClosedKB:
                 pass
             elif target.__class__ is not str:
                 yield position, entry, None
-            elif not held >> (bit := self._pids[target] + (swapped != flip)) & 1:
-                held |= 1 << bit | loop << (bit ^ 1)
+            elif left >> (bit := self._pids[target] + (swapped != flip)) & 1:
+                left &= ~(1 << bit | loop << (bit ^ 1))
                 pair = pairs[swapped]
                 yield position, entry, pair
             made.append(pair is not None)
 
-    def _walk_pair(self, a: Term, b: Term, k: int, trace: Tuple, held: int, ma: int,
-                   mb: int) -> Iterator[Tuple[FactKey, Trace]]:
+    def _walk_pair(self, a: Term, b: Term, k: int, trace: Tuple, added: int, gain_a: int,
+                   gain_b: int) -> Iterator[Tuple[FactKey, Trace]]:
         """One property burst's facts with their traces: the fact, then those of
-        ``_pair_walk``, each class as a class burst."""
+        ``_pair_walk``, each class that a side gained as a class burst."""
         s, o = (b, a) if k & 1 else (a, b)
-        masks, made = {a: ma, b: mb}, {0: prop_fact(self._pnames[k >> 1], s, o)}
+        left, made = {b: gain_b, a: gain_a}, {0: prop_fact(self._pnames[k >> 1], s, o)}  # on a loop a's gains
         yield made[0], Trace(*trace)
-        for position, (target, swapped, parent, rule, why), pair in self._pair_walk(a, b, k, held):
+        for position, (target, swapped, parent, rule, why), pair in self._pair_walk(a, b, k, added):
             if pair is not None:
                 made[position] = prop_fact(target, *pair)
                 yield made[position], Trace(rule, (made[parent],), why)
                 continue
             x, i = o if swapped else s, self.tbox._ids[target]
-            if not masks[x] >> i & 1:
-                yield from self._walk(x, i, (rule, (made[parent],), why), masks[x])
-                masks[x] |= self._reach[i]
+            if left[x] >> i & 1:
+                yield from self._walk(x, i, (rule, (made[parent],), why), self._reach[i] & left[x])
+                left[x] &= ~self._reach[i]
 
-    def _gains(self, burst: Tuple, key: object) -> int:
-        """The classes that a burst adds to individual ``key``, or the property
-        facts that it adds to pair ``key``."""
-        if len(burst) == 4:
-            return self._reach[burst[1]] & ~burst[3] | 1 << burst[1]
-        a, b, k, _, held, ma, mb = burst
-        reach, to_a, to_b, _ = self.tbox.prop_step(k, b.__class__ is Literal)
-        if key == (a, b):
-            new = reach & ~held | 1 << k
-            return new | _mirror(new) if a == b else new
-        if a == b:
-            to_a |= to_b
-        return to_a & ~ma if key == a else to_b & ~mb if key == b else 0
+    @staticmethod
+    def _gains(burst: Tuple, key: object) -> int:
+        """The classes that a burst added to individual ``key``, or the property
+        keys that it added to pair ``key``, as logged."""
+        return (burst[3] if len(burst) == 4 else burst[4] if key == burst[:2] else
+                burst[5] if key == burst[0] else burst[6] if key == burst[1] else 0)
 
     def trace_of(self, fact: FactKey) -> Optional[Trace]:
         """The trace of one fact, replaying only the burst that derived it; None
@@ -405,7 +399,7 @@ class _Engine(ClosedKB):
         if self.derived_count > self.fact_cap:
             raise _cap_exceeded(self.fact_cap)
         self._masks[x] = before | new
-        self._bursts.append((x, i, (rule, premises, detail), before))
+        self._bursts.append((x, i, (rule, premises, detail), new))
         if new & tbox._watched:
             for j in _bit_ids(new & tbox._watched):
                 self._record(class_fact(x, tbox._order[j]))
@@ -443,7 +437,7 @@ class _Engine(ClosedKB):
             masks[a] = ma | gain_a
         if gain_b:
             masks[b] = mb | gain_b
-        self._bursts.append(burst := (a, b, k, (rule, premises, detail), held, ma, mb))
+        self._bursts.append(burst := (a, b, k, (rule, premises, detail), new, gain_a, gain_b))
         for bit in read:
             if new >> bit & 1:
                 new &= ~(1 << bit | loop << (bit ^ 1))

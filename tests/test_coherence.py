@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provalign import checks, reasoner
+from provalign import checks, index, reasoner
 from provalign.checks import _fact_text, check_coherence
 from provalign.fixtures import load_model
 from provalign.owl import (
@@ -252,3 +252,30 @@ def test_every_probe_traces_each_fact_that_it_counts(monkeypatch, tmp_path, stac
     assert kbs
     for kb in kbs:
         assert sum(Counter(trace.rule for trace in kb.traces.values()).values()) == kb.derived_count
+
+
+def _chain_with_leaves(leaves):
+    """ex:C0000 below ex:C0001 ... below ex:C2999, with ``leaves`` classes below ex:C0000."""
+    names = [f"ex:C{k:04d}" for k in range(3000)]
+    text = HEADER + "".join(f"{a} rdfs:subClassOf {b} .\n" for a, b in zip(names, names[1:]))
+    return [extract_axioms(parse_turtle(text + "".join(f"ex:L{k} rdfs:subClassOf ex:C0000 .\n"
+                                                       for k in range(leaves))))]
+
+
+@pytest.mark.parametrize("leaves", [0, 300, 3000])
+def test_coherence_decodes_no_ids_on_a_deep_chain_with_leaves(monkeypatch, leaves):
+    # Each leaf's clash-free probe decides the whole chain above it, as bits of
+    # one mask; a check that decodes each probe's hierarchy decodes about
+    # leaves * 3,000 ids.
+    models, bit_ids, decoded = _chain_with_leaves(leaves), index._bit_ids, [0]
+
+    def counting(mask):
+        ids = bit_ids(mask)
+        decoded[0] += len(ids)
+        return ids
+
+    for module in (index, reasoner, checks):
+        monkeypatch.setattr(module, "_bit_ids", counting, raising=False)
+    report = check_coherence(models)
+    assert decoded == [0]
+    assert (report.unsatisfiable, report.undetermined, report.probed) == ([], [], 3000 + leaves)

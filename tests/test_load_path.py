@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from provalign import owl, turtle, vocab
 from provalign.fixtures import FIXTURE_NAMES, INSTANCE_NAMES, fixture_text
-from provalign.owl import Axiom, NamedClass, NamedProperty, OwlError, UnsupportedExpressionError, extract_axioms
+from provalign.owl import Axiom, NamedClass, NamedProperty, OwlError, extract_axioms
 from provalign.rdf import BlankNode, Graph, Iri, Literal, Triple, graph_isomorphic, iri, new_scope, triple_sort_key
 from provalign.turtle import parse_turtle
 
@@ -32,13 +32,7 @@ class ReferenceExtractor(owl._Extractor):
     def _plain_triples(self):
         consumed = self.consumed
         for t in sorted(self.graph.triples - consumed, key=triple_sort_key):
-            if t in consumed:
-                continue
-            try:
-                handled = self._reference_triple(t.subject, t.predicate, t.object)
-            except UnsupportedExpressionError:
-                handled = False
-            if handled:
+            if t not in consumed and self.attempt(self._reference_triple, t.subject, t.predicate, t.object):
                 consumed.add(t)
         return ()
 

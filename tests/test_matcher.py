@@ -11,6 +11,7 @@ from provalign.matcher import (
     UnknownPropertyError,
     _pick,
     _resolve_domain_range,
+    _translations,
     effective_domain_range,
     suggest_property_mappings,
 )
@@ -250,3 +251,14 @@ def test_property_without_domain_or_range_accepts_any_class(prov, cco, bfo, ro, 
         assert cand.domain_match[1] == cand.range_match[1] == NamedClass(iri(vocab.OWL_THING))
     without_ro = suggest_property_mappings(PROV + "generated", prov, [cco, bfo], alignment)
     assert {c.prop for c in without_ro.candidates} < set(kinds)
+
+
+def test_an_unmapped_class_translates_to_every_mapped_ancestors_mappings():
+    # Not only the nearest: s:C below s:B below s:A, with s:B and s:A mapped,
+    # translates to both targets.
+    prefixes = HEADER + "@prefix s: <http://example.org/s#> .\n@prefix t: <http://example.org/t#> .\n"
+    source = extract_axioms(parse_turtle(prefixes + "s:C rdfs:subClassOf s:B . s:B rdfs:subClassOf s:A ."))
+    mappings = extract_axioms(parse_turtle(prefixes + "s:B owl:equivalentClass t:B . s:A owl:equivalentClass t:A ."))
+    alignment = extract_mappings(mappings, ["http://example.org/s#"], ["http://example.org/t#"])
+    found = _translations("http://example.org/s#C", TBoxIndex([source]), alignment)
+    assert found == [NamedClass(iri("http://example.org/t#A")), NamedClass(iri("http://example.org/t#B"))]

@@ -208,6 +208,24 @@ def test_unsupported_restriction_lands_in_unmodeled():
     assert model.unmodeled  # kept, not rejected
 
 
+_NESTED_UNSUPPORTED = "[ owl:intersectionOf ( ex:A [ a owl:Restriction ; owl:onProperty ex:p ; owl:allValuesFrom ex:B ] ) ]"
+
+
+@pytest.mark.parametrize("text, size", [
+    (f"ex:C rdfs:subClassOf {_NESTED_UNSUPPORTED} .", 9),
+    ("[] a owl:Axiom ; owl:annotatedSource ex:C ; owl:annotatedProperty rdfs:subClassOf ; "
+     f"owl:annotatedTarget {_NESTED_UNSUPPORTED} .", 12),
+    (f"[] a owl:AllDisjointClasses ; owl:members ( ex:C {_NESTED_UNSUPPORTED} ) .", 14),
+], ids=["plain", "reified", "all-disjoint-classes"])
+def test_a_statement_dropped_below_its_first_operand_leaves_every_triple_unmodeled(text, size):
+    # The intersection and its first list cell decode before the restriction
+    # fails; what they read must not stay consumed.
+    graph = parse_turtle(HEADER + text)
+    model = extract_axioms(graph)
+    assert model.axioms == []
+    assert model.unmodeled == sorted(graph.triples, key=triple_sort_key) and len(model.unmodeled) == size
+
+
 def test_annotation_vocabulary_is_preserved_quietly():
     model = model_of("""
     ex:A a owl:Class ; rdfs:label "A" ; rdfs:comment "doc" .
