@@ -12,6 +12,7 @@ disjointness is counted but is not a violation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import or_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -29,7 +30,6 @@ from .alignment import (
 from .index import _bit_ids
 from .owl import (
     Axiom,
-    ClassExpression,
     NamedClass,
     NamedProperty,
     OntologyModel,
@@ -349,17 +349,25 @@ class ConservativityReport:
         }
 
 
-def _named_disjoint_pairs(tbox: TBoxIndex, names: Set[str]) -> Set[Tuple[str, str]]:
-    """Pairs of distinct ``names``, ordered by name, under the two sides of a
-    disjoint pair; each name's supers are decoded only at those sides."""
-    sides = sum(1 << i for i in {tbox._ids[ce] for pair in tbox.disjoint_pairs for ce in pair})
-    below: Dict[ClassExpression, List[str]] = {}
-    for n in names:
-        i = tbox._ids.get(NamedClass(iri(n)))
-        for j in () if i is None else _bit_ids(tbox._reach[i] & sides):
-            below.setdefault(tbox._order[j], []).append(n)
-    return {(c, d) if c < d else (d, c) for a, b in tbox.disjoint_pairs
-            for c in below.get(a, ()) for d in below.get(b, ()) if c != d}
+def _disjoint_pair_count(tbox: TBoxIndex, names: Set[str]) -> int:
+    """The pairs of distinct ``names`` under the two sides of a disjoint pair,
+    counted on masks over class ids: each side's partners are the names below
+    the sides it is disjoint with, and each name counts the partners of the
+    sides above it but itself; every pair is then counted from both ends."""
+    ids = [i for i in (tbox._ids.get(NamedClass(iri(n))) for n in names) if i is not None]
+    below = dict.fromkeys((tbox._ids[ce] for pair in tbox.disjoint_pairs for ce in pair), 0)
+    side_mask = sum(1 << j for j in below)
+    for i in ids:
+        for j in _bit_ids(tbox._reach[i] & side_mask):
+            below[j] |= 1 << i
+    partners = dict.fromkeys(below, 0)
+    for a, b in tbox.disjoint_pairs:
+        a, b = tbox._ids[a], tbox._ids[b]
+        partners[a] |= below[b]
+        partners[b] |= below[a]
+    return sum((reduce(or_, map(partners.__getitem__, _bit_ids(tbox._reach[i] & side_mask)), 0)
+                & ~(1 << i)).bit_count()
+               for i in ids) // 2
 
 
 def check_conservativity(o1: OntologyModel, o2: Sequence[OntologyModel],
@@ -399,8 +407,9 @@ def check_conservativity(o1: OntologyModel, o2: Sequence[OntologyModel],
         members = {(a, b) for a, b, _ in new_equivs}
         new_subs += [(a, b, label) for a, b in sorted((merged[0] | merged[1]) - mine[0] - mine[1])
                      if ((a, b) if a < b else (b, a)) not in members]
-        disjoint_note += len(
-            _named_disjoint_pairs(merge.tbox, sig["classes"]) - _named_disjoint_pairs(own.tbox, sig["classes"]))
+        # The merge entails every disjoint pair that the side does.
+        disjoint_note += (_disjoint_pair_count(merge.tbox, sig["classes"])
+                          - _disjoint_pair_count(own.tbox, sig["classes"]))
 
     return ConservativityReport(new_subsumptions=new_subs, new_equivalences=new_equivs,
                                 new_disjointness_count=disjoint_note)

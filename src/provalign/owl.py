@@ -320,7 +320,7 @@ class OntologyModel:
 
 
 def _is_builtin(value: str) -> bool:
-    return value.startswith(vocab.BUILTIN_NAMESPACES) or value in (vocab.OWL_THING, vocab.OWL_NOTHING)
+    return value.startswith(vocab.BUILTIN_NAMESPACES)
 
 
 def _compute_signature(model: OntologyModel) -> Dict[str, Set[str]]:
@@ -423,6 +423,8 @@ _REIFIED_KIND = {
     vocab.OWL_PROPERTY_CHAIN: "property-chain",
 }
 
+_REIFICATION = (vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET)
+
 _T = TypeVar("_T")
 
 # The n-ary class constructors, in the order in which decoding tries them.
@@ -440,17 +442,31 @@ class _Extractor:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def consume(self, s: Term, p: str, o: Term) -> None:
-        self.consumed.add(Triple(s, iri(p), o))
+    def take(self, node: Term, pred: str) -> Optional[Term]:
+        """The first object of ``node``'s ``pred`` triples, consuming its triple."""
+        triples = self.graph.triples_of(node, pred)
+        if not triples:
+            return None
+        self.consumed.add(triples[0])
+        return triples[0].object
+
+    def take_types(self, node: Term, types: Tuple[str, ...]) -> bool:
+        """Consume ``node``'s rdf:type triples whose object is one of ``types``;
+        False if it has none."""
+        found = [t for t in self.graph.triples_of(node, vocab.RDF_TYPE)
+                 if isinstance(t.object, Iri) and t.object.value in types]
+        self.consumed.update(found)
+        return bool(found)
 
     def attempt(self, decode: Callable[..., _T], *args: object) -> Optional[_T]:
-        """``decode(*args)``, or None if it meets a construct outside the
-        fragment; then the triples that it read stay unconsumed, so that all of
-        the dropped statement's triples are unmodeled."""
+        """``decode(*args)``, or None if it returns None or meets a construct
+        outside the fragment; then the triples that it read stay unconsumed, so
+        that all of the dropped statement's triples are unmodeled."""
         outer, self.consumed = self.consumed, set()
         try:
             result = decode(*args)
-            outer |= self.consumed
+            if result is not None:
+                outer |= self.consumed
             return result
         except UnsupportedExpressionError:
             return None
@@ -476,15 +492,10 @@ class _Extractor:
             if node in seen:
                 raise MalformedExpressionError(f"cyclic {noun}")
             seen.add(node)
-            for obj in self.graph.objects(node, vocab.RDF_TYPE):
-                if isinstance(obj, Iri) and obj.value in types:
-                    self.consume(node, vocab.RDF_TYPE, obj)
-            first = self.graph.object(node, vocab.RDF_FIRST)
-            rest = self.graph.object(node, vocab.RDF_REST)
+            self.take_types(node, types)
+            first, rest = self.take(node, vocab.RDF_FIRST), self.take(node, vocab.RDF_REST)
             if first is None or rest is None:
                 raise MalformedExpressionError(f"{noun} node missing rdf:first/rdf:rest")
-            self.consume(node, vocab.RDF_FIRST, first)
-            self.consume(node, vocab.RDF_REST, rest)
             items.append(first)
             node = rest
         return items
@@ -503,48 +514,33 @@ class _Extractor:
             raise MalformedExpressionError("cyclic class expression structure")
         visiting.add(node)
         props = self.graph.spo().get(node, {})
-        for pred, make in _NARY.items():
-            if pred in props:
-                head = props[pred][0]
-                self.consume(node, pred, head)
-                self._consume_expression_type(node)
-                items = self.read_list(head)
-                if not items:
-                    raise MalformedExpressionError("empty operand list in class expression")
-                ops = tuple(self.class_expression(i, visiting, _depth + 1) for i in items)
-                return ops[0] if len(ops) == 1 else make(ops)
-        if vocab.OWL_COMPLEMENT_OF in props:
-            operand = props[vocab.OWL_COMPLEMENT_OF][0]
-            self.consume(node, vocab.OWL_COMPLEMENT_OF, operand)
-            self._consume_expression_type(node)
+        pred = next((p for p in (*_NARY, vocab.OWL_COMPLEMENT_OF, vocab.OWL_ON_PROPERTY) if p in props), None)
+        if pred is None:
+            raise UnsupportedExpressionError("blank node does not root a supported class expression")
+        if pred == vocab.OWL_ON_PROPERTY and vocab.OWL_SOME_VALUES_FROM not in props:
+            raise UnsupportedExpressionError(
+                "restriction without owl:someValuesFrom is outside the supported fragment")
+        self.take_types(node, (vocab.OWL_CLASS, vocab.OWL_RESTRICTION))
+        operand = self.take(node, pred)
+        if pred == vocab.OWL_ON_PROPERTY:
+            return SomeValuesFrom(self.property_expression(operand), self.class_expression(
+                self.take(node, vocab.OWL_SOME_VALUES_FROM), visiting, _depth + 1))
+        if pred == vocab.OWL_COMPLEMENT_OF:
             return Complement(self.class_expression(operand, visiting, _depth + 1))
-        if vocab.OWL_ON_PROPERTY in props:
-            prop_node = props[vocab.OWL_ON_PROPERTY][0]
-            filler = props.get(vocab.OWL_SOME_VALUES_FROM)
-            if filler is None:
-                raise UnsupportedExpressionError(
-                    "restriction without owl:someValuesFrom is outside the supported fragment")
-            self.consume(node, vocab.OWL_ON_PROPERTY, prop_node)
-            self.consume(node, vocab.OWL_SOME_VALUES_FROM, filler[0])
-            self._consume_expression_type(node)
-            return SomeValuesFrom(self.property_expression(prop_node),
-                                  self.class_expression(filler[0], visiting, _depth + 1))
-        raise UnsupportedExpressionError("blank node does not root a supported class expression")
-
-    def _consume_expression_type(self, node: Term) -> None:
-        for obj in self.graph.objects(node, vocab.RDF_TYPE):
-            if isinstance(obj, Iri) and obj.value in (vocab.OWL_CLASS, vocab.OWL_RESTRICTION):
-                self.consume(node, vocab.RDF_TYPE, obj)
+        items = self.read_list(operand)
+        if not items:
+            raise MalformedExpressionError("empty operand list in class expression")
+        ops = tuple(self.class_expression(i, visiting, _depth + 1) for i in items)
+        return ops[0] if len(ops) == 1 else _NARY[pred](ops)
 
     def property_expression(self, node: Term) -> PropertyExpression:
         """A named property under a chain of ``owl:inverseOf`` blank nodes, normalized."""
         inverted, seen = False, set()
         while isinstance(node, BlankNode) and node not in seen:
-            inv = self.graph.object(node, vocab.OWL_INVERSE_OF)
+            inv = self.take(node, vocab.OWL_INVERSE_OF)
             if inv is None:
                 break
             seen.add(node)
-            self.consume(node, vocab.OWL_INVERSE_OF, inv)
             node, inverted = inv, not inverted
         if not isinstance(node, Iri):
             raise MalformedExpressionError("node does not root a property expression")
@@ -586,41 +582,30 @@ class _Extractor:
 
     def _ontology_header(self) -> None:
         for subject in self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.OWL_ONTOLOGY)):
-            self.consume(subject, vocab.RDF_TYPE, iri(vocab.OWL_ONTOLOGY))
+            self.take_types(subject, (vocab.OWL_ONTOLOGY,))
             if isinstance(subject, Iri):
                 self.model.ontology_iri = subject.value
-            version = self.graph.object(subject, vocab.OWL_VERSION_IRI)
-            if isinstance(version, Iri):
-                self.model.version_iri = version.value
-                self.consume(subject, vocab.OWL_VERSION_IRI, version)
-            derived = []
-            for o in self.graph.objects(subject, vocab.PROV_WAS_DERIVED_FROM):
-                if isinstance(o, Iri):
-                    derived.append(o.value)
-                    self.consume(subject, vocab.PROV_WAS_DERIVED_FROM, o)
-            self.model.derived_from = tuple(sorted(derived))
-            for o in self.graph.objects(subject, vocab.OWL_IMPORTS):
-                self.consume(subject, vocab.OWL_IMPORTS, o)
+            if isinstance(self.graph.object(subject, vocab.OWL_VERSION_IRI), Iri):
+                self.model.version_iri = self.take(subject, vocab.OWL_VERSION_IRI).value
+            derived = [t for t in self.graph.triples_of(subject, vocab.PROV_WAS_DERIVED_FROM)
+                       if isinstance(t.object, Iri)]
+            self.consumed.update(derived, self.graph.triples_of(subject, vocab.OWL_IMPORTS))
+            self.model.derived_from = tuple(sorted(t.object.value for t in derived))
 
     def _swrl_rules(self) -> None:
-        variable_terms = set(self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.SWRL_VARIABLE)))
-        self.swrl_variables = variable_terms
-        for var in variable_terms:
-            self.consume(var, vocab.RDF_TYPE, iri(vocab.SWRL_VARIABLE))
+        self.swrl_variables = set(self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.SWRL_VARIABLE)))
+        for var in self.swrl_variables:
+            self.take_types(var, (vocab.SWRL_VARIABLE,))
         for imp in self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.SWRL_IMP)):
-            self.consume(imp, vocab.RDF_TYPE, iri(vocab.SWRL_IMP))
+            self.take_types(imp, (vocab.SWRL_IMP,))
             body_head = []
             for slot in (vocab.SWRL_BODY, vocab.SWRL_HEAD):
-                head_node = self.graph.object(imp, slot)
+                head_node = self.take(imp, slot)
                 if head_node is None:
                     raise MalformedExpressionError("swrl:Imp missing body or head")
-                self.consume(imp, slot, head_node)
-                atoms = []
                 # Atom lists may carry rdf:type swrl:AtomList on each cons cell.
-                for atom_node in self.read_list(head_node, (vocab.SWRL_ATOM_LIST, vocab.RDF + "List"),
-                                                "SWRL atom list"):
-                    atoms.append(self._swrl_atom(atom_node))
-                body_head.append(tuple(atoms))
+                body_head.append(tuple(map(self._swrl_atom, self.read_list(
+                    head_node, (vocab.SWRL_ATOM_LIST, vocab.RDF + "List"), "SWRL atom list"))))
             annotations = self._collect_annotations(
                 imp, exclude={vocab.RDF_TYPE, vocab.SWRL_BODY, vocab.SWRL_HEAD})
             rule = SwrlRule(body=body_head[0], head=body_head[1], annotations=annotations)
@@ -640,63 +625,47 @@ class _Extractor:
         return f"_:{term.node_id}"
 
     def _swrl_atom(self, node: Term) -> Atom:
-        types = [o.value for o in self.graph.objects(node, vocab.RDF_TYPE) if isinstance(o, Iri)]
-        if vocab.SWRL_CLASS_ATOM in types:
-            self.consume(node, vocab.RDF_TYPE, iri(vocab.SWRL_CLASS_ATOM))
-            cls_node = self.graph.object(node, vocab.SWRL_CLASS_PREDICATE)
-            arg1 = self.graph.object(node, vocab.SWRL_ARGUMENT1)
+        if self.take_types(node, (vocab.SWRL_CLASS_ATOM,)):
+            cls_node, arg1 = self.take(node, vocab.SWRL_CLASS_PREDICATE), self.take(node, vocab.SWRL_ARGUMENT1)
             if cls_node is None:
                 raise MalformedExpressionError("SWRL class atom missing classPredicate")
-            self.consume(node, vocab.SWRL_CLASS_PREDICATE, cls_node)
-            if arg1 is not None:
-                self.consume(node, vocab.SWRL_ARGUMENT1, arg1)
             return ClassAtom(self.class_expression(cls_node), self._swrl_variable_name(arg1))
-        if vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM in types:
-            self.consume(node, vocab.RDF_TYPE, iri(vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM))
-            prop_node = self.graph.object(node, vocab.SWRL_PROPERTY_PREDICATE)
-            arg1 = self.graph.object(node, vocab.SWRL_ARGUMENT1)
-            arg2 = self.graph.object(node, vocab.SWRL_ARGUMENT2)
+        if self.take_types(node, (vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM,)):
+            prop_node, arg1, arg2 = (self.take(node, p) for p in (
+                vocab.SWRL_PROPERTY_PREDICATE, vocab.SWRL_ARGUMENT1, vocab.SWRL_ARGUMENT2))
             if prop_node is None:
                 raise MalformedExpressionError("SWRL property atom missing propertyPredicate")
-            self.consume(node, vocab.SWRL_PROPERTY_PREDICATE, prop_node)
-            if arg1 is not None:
-                self.consume(node, vocab.SWRL_ARGUMENT1, arg1)
-            if arg2 is not None:
-                self.consume(node, vocab.SWRL_ARGUMENT2, arg2)
             return PropertyAtom(self.property_expression(prop_node),
                                 self._swrl_variable_name(arg1),
                                 self._swrl_variable_name(arg2))
+        types = sorted(o.value for o in self.graph.objects(node, vocab.RDF_TYPE) if isinstance(o, Iri))
         raise UnsupportedAtomError(
-            f"unsupported SWRL atom type(s) {sorted(types)}; only class and "
+            f"unsupported SWRL atom type(s) {types}; only class and "
             "individual-property atoms are handled")
 
     def _collect_annotations(self, node: Term, exclude: Set[str]) -> Tuple[Annotation, ...]:
         pairs: List[Annotation] = []
-        for pred, objects in self.graph.spo().get(node, {}).items():
-            if pred in exclude:
-                continue
-            for o in objects:
-                pairs.append((pred, o))
-                self.consume(node, pred, o)
+        for pred, triples in self.graph.spo().get(node, {}).items():
+            if pred not in exclude:
+                self.consumed.update(triples)
+                pairs += [(pred, t.object) for t in triples]
         pairs.sort(key=lambda kv: (kv[0], term_sort_key(kv[1])))
         return tuple(pairs)
 
     def _reified_axioms(self) -> None:
         for node in self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.OWL_AXIOM)):
-            source = self.graph.object(node, vocab.OWL_ANNOTATED_SOURCE)
-            prop = self.graph.object(node, vocab.OWL_ANNOTATED_PROPERTY)
-            target = self.graph.object(node, vocab.OWL_ANNOTATED_TARGET)
-            if source is None or prop is None or target is None or not isinstance(prop, Iri):
-                continue  # incomplete reification: leave its triples unmodeled
-            axiom = self.attempt(self._decode_statement, source, prop.value, target)
-            if axiom is None:
-                continue  # not an axiom, or outside the fragment: the node's triples stay unmodeled
-            self.consume(node, vocab.RDF_TYPE, iri(vocab.OWL_AXIOM))
-            self.consume(node, vocab.OWL_ANNOTATED_SOURCE, source)
-            self.consume(node, vocab.OWL_ANNOTATED_PROPERTY, prop)
-            self.consume(node, vocab.OWL_ANNOTATED_TARGET, target)
-            self.add_axiom(axiom.with_annotations(self._collect_annotations(node, exclude={
-                vocab.RDF_TYPE, vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET})))
+            # Incomplete, not an axiom, or outside the fragment: the node's triples stay unmodeled.
+            axiom = self.attempt(self._reified_axiom, node)
+            if axiom is not None:
+                self.add_axiom(axiom)
+
+    def _reified_axiom(self, node: Term) -> Optional[Axiom]:
+        self.take_types(node, (vocab.OWL_AXIOM,))
+        source, prop, target = (self.take(node, p) for p in _REIFICATION)
+        if source is None or target is None or not isinstance(prop, Iri):
+            return None
+        axiom = self._decode_statement(source, prop.value, target)
+        return axiom and axiom.with_annotations(self._collect_annotations(node, {vocab.RDF_TYPE, *_REIFICATION}))
 
     def _decode_statement(self, s: Term, p: str, o: Term) -> Optional[Axiom]:
         """Fold one (s, p, o) with a recognized axiom predicate into an Axiom."""
@@ -720,17 +689,15 @@ class _Extractor:
 
     def _all_disjoint_classes(self) -> None:
         for node in self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES)):
-            members = self.graph.object(node, vocab.OWL_MEMBERS)
-            if members is None:
-                continue
-            classes = self.attempt(lambda: [self.class_expression(x) for x in self.read_list(members)])
-            if classes is None:
-                continue
-            self.consume(node, vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES))
-            self.consume(node, vocab.OWL_MEMBERS, members)
+            classes = self.attempt(self._disjoint_members, node) or []
             for i in range(len(classes)):
                 for j in range(i + 1, len(classes)):
                     self.add_axiom(Axiom("disjoint-classes", (classes[i], classes[j])))
+
+    def _disjoint_members(self, node: Term) -> Optional[List[ClassExpression]]:
+        self.take_types(node, (vocab.OWL_ALL_DISJOINT_CLASSES,))
+        members = self.take(node, vocab.OWL_MEMBERS)
+        return None if members is None else [self.class_expression(x) for x in self.read_list(members)]
 
     def _plain_triples(self) -> Tuple[List[Tuple[str, Axiom]], List[Triple]]:
         """Decide the triples that no earlier pass consumed per predicate, and for
@@ -769,8 +736,9 @@ class _Extractor:
         if p == vocab.RDF_TYPE:
             if isinstance(o, BlankNode):
                 return "ordered"
-            named = isinstance(o, Iri) and o.value not in _DECLARATION_TYPES and not _is_builtin(o.value)
-            return "class-assertion" if named else "left"  # declarations have a pass of their own
+            # Declarations have a pass of their own; owl:Thing and owl:Nothing are classes.
+            named = isinstance(o, Iri) and (o is THING.iri or o is NOTHING.iri or not _is_builtin(o.value))
+            return "class-assertion" if named else "left"
         if p in _REIFIED_KIND or p in vocab.SKOS_MAPPING_PREDICATES or p == vocab.OWL_DISJOINT_UNION_OF:
             return "ordered"
         if p in _BENIGN_ANNOTATIONS or p in self.model.declared_annotation_properties:

@@ -220,7 +220,7 @@ class Graph:
         self.triples: Set[Triple] = set()
         self.prefixes: Dict[str, str] = dict(prefixes or {})
         self.base: Optional[str] = base
-        self._spo: Optional[Dict[Term, Dict[str, List[Term]]]] = None
+        self._spo: Optional[Dict[Term, Dict[str, List[Triple]]]] = None
         self._by_predicate: Optional[Dict[str, List[Triple]]] = None
 
     def add(self, t: Triple) -> None:
@@ -251,18 +251,18 @@ class Graph:
             self._by_predicate = {p.value: triples for p, triples in by_iri.items()}
         return self._by_predicate
 
-    def spo(self) -> Dict[Term, Dict[str, List[Term]]]:
-        """Subject -> predicate IRI -> object list index, objects in term order;
+    def spo(self) -> Dict[Term, Dict[str, List[Triple]]]:
+        """Subject -> predicate IRI -> triple list index, triples in triple order;
         built on first use, which a graph of assertions alone may never need."""
         if self._spo is None:
-            spo: Dict[Term, Dict[str, List[Term]]] = {}
+            spo: Dict[Term, Dict[str, List[Triple]]] = {}
             for p, triples in self._predicate_index().items():
                 for t in triples:
-                    spo.setdefault(t.subject, {}).setdefault(p, []).append(t.object)
+                    spo.setdefault(t.subject, {}).setdefault(p, []).append(t)
             for props in spo.values():
-                for objects in props.values():
-                    if len(objects) > 1:
-                        objects.sort(key=term_sort_key)
+                for triples in props.values():
+                    if len(triples) > 1:
+                        triples.sort(key=triple_sort_key)
             self._spo = spo
         return self._spo
 
@@ -274,12 +274,16 @@ class Graph:
         """The predicate IRIs of the graph's triples, in no set order."""
         return list(self._predicate_index())
 
-    def objects(self, subject: Term, predicate: str) -> List[Term]:
+    def triples_of(self, subject: Term, predicate: str) -> List[Triple]:
+        """The triples of ``subject`` with ``predicate``, in triple order."""
         return self.spo().get(subject, {}).get(predicate, [])
 
+    def objects(self, subject: Term, predicate: str) -> List[Term]:
+        return [t.object for t in self.triples_of(subject, predicate)]
+
     def object(self, subject: Term, predicate: str) -> Optional[Term]:
-        values = self.objects(subject, predicate)
-        return values[0] if values else None
+        triples = self.triples_of(subject, predicate)
+        return triples[0].object if triples else None
 
     def subjects_with(self, predicate: str, obj: Optional[Term] = None) -> List[Term]:
         found = [t.subject for t in self.with_predicate(predicate) if obj is None or t.object == obj]

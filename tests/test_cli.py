@@ -442,6 +442,17 @@ def test_shallow_witness_kept_beside_a_deeper_successor(tmp_path):
     assert [f["kind"] for f in consistency["findings"]] == ["nothing-membership"]
 
 
+@pytest.mark.parametrize("cls, exit_code, clashes", [("Nothing", 1, ["nothing-membership"]), ("Thing", 0, [])])
+def test_a_type_of_thing_or_nothing_is_a_class_assertion(tmp_path, cls, exit_code, clashes):
+    head = "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n@prefix ex: <http://example.org/t#> .\n"
+    onto, instances = tmp_path / "onto.ttl", tmp_path / "instances.ttl"
+    onto.write_text(head + "ex:C a owl:Class .\n")
+    instances.write_text(head + f"ex:a a owl:{cls} .\n")
+    doc = run_json(["check-consistency", "--source", str(onto), "--instances", str(instances)], tmp_path, exit_code)
+    assert [f["kind"] for f in doc["findings"]] == clashes
+    assert (doc["counts"]["instances"], doc["counts"]["unmodeled_axioms"]) == (1, 0)
+
+
 def _load_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

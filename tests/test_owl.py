@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import provalign
-from provalign import vocab
+from provalign import owl, vocab
 from provalign.fixtures import FIXTURE_NAMES, INSTANCE_NAMES, fixture_text
 from provalign.owl import (
     Axiom,
@@ -67,20 +67,26 @@ def perfbench_inputs(perfbench_requests):
                    for path in request["files"] if not path.startswith(fixtures)})
 
 
-def _assert_model_order(model):
+def _assert_model_order(graph):
+    """The model is in canonical order, and extraction consumed only the
+    graph's own triple objects."""
+    extractor = owl._Extractor(graph, "")
+    model = extractor.run()
     assert model.axioms == sorted(model.axioms, key=lambda a: repr((a.kind, a.args)))
     assert model.unmodeled == sorted(model.unmodeled, key=triple_sort_key)
+    own = {t: t for t in graph}
+    assert all(own.get(t) is t for t in extractor.consumed)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + INSTANCE_NAMES)
 def test_fixture_model_is_in_canonical_order(name):
-    _assert_model_order(extract_axioms(parse_turtle(fixture_text(name))))
+    _assert_model_order(parse_turtle(fixture_text(name)))
 
 
 def test_perfbench_models_are_in_canonical_order(perfbench_inputs):
     assert len(perfbench_inputs) >= 10
     for path in perfbench_inputs:
-        _assert_model_order(extract_axioms(parse_turtle(Path(path).read_text(encoding="utf-8"))))
+        _assert_model_order(parse_turtle(Path(path).read_text(encoding="utf-8")))
 
 
 def test_empty_graph_gives_empty_model():
@@ -220,6 +226,19 @@ _NESTED_UNSUPPORTED = "[ owl:intersectionOf ( ex:A [ a owl:Restriction ; owl:onP
 def test_a_statement_dropped_below_its_first_operand_leaves_every_triple_unmodeled(text, size):
     # The intersection and its first list cell decode before the restriction
     # fails; what they read must not stay consumed.
+    graph = parse_turtle(HEADER + text)
+    model = extract_axioms(graph)
+    assert model.axioms == []
+    assert model.unmodeled == sorted(graph.triples, key=triple_sort_key) and len(model.unmodeled) == size
+
+
+@pytest.mark.parametrize("text, size", [
+    ("[] a owl:Axiom ; owl:annotatedSource ex:C ; owl:annotatedProperty ex:p ; owl:annotatedTarget ex:D .", 4),
+    ("[] a owl:Axiom ; owl:annotatedSource ex:C ; owl:annotatedProperty rdfs:subClassOf .", 3),
+    ("[] a owl:AllDisjointClasses .", 1),
+], ids=["reified-non-axiom", "reified-incomplete", "all-disjoint-classes-without-members"])
+def test_a_node_that_states_no_axiom_leaves_every_triple_unmodeled(text, size):
+    # Its pass takes the node's type and reified parts before it can tell.
     graph = parse_turtle(HEADER + text)
     model = extract_axioms(graph)
     assert model.axioms == []
