@@ -246,8 +246,9 @@ class TBoxIndex:
                     self._edge(op, ce)
                 if isinstance(ce, DisjointUnionOf):
                     disjoint += [(a, b) for i, a in enumerate(ce.operands) for b in ce.operands[i + 1:]]
-        self.disjoint_pairs = tuple(sorted({(a, b) if rank(a) < rank(b) else (b, a) for a, b in disjoint
-                                            if a is not b}, key=lambda pair: (rank(pair[0]), rank(pair[1]))))
+        # A class disjoint with itself is one pair, whose clash pattern has one bit.
+        self.disjoint_pairs = tuple(sorted({(a, b) if rank(a) <= rank(b) else (b, a) for a, b in disjoint},
+                                           key=lambda pair: (rank(pair[0]), rank(pair[1]))))
         # Clash patterns: (kind, participants, the mask of their ids); owl:Nothing
         # may have no id here, so check_clash adds its own.
         self.clash_patterns: List[Tuple[str, Tuple[ClassExpression, ...], int]] = [

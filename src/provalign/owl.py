@@ -140,13 +140,6 @@ THING = NamedClass(iri(vocab.OWL_THING))
 NOTHING = NamedClass(iri(vocab.OWL_NOTHING))
 
 
-def inverse_of(p: PropertyExpression) -> PropertyExpression:
-    """Inverse with normalization: the inverse of an inverse is the named property."""
-    if isinstance(p, InverseProperty):
-        return p.operand
-    return InverseProperty(p)
-
-
 def add_subexpressions(roots: Iterable[ClassExpression], into: Set[ClassExpression]) -> None:
     """Add ``roots`` and every class expression nested in them to ``into``.
 
@@ -186,16 +179,23 @@ def render_class_expression(ce: ClassExpression) -> str:
 # Axioms and rules
 # ---------------------------------------------------------------------------
 
-# Axiom kinds and their argument shapes:
-#   sub-class-of          (sub: CE, sup: CE)
-#   equivalent-classes    (a: CE, b: CE)
-#   disjoint-classes      (a: CE, b: CE)
+# The binary statements, as OWL 2's mapping to RDF reads them: each predicate's
+# axiom kind, and whether its subject and its object are class (True) or
+# property (False) expressions; the axiom's args are the two, in that order.
+_STATEMENTS: Dict[str, Tuple[str, bool, bool]] = {
+    vocab.RDFS_SUBCLASSOF: ("sub-class-of", True, True),
+    vocab.OWL_EQUIVALENT_CLASS: ("equivalent-classes", True, True),
+    vocab.OWL_DISJOINT_WITH: ("disjoint-classes", True, True),
+    vocab.RDFS_SUBPROPERTYOF: ("sub-property-of", False, False),
+    vocab.OWL_EQUIVALENT_PROPERTY: ("equivalent-properties", False, False),
+    vocab.OWL_INVERSE_OF: ("inverse-properties", False, False),
+    vocab.RDFS_DOMAIN: ("property-domain", False, True),
+    vocab.RDFS_RANGE: ("property-range", False, True),
+}
+_ARGUMENT_CLASSES = {kind: (s, o) for kind, s, o in _STATEMENTS.values()}
+
+# The other axiom kinds and their args:
 #   disjoint-union        (cls: NamedClass, operands: tuple[CE, ...])
-#   sub-property-of       (sub: PE, sup: PE)
-#   equivalent-properties (a: PE, b: PE)
-#   inverse-properties    (a: PE, b: PE)
-#   property-domain       (p: PE, c: CE)
-#   property-range        (p: PE, c: CE)
 #   property-chain        (chain: tuple[PE, ...], sup: PE)
 #   class-assertion       (individual: Term, c: CE)
 #   property-assertion    (p: PE, subject: Term, object: Term)
@@ -258,8 +258,10 @@ def add_uses(items: Iterable[Union[Axiom, SwrlRule]], classes: Set[ClassExpressi
                     props.add(atom.prop)
             continue
         kind, args = item.kind, item.args
-        if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
-            classes.update(args)
+        shape = _ARGUMENT_CLASSES.get(kind)
+        if shape is not None:
+            (classes if shape[0] else props).add(args[0])
+            (classes if shape[1] else props).add(args[1])
         elif kind == "property-assertion":
             props.add(args[0])
             individuals.add(args[1])
@@ -267,11 +269,6 @@ def add_uses(items: Iterable[Union[Axiom, SwrlRule]], classes: Set[ClassExpressi
                 individuals.add(args[2])
         elif kind == "class-assertion":
             individuals.add(args[0])
-            classes.add(args[1])
-        elif kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
-            props.update(args)
-        elif kind in ("property-domain", "property-range"):
-            props.add(args[0])
             classes.add(args[1])
         elif kind == "disjoint-union":  # cls == DisjointUnion(operands)
             classes.add(args[0])
@@ -311,7 +308,7 @@ class OntologyModel:
     ontology_iri: Optional[str] = None
     version_iri: Optional[str] = None
     derived_from: Tuple[str, ...] = ()
-    _signature_cache: Optional[Dict[str, Set[str]]] = field(default=None, repr=False)
+    _signature_cache: Optional[Dict[str, Set[str]]] = field(default=None, repr=False, compare=False)
 
     def signature_sets(self) -> Dict[str, Set[str]]:
         if self._signature_cache is None:
@@ -392,14 +389,15 @@ def merged_signature(models: Sequence[OntologyModel],
 # Extraction
 # ---------------------------------------------------------------------------
 
+# Each declaration type and the OntologyModel field that it fills.
 _DECLARATION_TYPES = {
-    vocab.OWL_CLASS: "class",
-    vocab.RDFS + "Class": "class",
-    vocab.OWL_OBJECT_PROPERTY: "object_property",
-    vocab.OWL_DATATYPE_PROPERTY: "data_property",
-    vocab.OWL_ANNOTATION_PROPERTY: "annotation_property",
-    vocab.OWL_NAMED_INDIVIDUAL: "individual",
-    vocab.RDF + "Property": "object_property",
+    vocab.OWL_CLASS: "declared_classes",
+    vocab.RDFS + "Class": "declared_classes",
+    vocab.OWL_OBJECT_PROPERTY: "declared_object_properties",
+    vocab.OWL_DATATYPE_PROPERTY: "declared_data_properties",
+    vocab.OWL_ANNOTATION_PROPERTY: "declared_annotation_properties",
+    vocab.OWL_NAMED_INDIVIDUAL: "declared_individuals",
+    vocab.RDF + "Property": "declared_object_properties",
 }
 
 # Annotation-ish predicates that are recognized plumbing, not unmodeled content.
@@ -409,18 +407,6 @@ _BENIGN_ANNOTATIONS = {
     vocab.RDFS + "seeAlso",
     vocab.RDFS + "isDefinedBy",
     vocab.OWL + "versionInfo",
-}
-
-_REIFIED_KIND = {
-    vocab.OWL_EQUIVALENT_CLASS: "equivalent-classes",
-    vocab.RDFS_SUBCLASSOF: "sub-class-of",
-    vocab.OWL_DISJOINT_WITH: "disjoint-classes",
-    vocab.OWL_EQUIVALENT_PROPERTY: "equivalent-properties",
-    vocab.RDFS_SUBPROPERTYOF: "sub-property-of",
-    vocab.OWL_INVERSE_OF: "inverse-properties",
-    vocab.RDFS_DOMAIN: "property-domain",
-    vocab.RDFS_RANGE: "property-range",
-    vocab.OWL_PROPERTY_CHAIN: "property-chain",
 }
 
 _REIFICATION = (vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET)
@@ -545,7 +531,7 @@ class _Extractor:
         if not isinstance(node, Iri):
             raise MalformedExpressionError("node does not root a property expression")
         named = NamedProperty(node)
-        return inverse_of(named) if inverted else named
+        return InverseProperty(named) if inverted else named
 
     # -- passes --------------------------------------------------------------
 
@@ -560,22 +546,13 @@ class _Extractor:
 
     def _declarations(self) -> None:
         """Record entity declarations up front so later passes can consult them."""
-        targets = {
-            "class": self.model.declared_classes,
-            "object_property": self.model.declared_object_properties,
-            "data_property": self.model.declared_data_properties,
-            "annotation_property": self.model.declared_annotation_properties,
-            "individual": self.model.declared_individuals,
-        }
         for t in self.graph.with_predicate(vocab.RDF_TYPE):
-            if not isinstance(t.object, Iri):
-                continue
-            decl = _DECLARATION_TYPES.get(t.object.value)
-            if decl is None:
+            decl = isinstance(t.object, Iri) and _DECLARATION_TYPES.get(t.object.value)
+            if not decl:
                 continue
             if isinstance(t.subject, Iri):
-                targets[decl].add(t.subject.value)
-            if decl != "data_property":
+                getattr(self.model, decl).add(t.subject.value)
+            if decl != "declared_data_properties":
                 # Data-property declarations stay visible as unmodeled content:
                 # their mapping semantics are out of scope.
                 self.consumed.add(t)
@@ -669,23 +646,19 @@ class _Extractor:
 
     def _decode_statement(self, s: Term, p: str, o: Term) -> Optional[Axiom]:
         """Fold one (s, p, o) with a recognized axiom predicate into an Axiom."""
-        kind = _REIFIED_KIND.get(p)
+        statement = _STATEMENTS.get(p)
+        if statement is not None:
+            kind, s_class, o_class = statement
+            return Axiom(kind, (self.class_expression(s) if s_class else self.property_expression(s),
+                                self.class_expression(o) if o_class else self.property_expression(o)))
         if p in vocab.SKOS_MAPPING_PREDICATES:
             return Axiom("skos-related", (p, s, o))
-        if kind is None:
+        if p != vocab.OWL_PROPERTY_CHAIN:
             return None
-        if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
-            return Axiom(kind, (self.class_expression(s), self.class_expression(o)))
-        if kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
-            return Axiom(kind, (self.property_expression(s), self.property_expression(o)))
-        if kind in ("property-domain", "property-range"):
-            return Axiom(kind, (self.property_expression(s), self.class_expression(o)))
-        if kind == "property-chain":
-            chain = tuple(self.property_expression(x) for x in self.read_list(o))
-            if len(chain) < 2:
-                raise MalformedExpressionError("property chain needs at least two links")
-            return Axiom("property-chain", (chain, self.property_expression(s)))
-        return None
+        chain = tuple(self.property_expression(x) for x in self.read_list(o))
+        if len(chain) < 2:
+            raise MalformedExpressionError("property chain needs at least two links")
+        return Axiom("property-chain", (chain, self.property_expression(s)))
 
     def _all_disjoint_classes(self) -> None:
         for node in self.graph.subjects_with(vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES)):
@@ -739,7 +712,8 @@ class _Extractor:
             # Declarations have a pass of their own; owl:Thing and owl:Nothing are classes.
             named = isinstance(o, Iri) and (o is THING.iri or o is NOTHING.iri or not _is_builtin(o.value))
             return "class-assertion" if named else "left"
-        if p in _REIFIED_KIND or p in vocab.SKOS_MAPPING_PREDICATES or p == vocab.OWL_DISJOINT_UNION_OF:
+        if (p in _STATEMENTS or p in vocab.SKOS_MAPPING_PREDICATES
+                or p in (vocab.OWL_PROPERTY_CHAIN, vocab.OWL_DISJOINT_UNION_OF)):
             return "ordered"
         if p in _BENIGN_ANNOTATIONS or p in self.model.declared_annotation_properties:
             return "annotation"

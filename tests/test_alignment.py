@@ -13,7 +13,7 @@ from provalign.alignment import (
 )
 from provalign.checks import alignment_axiom_model, alignment_stats
 from provalign.fixtures import SOURCE_NAMESPACES, TARGET_NAMESPACES
-from provalign.owl import ClassAtom, NamedClass, SwrlRule, extract_axioms, merge_models
+from provalign.owl import Axiom, ClassAtom, DisjointUnionOf, NamedClass, SwrlRule, extract_axioms, merge_models
 from provalign.rdf import iri
 from provalign.turtle import parse_turtle
 
@@ -50,6 +50,15 @@ def test_reified_block_yields_one_labelled_mapping():
     assert m.object == NamedClass(iri(OBO + "BFO_0000015"))
     assert m.object_label == "process"
     assert m.justification == DEFAULT_JUSTIFICATION
+
+
+def test_disjoint_union_across_namespaces_is_one_equivalence():
+    model = model_of("prov:Agent owl:disjointUnionOf ( obo:BFO_0000040 obo:BFO_0000023 ) .")
+    alignment = extract_mappings(model, SOURCE_NAMESPACES, TARGET_NAMESPACES)
+    (m,) = alignment.mappings
+    union = DisjointUnionOf((NamedClass(iri(OBO + "BFO_0000040")), NamedClass(iri(OBO + "BFO_0000023"))))
+    assert (m.predicate, m.subject, m.object) == ("equivalent-class", NamedClass(iri(PROV + "Agent")), union)
+    assert m.payload == Axiom("equivalent-classes", (NamedClass(iri(PROV + "Agent")), union))
 
 
 def test_intra_namespace_axioms_are_not_mappings():

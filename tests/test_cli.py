@@ -453,6 +453,47 @@ def test_a_type_of_thing_or_nothing_is_a_class_assertion(tmp_path, cls, exit_cod
     assert (doc["counts"]["instances"], doc["counts"]["unmodeled_axioms"]) == (1, 0)
 
 
+@pytest.mark.parametrize("statement, member, unsatisfiable", [
+    ("ex:C owl:disjointWith ex:C .", "C", ["C"]),
+    ("ex:U owl:disjointUnionOf ( ex:A ex:A ) .", "A", ["A", "U"]),
+    ("[] a owl:AllDisjointClasses ; owl:members ( ex:C ex:D ex:C ) .", "C", ["C"]),
+], ids=["disjoint-with", "disjoint-union", "all-disjoint-classes"])
+def test_a_class_disjoint_with_itself_is_unsatisfiable(tmp_path, statement, member, unsatisfiable):
+    ex = "http://example.org/t#"
+    head = f"@prefix owl: <http://www.w3.org/2002/07/owl#> .\n@prefix ex: <{ex}> .\n"
+    onto, instances = tmp_path / "onto.ttl", tmp_path / "instances.ttl"
+    onto.write_text(head + statement + "\n")
+    instances.write_text(head + f"ex:a a ex:{member} .\n")
+    doc = run_json(["check-consistency", "--source", str(onto), "--instances", str(instances)], tmp_path, 1)
+    assert [(f["kind"], f["individual"], f["participants"]) for f in doc["findings"]] == [
+        ("disjointness-violation", ex + "a", [ex + member, ex + member])]
+    doc = run_json(["check-coherence", "--source", str(onto)], tmp_path, 1)
+    assert [f["unsatisfiable_class"] for f in doc["findings"]] == [ex + c for c in unsatisfiable]
+
+
+def test_check_all_is_an_error_when_a_check_is(tmp_path):
+    # ex:A's existential loops back into ex:A, so each coherence probe meets the fact cap.
+    head = ("@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "@prefix ex: <http://example.org/src#> .\n@prefix t: <http://example.org/tgt#> .\n")
+    source, alignment = tmp_path / "source.ttl", tmp_path / "alignment.ttl"
+    source.write_text(head + "ex:A rdfs:subClassOf [ a owl:Restriction ; owl:onProperty ex:p ; "
+                             "owl:someValuesFrom ex:A ] .\n")
+    alignment.write_text(head + "ex:A owl:equivalentClass t:A .\nex:p owl:equivalentProperty t:p .\n")
+    doc = run_json(["check-all", "--source", str(source), "--alignment", str(alignment),
+                    "--source-ns", "http://example.org/src#", "--target-ns", "http://example.org/tgt#",
+                    "--fact-cap", "5"], tmp_path, 2)
+    assert doc["status"] == "error"
+    assert {d["check"]: d["status"] for d in doc["checks"]} == {
+        "coherence": "error", "conservativity": "pass", "consistency": "pass", "totality": "pass"}
+
+
+def test_a_stack_without_files_is_a_usage_error(capsys):
+    assert run(["check-coherence"]) == 2
+    assert capsys.readouterr().err == (
+        "provalign: error: check-coherence needs at least one --source/--target/--alignment file\n")
+
+
 def _load_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

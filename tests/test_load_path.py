@@ -25,9 +25,71 @@ PROV = "http://www.w3.org/ns/prov#"
 # Extraction
 # ---------------------------------------------------------------------------
 
+_REFERENCE_KIND = {
+    vocab.OWL_EQUIVALENT_CLASS: "equivalent-classes",
+    vocab.RDFS_SUBCLASSOF: "sub-class-of",
+    vocab.OWL_DISJOINT_WITH: "disjoint-classes",
+    vocab.OWL_EQUIVALENT_PROPERTY: "equivalent-properties",
+    vocab.RDFS_SUBPROPERTYOF: "sub-property-of",
+    vocab.OWL_INVERSE_OF: "inverse-properties",
+    vocab.RDFS_DOMAIN: "property-domain",
+    vocab.RDFS_RANGE: "property-range",
+    vocab.OWL_PROPERTY_CHAIN: "property-chain",
+}
+
+_REFERENCE_DECLARATIONS = {
+    vocab.OWL_CLASS: "class",
+    vocab.RDFS + "Class": "class",
+    vocab.OWL_OBJECT_PROPERTY: "object_property",
+    vocab.OWL_DATATYPE_PROPERTY: "data_property",
+    vocab.OWL_ANNOTATION_PROPERTY: "annotation_property",
+    vocab.OWL_NAMED_INDIVIDUAL: "individual",
+    vocab.RDF + "Property": "object_property",
+}
+
+
 class ReferenceExtractor(owl._Extractor):
     """Extraction as it was before plain triples were decided per predicate:
-    every unconsumed triple, in triple order, through one decision."""
+    every unconsumed triple, in triple order, through one decision. Statements
+    and declarations are decoded kind by kind, not through the extractor's
+    tables; the header, SWRL, reified-axiom and owl:AllDisjointClasses passes
+    are inherited."""
+
+    def _declarations(self):
+        targets = {
+            "class": self.model.declared_classes,
+            "object_property": self.model.declared_object_properties,
+            "data_property": self.model.declared_data_properties,
+            "annotation_property": self.model.declared_annotation_properties,
+            "individual": self.model.declared_individuals,
+        }
+        for t in self.graph.with_predicate(vocab.RDF_TYPE):
+            if not isinstance(t.object, Iri):
+                continue
+            decl = _REFERENCE_DECLARATIONS.get(t.object.value)
+            if decl is None:
+                continue
+            if isinstance(t.subject, Iri):
+                targets[decl].add(t.subject.value)
+            if decl != "data_property":
+                self.consumed.add(t)
+
+    def _decode_statement(self, s, p, o):
+        kind = _REFERENCE_KIND.get(p)
+        if p in vocab.SKOS_MAPPING_PREDICATES:
+            return Axiom("skos-related", (p, s, o))
+        if kind in ("sub-class-of", "equivalent-classes", "disjoint-classes"):
+            return Axiom(kind, (self.class_expression(s), self.class_expression(o)))
+        if kind in ("sub-property-of", "equivalent-properties", "inverse-properties"):
+            return Axiom(kind, (self.property_expression(s), self.property_expression(o)))
+        if kind in ("property-domain", "property-range"):
+            return Axiom(kind, (self.property_expression(s), self.class_expression(o)))
+        if kind == "property-chain":
+            chain = tuple(self.property_expression(x) for x in self.read_list(o))
+            if len(chain) < 2:
+                raise owl.MalformedExpressionError("property chain needs at least two links")
+            return Axiom("property-chain", (chain, self.property_expression(s)))
+        return None
 
     def _plain_triples(self):
         consumed = self.consumed
@@ -94,7 +156,7 @@ _BUILTINS = [iri(v) for v in (vocab.OWL_THING, vocab.OWL_CLASS, vocab.OWL_RESTRI
                               vocab.OWL_ANNOTATION_PROPERTY, vocab.OWL_DATATYPE_PROPERTY, vocab.RDF_NIL)]
 _LITERALS = [Literal("x"), Literal("x", language="en"), Literal("1", datatype=vocab.XSD_INTEGER)]
 _AXIOM_PREDICATES = [vocab.RDFS_SUBCLASSOF, vocab.OWL_EQUIVALENT_CLASS, vocab.OWL_DISJOINT_WITH,
-                     vocab.RDFS_SUBPROPERTYOF, vocab.OWL_INVERSE_OF, vocab.RDFS_DOMAIN, vocab.RDFS_RANGE,
+                     vocab.RDFS_SUBPROPERTYOF, vocab.OWL_EQUIVALENT_PROPERTY, vocab.OWL_INVERSE_OF, vocab.RDFS_DOMAIN, vocab.RDFS_RANGE,
                      vocab.OWL_PROPERTY_CHAIN, vocab.OWL_DISJOINT_UNION_OF, vocab.SKOS + "exactMatch"]
 _PREDICATES = _AXIOM_PREDICATES + [
     vocab.RDF_TYPE, vocab.RDF_TYPE, EX + "p", EX + "q", EX + "ann", vocab.RDFS_LABEL, vocab.RDFS_COMMENT,
@@ -134,7 +196,8 @@ def _graphs(draw):
                   st.sampled_from(_AXIOM_PREDICATES + [EX + "p"]), objects),
         st.tuples(st.just("declare"), st.sampled_from(_NAMES),
                   st.sampled_from([vocab.OWL_ANNOTATION_PROPERTY, vocab.OWL_CLASS, vocab.OWL_OBJECT_PROPERTY,
-                                   vocab.OWL_DATATYPE_PROPERTY, vocab.OWL_NAMED_INDIVIDUAL])),
+                                   vocab.OWL_DATATYPE_PROPERTY, vocab.OWL_NAMED_INDIVIDUAL,
+                                   vocab.RDFS + "Class", vocab.RDF + "Property"])),
     )
     for piece in draw(st.lists(pieces, max_size=20)):
         kind, *args = piece

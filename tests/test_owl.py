@@ -138,6 +138,25 @@ def test_reified_and_plain_same_axiom_deduplicate():
     assert found[0].annotations
 
 
+def test_a_statement_reified_twice_holds_both_annotations():
+    model = model_of("""
+    [] a owl:Axiom ;
+       owl:annotatedSource prov:Activity ;
+       owl:annotatedProperty owl:equivalentClass ;
+       owl:annotatedTarget obo:BFO_0000015 ;
+       rdfs:comment "first" .
+    [] a owl:Axiom ;
+       owl:annotatedSource prov:Activity ;
+       owl:annotatedProperty owl:equivalentClass ;
+       owl:annotatedTarget obo:BFO_0000015 ;
+       sssom:object_label "process" .
+    """)
+    (ax,) = axioms_of_kind(model, "equivalent-classes")
+    assert [(p, v.lexical) for p, v in ax.annotations] == [
+        (vocab.RDFS_COMMENT, "first"), (vocab.SSSOM_OBJECT_LABEL, "process")]
+    assert model.unmodeled == []
+
+
 def test_disjoint_with():
     model = model_of("prov:Entity owl:disjointWith prov:Activity .")
     (ax,) = axioms_of_kind(model, "disjoint-classes")
@@ -414,6 +433,13 @@ def test_signature_cache_matches_recomputation(prov):
     cached = prov.signature_sets()
     fresh = extract_axioms(parse_turtle(fixture_text("prov-mini.ttl"))).signature_sets()
     assert cached == fresh
+
+
+def test_reading_a_signature_leaves_model_equality_alone():
+    a, b = owl.OntologyModel(), owl.OntologyModel()
+    assert a == b
+    signature(a)
+    assert a == b
 
 
 def test_signature_monotone_under_axiom_addition(prov):
