@@ -188,7 +188,9 @@ class TBoxIndex:
             add_uses(model.rules, used, props, set())
             for ax in model.axioms:
                 kind, args = ax.kind, ax.args
-                if kind == "sub-class-of":
+                if kind == "class-assertion" or kind == "property-assertion":
+                    self.assertions.append(ax)
+                elif kind == "sub-class-of":
                     self._edge(args[0], args[1])
                 elif kind == "equivalent-classes":
                     self._edge(args[0], args[1])
@@ -222,8 +224,6 @@ class TBoxIndex:
                                    tuple(PropertyAtom(pe, f"v{i}", f"v{i + 1}")
                                          for i, pe in enumerate(args[0])),
                                    (PropertyAtom(args[1], "v0", f"v{len(args[0])}"),)))
-                elif kind in ("class-assertion", "property-assertion"):
-                    self.assertions.append(ax)
             for rule in model.rules:
                 comment = next((value.lexical for pred, value in rule.annotations
                                 if pred == vocab.RDFS_COMMENT and isinstance(value, Literal)), "")
@@ -267,12 +267,18 @@ class TBoxIndex:
                         (PropertyAtom(ce.prop, "x", "y"), ClassAtom(ce.filler, "y")),
                         (ClassAtom(ce, "x"),)) for ce in order if isinstance(ce, SomeValuesFrom)]
         self.rules += chains + swrl
+        # The key of every property expression that the axioms and rules name,
+        # resolved once for every closure; existentials name theirs through the
+        # rules that read them.
+        props.update(atom.prop for _, _, body, head in self.rules for atom in body + head
+                     if isinstance(atom, PropertyAtom))
+        self.prop_keys: Dict[PropertyExpression, PropKey] = {pe: _prop_key(pe) for pe in props}
         # Trigger index: the rules that read each class expression or property,
         # bit i for rule i, and how many distinct predicates each rule's body reads.
         self.readers: Dict[object, int] = {}
         self.body_sizes: List[int] = []
         for index, (_, _, body, _) in enumerate(self.rules):
-            predicates = {a.cls if isinstance(a, ClassAtom) else _prop_key(a.prop)[0] for a in body}
+            predicates = {a.cls if isinstance(a, ClassAtom) else self.prop_keys[a.prop][0] for a in body}
             self.body_sizes.append(len(predicates))
             for predicate in predicates:
                 self.readers[predicate] = self.readers.get(predicate, 0) | 1 << index
@@ -280,10 +286,8 @@ class TBoxIndex:
         # that some rule reads, and existentials, which may need a witness.
         self._watched = sum(1 << rank(ce) for ce in {
             *(ce for ce in order if isinstance(ce, SomeValuesFrom)), *(p for p in self.readers if not isinstance(p, str))})
-        # Every property that the axioms and rules name gets a key, with or
-        # without edges; existentials name theirs through the rules that read them.
-        self._prop_names = sorted({*(_prop_key(pe)[0] for pe in props),
-                                   *(p for p in self.readers if isinstance(p, str))})
+        # Every property that the axioms and rules name gets a key, with or without edges.
+        self._prop_names = sorted({name for name, _ in self.prop_keys.values()})
 
     # -- closures --------------------------------------------------------------
 

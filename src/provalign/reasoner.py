@@ -23,7 +23,7 @@ from itertools import chain, compress, islice, repeat
 from operator import eq, is_, itemgetter, or_
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .index import PlanEntry, TBoxIndex, _bit_ids, _prop_key
+from .index import PlanEntry, TBoxIndex, _bit_ids, _prop_key  # noqa: F401 (reference engines resolve keys through it)
 from .owl import (
     Atom,
     Axiom,
@@ -357,28 +357,30 @@ class _Engine(ClosedKB):
         need a witness; wake the rules that read it once each of their body
         predicates has a fact."""
         # Only the facts that some rule reads go into the join indexes.
-        readers = self.tbox.readers.get(fact[2] if fact[0] == "class" else fact[1])
         if fact[0] == "class":
             _, x, ce = fact
-            if isinstance(ce, SomeValuesFrom):
+            if ce.__class__ is SomeValuesFrom:
                 self.fresh.append(fact)
-            if readers:
-                (facts := self.members_of.setdefault(ce, [])).append(x)
+            readers = self.tbox.readers.get(ce)
+            if not readers:
+                return
+            (facts := self.members_of.setdefault(ce, [])).append(x)
         else:
             _, name, s, o = fact
-            if readers:
-                facts = self.pairs_of.setdefault(name, [])
-                self.links.setdefault((name, False, s), []).append(len(facts))
-                self.links.setdefault((name, True, o), []).append(len(facts))
-                facts.append((s, o))
-        if readers:
-            self.serial[fact] = len(self.serial)
-            if len(facts) == 1:  # the predicate's first fact
-                for index in _bit_ids(readers):
-                    self.waiting[index] -= 1
-                    if not self.waiting[index]:
-                        self.ready |= 1 << index
-            self.dirty |= readers & self.ready
+            readers = self.tbox.readers.get(name)
+            if not readers:
+                return
+            facts, links = self.pairs_of.setdefault(name, []), self.links
+            links.setdefault((name, False, s), []).append(len(facts))
+            links.setdefault((name, True, o), []).append(len(facts))
+            facts.append((s, o))
+        self.serial[fact] = len(self.serial)
+        if len(facts) == 1:  # the predicate's first fact
+            for index in _bit_ids(readers):
+                self.waiting[index] -= 1
+                if not self.waiting[index]:
+                    self.ready |= 1 << index
+        self.dirty |= readers & self.ready
 
     def add_class(self, x: Term, ce: ClassExpression, rule: str,
                   premises: Tuple[FactKey, ...], detail: str = "") -> bool:
@@ -387,22 +389,23 @@ class _Engine(ClosedKB):
         reads or that are existentials are indexed, in id order: a burst meets
         each class once and its facts are numbered together, so within it their
         order is not observable."""
-        if isinstance(x, Literal):
+        if x.__class__ is Literal:
             return False
-        tbox = self.tbox
+        tbox, masks = self.tbox, self._masks
         i = tbox._ids[ce]
-        before = self._masks.get(x, 0)
+        before = masks.get(x, 0)
         if before >> i & 1:
             return False
         new = tbox._reach[i] & ~before
         self.derived_count += new.bit_count()
         if self.derived_count > self.fact_cap:
             raise _cap_exceeded(self.fact_cap)
-        self._masks[x] = before | new
+        masks[x] = before | new
         self._bursts.append((x, i, (rule, premises, detail), new))
-        if new & tbox._watched:
-            for j in _bit_ids(new & tbox._watched):
-                self._record(class_fact(x, tbox._order[j]))
+        if watched := new & tbox._watched:
+            order, record = tbox._order, self._record
+            for j in _bit_ids(watched):
+                record(("class", x, order[j]))
         return True
 
     def add_prop(self, name: str, s: Term, o: Term, rule: str,
@@ -418,11 +421,18 @@ class _Engine(ClosedKB):
         # nothing, as a rule head's does not.
         if s.__class__ is Literal:
             return False
-        a, b, k, held = self._pair(self._pids[name], s, o)
+        pairs, k = self._pairs, self._pids[name]  # the pair, as in _pair
+        held = pairs.get((s, o))
+        if held is not None:
+            a, b = s, o
+        elif (held := pairs.get((o, s))) is not None:
+            a, b, k = o, s, k ^ 1
+        else:
+            a, b, held = s, o, 0
         if held >> k & 1:
             return False
-        tbox, masks, loop = self.tbox, self._masks, a == b
-        reach, to_a, to_b, read = tbox.prop_step(k, b.__class__ is Literal)
+        tbox, masks, loop, literal = self.tbox, self._masks, a == b, b.__class__ is Literal
+        reach, to_a, to_b, read = tbox._steps.get(k << 1 | literal) or tbox.prop_step(k, literal)
         new = reach & ~held
         if loop:  # p(a, b) and p(b, a) are one fact
             new |= _mirror(new)
@@ -432,26 +442,28 @@ class _Engine(ClosedKB):
         self.derived_count += (new.bit_count() >> loop) + gain_a.bit_count() + gain_b.bit_count()
         if self.derived_count > self.fact_cap:
             raise _cap_exceeded(self.fact_cap)
-        self._pairs[a, b] = held | new
+        pairs[a, b] = held | new
         if gain_a:
             masks[a] = ma | gain_a
         if gain_b:
             masks[b] = mb | gain_b
         self._bursts.append(burst := (a, b, k, (rule, premises, detail), new, gain_a, gain_b))
-        for bit in read:
-            if new >> bit & 1:
-                new &= ~(1 << bit | loop << (bit ^ 1))
-                sup = self._pnames[bit >> 1]
-                self._record(prop_fact(sup, b, a) if bit & 1 else prop_fact(sup, a, b))
+        if read:
+            record, names = self._record, self._pnames
+            for bit in read:
+                if new >> bit & 1:
+                    new &= ~(1 << bit | loop << (bit ^ 1))
+                    record(("prop", names[bit >> 1], b, a) if bit & 1 else ("prop", names[bit >> 1], a, b))
         watched = tbox._watched
-        if gain_a & gain_b & watched:
-            for fact, _ in self._walk_pair(*burst):
-                if fact[0] == "class" and watched >> tbox._ids[fact[2]] & 1:
-                    self._record(fact)
-        elif (gain_a | gain_b) & watched:
-            for x, gain in ((a, gain_a & watched), (b, gain_b & watched)):
-                for j in _bit_ids(gain) if gain else ():
-                    self._record(class_fact(x, tbox._order[j]))
+        if (gain_a | gain_b) & watched:
+            if gain_a & gain_b & watched:
+                for fact, _ in self._walk_pair(*burst):
+                    if fact[0] == "class" and watched >> tbox._ids[fact[2]] & 1:
+                        self._record(fact)
+            else:
+                for x, gain in ((a, gain_a & watched), (b, gain_b & watched)):
+                    for j in _bit_ids(gain) if gain else ():
+                        self._record(("class", x, tbox._order[j]))
         return True
 
     # -- rule passes -----------------------------------------------------------
@@ -466,7 +478,7 @@ class _Engine(ClosedKB):
         fresh.sort(key=lambda fact: (term_sort_key(fact[1]), fact[2].text))
         for premise in fresh:
             _, x, ce = premise
-            name, inverted = _prop_key(ce.prop)
+            name, inverted = self.tbox.prop_keys[ce.prop]
             facts, depth = self.pairs_of.get(name, ()), self.skolem_depths.get(x, 0) + 1
             successors = (facts[position][not inverted] for position in self.links.get((name, inverted, x), ()))
             if any(self.has_class(y, ce.filler) and self.skolem_depths.get(y, 0) <= depth
@@ -497,8 +509,9 @@ class _Engine(ClosedKB):
         a fired head can queue a later match; property facts as the turn began.
         """
         label, detail, body, head = self.tbox.rules[index]
+        keys = self.tbox.prop_keys
         sizes = [len(self.members_of[atom.cls] if isinstance(atom, ClassAtom)
-                     else self.pairs_of[_prop_key(atom.prop)[0]]) for atom in body]
+                     else self.pairs_of[keys[atom.prop][0]]) for atom in body]
         marks, self.marks[index] = self.marks.get(index, [0] * len(body)), sizes
         queue: Dict[Tuple[int, ...], Tuple[Dict[str, Term], Tuple[FactKey, ...]]] = {}
         for i in range(len(body)):
@@ -512,21 +525,21 @@ class _Engine(ClosedKB):
                 if isinstance(atom, ClassAtom):
                     self.add_class(binding[atom.var], atom.cls, label, premises, detail)
                 elif not any(isinstance(binding[var], Literal) for var in (atom.var1, atom.var2)):
-                    (name, inverted), a, b = _prop_key(atom.prop), binding[atom.var1], binding[atom.var2]
+                    (name, inverted), a, b = keys[atom.prop], binding[atom.var1], binding[atom.var2]
                     self.add_prop(name, *((b, a) if inverted else (a, b)), label, premises, detail)
-            for i, atom in enumerate(body):
-                if self.dirty >> index & 1 and isinstance(atom, ClassAtom) and len(
-                        self.members_of.get(atom.cls, ())) > seen[i]:
-                    later = self._match(body, i, seen[i], sizes, queue, key)
-                    seen[i] = len(self.members_of[atom.cls])
-                    order[fired:] = sorted(order[fired:] + later)
+            if self.dirty >> index & 1:  # _match leaves dirty as it is
+                for i, atom in enumerate(body):
+                    if isinstance(atom, ClassAtom) and len(self.members_of.get(atom.cls, ())) > seen[i]:
+                        later = self._match(body, i, seen[i], sizes, queue, key)
+                        seen[i] = len(self.members_of[atom.cls])
+                        order[fired:] = sorted(order[fired:] + later)
 
     def _match(self, body: Tuple[Atom, ...], first: int, start: int, sizes: List[int],
                queue: Dict, after: Tuple[int, ...]) -> List[Tuple[int, ...]]:
         """Queue each new match of ``body`` that sorts after ``after`` under its key, and
         return the keys: atom ``first`` first, from position ``start`` of its facts,
         then the rest in body order; property atoms read below their ``sizes``."""
-        rest, added = [j for j in range(len(body)) if j != first], []
+        rest, added, serial = [j for j in range(len(body)) if j != first], [], self.serial.__getitem__
         stack = [self._extend(body[first], {}, (), sizes[first], start)]
         while stack:
             step = next(stack[-1], None)
@@ -539,7 +552,7 @@ class _Engine(ClosedKB):
                 binding, premises = step
                 if first:
                     premises = premises[1:first + 1] + premises[:1] + premises[first + 1:]
-                key = tuple(map(self.serial.__getitem__, premises))
+                key = tuple(map(serial, premises))
                 if key > after and key not in queue:
                     queue[key] = binding, premises
                     added.append(key)
@@ -550,26 +563,28 @@ class _Engine(ClosedKB):
         """Each extension of ``binding`` and ``premises`` by one fact that matches
         ``atom``, in insertion order: property facts below position ``limit``, and
         for an unbound atom from position ``start``."""
-        if isinstance(atom, ClassAtom):
-            x = binding.get(atom.var)
+        if atom.__class__ is ClassAtom:
+            var, cls = atom.var, atom.cls
+            x = binding.get(var)
             if x is None:
-                for y in islice(self.members_of.get(atom.cls, ()), start, None):
-                    yield {**binding, atom.var: y}, premises + (class_fact(y, atom.cls),)
-            elif self.has_class(x, atom.cls):
-                yield binding, premises + (class_fact(x, atom.cls),)
+                for y in islice(self.members_of.get(cls, ()), start, None):
+                    yield {**binding, var: y}, premises + (("class", y, cls),)
+            elif self.has_class(x, cls):
+                yield binding, premises + (("class", x, cls),)
             return
-        name, inverted = _prop_key(atom.prop)
-        facts, a, b = self.pairs_of.get(name, ()), binding.get(atom.var1), binding.get(atom.var2)
+        var1, var2, (name, inverted) = atom.var1, atom.var2, self.tbox.prop_keys[atom.prop]
+        facts, a, b = self.pairs_of.get(name, ()), binding.get(var1), binding.get(var2)
         positions: Iterable[int] = (self.links.get((name, inverted, a), ()) if a is not None else
                                     self.links.get((name, not inverted, b), ()) if b is not None else
                                     range(start, limit))
+        loop = var1 == var2
         for position in positions:
             if position >= limit:
                 break
             s, o = facts[position]
             x, y = (o, s) if inverted else (s, o)
-            if binding.get(atom.var2, y) == y and (atom.var1 != atom.var2 or x == y):
-                yield {**binding, atom.var1: x, atom.var2: y}, premises + (prop_fact(name, s, o),)
+            if (b is None or b == y) and (not loop or x == y):
+                yield {**binding, var1: x, var2: y}, premises + (("prop", name, s, o),)
 
     def run(self) -> None:
         """Skolemize, then give each rule with a body fact newer than its last turn
@@ -589,12 +604,14 @@ def _close(tbox: TBoxIndex, skolem_depth: int, fact_cap: int,
     """Load the assertions of the models that ``tbox`` was built from, then
     ``_PROBE`` into ``probe`` if one is given, and run the engine to fixpoint."""
     engine = _Engine(tbox, skolem_depth, fact_cap)
+    add_class, add_prop, keys = engine.add_class, engine.add_prop, tbox.prop_keys
     for ax in tbox.assertions:
+        args = ax.args
         if ax.kind == "class-assertion":
-            engine.add_class(ax.args[0], ax.args[1], "asserted", ())
+            add_class(args[0], args[1], "asserted", ())
         else:
-            (name, inverted), s, o = _prop_key(ax.args[0]), ax.args[1], ax.args[2]
-            engine.add_prop(name, *((o, s) if inverted else (s, o)), "asserted", ())
+            name, inverted = keys[args[0]]
+            add_prop(name, *((args[2], args[1]) if inverted else args[1:]), "asserted", ())
     if probe is not None:
         engine.add_class(_PROBE, probe, "asserted", ())
     engine.run()

@@ -97,7 +97,8 @@ _TOKEN_KINDS = (
     ("name", _PREFIX),
     ("other", r"[\s\S]"),
 )
-_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+# Whitespace and comments; a comment ends at U+000D or U+000A, as in Turtle 1.1.
+_SKIP = r"[ \t\r\n]*(?:#[^\r\n]*[ \t\r\n]*)*"
 # The segmenter: the alternatives in one unnamed group, so that one findall
 # returns every token's lexeme. A permissive body also takes its terminator
 # when one follows, so a terminated token stays one lexeme.

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from provalign import owl, turtle, vocab
 from provalign.fixtures import FIXTURE_NAMES, INSTANCE_NAMES, fixture_text
 from provalign.owl import Axiom, NamedClass, NamedProperty, OwlError, extract_axioms
-from provalign.rdf import BlankNode, Graph, Iri, Literal, Triple, graph_isomorphic, iri, new_scope, triple_sort_key
+from provalign.rdf import (BlankNode, Graph, Iri, Literal, Triple, graph_isomorphic, iri, new_scope, term_sort_key,
+                           triple_sort_key)
 from provalign.turtle import parse_turtle
 
 EX = "http://example.org/"
@@ -52,8 +53,80 @@ class ReferenceExtractor(owl._Extractor):
     """Extraction as it was before plain triples were decided per predicate:
     every unconsumed triple, in triple order, through one decision. Statements
     and declarations are decoded kind by kind, not through the extractor's
-    tables; the header, SWRL, reified-axiom and owl:AllDisjointClasses passes
-    are inherited."""
+    tables. The reified-axiom and owl:AllDisjointClasses passes read the
+    graph's triples themselves, and a statement that fails to decode gives
+    back what it consumed through the reference's own ``_attempt``; the
+    header and SWRL passes, and the expression and list decoders, are
+    inherited."""
+
+    def _attempt(self, decode, *args):
+        """``decode(*args)``, or None, with the consumed triples as they were
+        before, if it returns None or meets a construct outside the fragment:
+        ``decode`` consumes into a set of its own, kept only on success."""
+        before, self.consumed = self.consumed, set()
+        try:
+            result = decode(*args)
+        except owl.UnsupportedExpressionError:
+            result = None
+        if result is not None:
+            before |= self.consumed
+        self.consumed = before
+        return result
+
+    def __init__(self, graph, source_label):
+        super().__init__(graph, source_label)
+        self.by_subject = {}  # each subject's triples, in triple order
+        for t in sorted(graph.triples, key=triple_sort_key):
+            self.by_subject.setdefault(t.subject, []).append(t)
+
+    def _triples(self, node, predicate):
+        return [t for t in self.by_subject.get(node, ()) if t.predicate.value == predicate]
+
+    def _typed(self, rdf_type):
+        return sorted({t.subject for t in self.graph.triples
+                       if t.predicate.value == vocab.RDF_TYPE and t.object == iri(rdf_type)}, key=term_sort_key)
+
+    def _reified_axioms(self):
+        for node in self._typed(vocab.OWL_AXIOM):
+            axiom = self._attempt(self._reference_reified, node)
+            if axiom is not None:
+                self.add_axiom(axiom)
+
+    def _reference_reified(self, node):
+        self.consumed.update(t for t in self._triples(node, vocab.RDF_TYPE) if t.object == iri(vocab.OWL_AXIOM))
+        parts = []
+        for predicate in (vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET):
+            triples = self._triples(node, predicate)
+            self.consumed.update(triples[:1])
+            parts.append(triples[0].object if triples else None)
+        source, prop, target = parts
+        if source is None or target is None or not isinstance(prop, Iri):
+            return None
+        axiom = self._decode_statement(source, prop.value, target)
+        if axiom is None:
+            return None
+        annotations = [t for t in self.by_subject[node] if t.predicate.value not in (
+            vocab.RDF_TYPE, vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET)]
+        self.consumed.update(annotations)
+        pairs = sorted({(t.predicate.value, t.object) for t in annotations},
+                       key=lambda kv: (kv[0], term_sort_key(kv[1])))
+        return Axiom(axiom.kind, axiom.args, tuple(pairs))
+
+    def _all_disjoint_classes(self):
+        for node in self._typed(vocab.OWL_ALL_DISJOINT_CLASSES):
+            classes = self._attempt(self._reference_members, node) or []
+            for i, a in enumerate(classes):
+                for b in classes[i + 1:]:
+                    self.add_axiom(Axiom("disjoint-classes", (a, b)))
+
+    def _reference_members(self, node):
+        self.consumed.update(t for t in self._triples(node, vocab.RDF_TYPE)
+                             if t.object == iri(vocab.OWL_ALL_DISJOINT_CLASSES))
+        members = self._triples(node, vocab.OWL_MEMBERS)
+        if not members:
+            return None
+        self.consumed.add(members[0])
+        return [self.class_expression(x) for x in self.read_list(members[0].object)]
 
     def _declarations(self):
         targets = {
@@ -92,10 +165,9 @@ class ReferenceExtractor(owl._Extractor):
         return None
 
     def _plain_triples(self):
-        consumed = self.consumed
-        for t in sorted(self.graph.triples - consumed, key=triple_sort_key):
-            if t not in consumed and self.attempt(self._reference_triple, t.subject, t.predicate, t.object):
-                consumed.add(t)
+        for t in sorted(self.graph.triples - self.consumed, key=triple_sort_key):
+            if t not in self.consumed and self._attempt(self._reference_triple, t.subject, t.predicate, t.object):
+                self.consumed.add(t)
         return ()
 
     def _reference_triple(self, s, predicate, o):
@@ -164,12 +236,20 @@ _PREDICATES = _AXIOM_PREDICATES + [
     vocab.OWL_ON_PROPERTY, vocab.OWL_SOME_VALUES_FROM, vocab.RDF_FIRST, vocab.RDF_REST]
 
 
+_REIFIED_PARTS = {"type": vocab.RDF_TYPE, "source": vocab.OWL_ANNOTATED_SOURCE,
+                  "property": vocab.OWL_ANNOTATED_PROPERTY, "target": vocab.OWL_ANNOTATED_TARGET}
+# Annotations of a reified axiom; the last is a second annotatedSource, which is no annotation.
+_REIFIED_ANNOTATIONS = [(vocab.RDFS_COMMENT, Literal("why")), (vocab.RDFS_LABEL, Literal("x", language="en")),
+                        (EX + "ann", iri(EX + "a")), (vocab.OWL_ANNOTATED_SOURCE, iri(EX + "b"))]
+
+
 @st.composite
 def _graphs(draw):
     """Assertions with IRI, blank and literal objects, statements that one axiom
-    makes twice, reified axioms, blank-node class expressions, lists that may
-    be cut short or loop, declarations and random triples over one small
-    vocabulary."""
+    makes twice, reified axioms that may be complete, incomplete or annotated,
+    owl:AllDisjointClasses whose member lists may repeat a class, lack or cut
+    a cell, or loop, blank-node class expressions, lists that may be cut short
+    or loop, declarations and random triples over one small vocabulary."""
     scope = new_scope()
     nodes = [BlankNode(f"n{i}", scope) for i in range(5)]
     cells = [BlankNode(f"l{i}", scope) for i in range(5)]
@@ -180,6 +260,20 @@ def _graphs(draw):
 
     def add(s, p, o):
         graph.add(Triple(s, iri(p), o))
+
+    def rdf_list(start, items, end):
+        """The cells from ``cells[start]`` on holding ``items``; the last one's
+        rdf:rest is missing ("cut"), loops back to the first ("loop") or is
+        rdf:nil, and with "no-first" it lacks its rdf:first."""
+        chain = [cells[(start + i) % len(cells)] for i in range(len(items))]
+        for i, (cell, item) in enumerate(zip(chain, items)):
+            if end != "no-first" or i + 1 < len(chain):
+                add(cell, vocab.RDF_FIRST, item)
+            if i + 1 < len(chain):
+                add(cell, vocab.RDF_REST, chain[i + 1])
+            elif end != "cut":
+                add(cell, vocab.RDF_REST, chain[0] if end == "loop" else iri(vocab.RDF_NIL))
+        return chain[0] if chain else iri(vocab.RDF_NIL)
 
     assertions = st.tuples(st.just("triple"), subjects, st.sampled_from([EX + "p", EX + "q", vocab.RDF_TYPE]),
                            st.sampled_from(_NAMES + nodes + _LITERALS))
@@ -192,8 +286,14 @@ def _graphs(draw):
                   st.sampled_from([vocab.OWL_INTERSECTION_OF, vocab.OWL_UNION_OF]), st.sampled_from(cells)),
         st.tuples(st.just("expression"), st.sampled_from(nodes),
                   st.sampled_from([vocab.OWL_COMPLEMENT_OF, vocab.OWL_SOME_VALUES_FROM]), classes),
-        st.tuples(st.just("reified"), st.sampled_from(nodes), subjects,
-                  st.sampled_from(_AXIOM_PREDICATES + [EX + "p"]), objects),
+        st.tuples(st.just("reified"), st.sampled_from(nodes), st.sampled_from(_NAMES) | subjects,
+                  st.sampled_from(_AXIOM_PREDICATES + [EX + "p"]).map(iri) | st.sampled_from(nodes + _LITERALS),
+                  st.sampled_from(_NAMES) | objects,
+                  st.one_of(st.just(frozenset()), st.just(frozenset()),
+                            st.frozensets(st.sampled_from(list(_REIFIED_PARTS)), min_size=1)),
+                  st.lists(st.sampled_from(_REIFIED_ANNOTATIONS), max_size=3), st.booleans()),
+        st.tuples(st.just("all-disjoint"), st.sampled_from(nodes), st.integers(0, 4), st.lists(classes, max_size=4),
+                  st.sampled_from(["nil", "nil", "nil", "cut", "loop", "no-first", "no-members"])),
         st.tuples(st.just("declare"), st.sampled_from(_NAMES),
                   st.sampled_from([vocab.OWL_ANNOTATION_PROPERTY, vocab.OWL_CLASS, vocab.OWL_OBJECT_PROPERTY,
                                    vocab.OWL_DATATYPE_PROPERTY, vocab.OWL_NAMED_INDIVIDUAL,
@@ -204,14 +304,7 @@ def _graphs(draw):
         if kind == "triple":
             add(*args)
         elif kind == "list":
-            start, items, end = args
-            chain = [cells[(start + i) % len(cells)] for i in range(len(items))]
-            for i, (cell, item) in enumerate(zip(chain, items)):
-                add(cell, vocab.RDF_FIRST, item)
-                if i + 1 < len(chain):
-                    add(cell, vocab.RDF_REST, chain[i + 1])
-                elif end != "cut":
-                    add(cell, vocab.RDF_REST, iri(vocab.RDF_NIL) if end == "nil" else chain[0])
+            rdf_list(*args)
         elif kind == "expression":
             node, p, operand = args
             if p == vocab.OWL_SOME_VALUES_FROM:
@@ -219,14 +312,19 @@ def _graphs(draw):
             add(node, p, operand)
             add(node, vocab.RDF_TYPE, iri(vocab.OWL_CLASS))
         elif kind == "reified":
-            node, s, p, o = args
-            add(node, vocab.RDF_TYPE, iri(vocab.OWL_AXIOM))
-            add(node, vocab.OWL_ANNOTATED_SOURCE, s)
-            add(node, vocab.OWL_ANNOTATED_PROPERTY, iri(p))
-            add(node, vocab.OWL_ANNOTATED_TARGET, o)
-            add(node, vocab.RDFS_COMMENT, Literal("why"))
-            if not isinstance(s, Literal) and draw(st.booleans()):
-                add(s, p, o)  # the same axiom, stated plainly too
+            node, s, p, o, missing, annotations, plain = args
+            for part, value in zip(_REIFIED_PARTS, (iri(vocab.OWL_AXIOM), s, p, o)):
+                if part not in missing:
+                    add(node, _REIFIED_PARTS[part], value)
+            for predicate, value in annotations:
+                add(node, predicate, value)
+            if plain and isinstance(p, Iri) and not isinstance(s, Literal):
+                add(s, p.value, o)  # the same axiom, stated plainly too
+        elif kind == "all-disjoint":
+            node, start, items, end = args
+            add(node, vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES))
+            if end != "no-members":
+                add(node, vocab.OWL_MEMBERS, rdf_list(start, items, end))
         else:
             add(args[0], vocab.RDF_TYPE, iri(args[1]))
     return graph
@@ -330,6 +428,22 @@ def test_ascii_and_wide_patterns_match_alike_at_every_offset(text):
     for pos in range(len(text) + 1):
         assert ascii_re.match(text, pos).span(1) == wide_re.match(text, pos).span(1)
     assert ascii_re.findall(text) == wide_re.findall(text)
+
+
+# The skip prefix from when a comment ended at U+000A only; on text without a
+# bare U+000D it skips exactly what ``turtle._SKIP`` skips.
+_LF_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_lf_segment_re = functools.cache(
+    lambda ascii: turtle._compile(_LF_SKIP + turtle._SEGMENT_SOURCE[len(turtle._SKIP):], ascii))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TURTLE_PIECES + ["\r", "\r\n", "# c", "#\r\n"])
+                | st.text(st.characters(max_codepoint=127), max_size=3), max_size=30).map("".join))
+def test_comments_cut_the_same_lexemes_as_before_without_a_bare_carriage_return(text):
+    text = re.sub("\r(?!\n)", "\r\n", text)
+    for ascii in (True, False):
+        assert turtle._segment_re(ascii).findall(text) == _lf_segment_re(ascii).findall(text)
 
 
 def _non_ascii_document():

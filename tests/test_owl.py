@@ -537,3 +537,26 @@ def test_deep_restriction_renders_unchanged():
         expr = SomeValuesFrom(P, expr)
     expected = "(http://example.org/p some " * 128 + "http://example.org/A" + ")" * 128
     assert render_class_expression(expr) == expr.text == expected
+
+
+def test_bulk_built_assertions_are_indistinguishable_from_constructed_ones(perfbench_requests):
+    """Extraction builds ABox assertions through the Axiom slots; each must be
+    what ``Axiom(kind, args)`` makes."""
+    (trace,) = [p for p in perfbench_requests[1]["prov-trace"][0]["files"] if p.endswith("trace0.ttl")]
+    count = 0
+    for text in [*map(fixture_text, INSTANCE_NAMES), Path(trace).read_text(encoding="utf-8")]:
+        for axiom in extract_axioms(parse_turtle(text)).axioms:
+            if axiom.kind not in ("class-assertion", "property-assertion"):
+                continue
+            count += 1
+            made = Axiom(axiom.kind, axiom.args)
+            assert (axiom == made, hash(axiom) == hash(made), repr(axiom)) == (True, True, repr(made))
+            assert axiom.annotations == ()
+            with pytest.raises(FrozenInstanceError):
+                axiom.kind = "sub-class-of"
+            with pytest.raises(FrozenInstanceError):
+                axiom.annotations = ()
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(axiom, protocol)) == made
+            assert copy.copy(axiom) == made and copy.deepcopy(axiom) == made
+    assert count > 3000

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provalign import reasoner, vocab
+from provalign import index, reasoner, vocab
 from provalign.fixtures import INSTANCE_NAMES, fixture_text, load_model
 from provalign.owl import (
     Axiom,
@@ -564,6 +564,26 @@ def test_each_burst_replays_as_many_facts_as_its_masks_hold(full_stack, perfbenc
         assert replayed == list(map(_logged_facts, kb._bursts))
         assert sum(replayed) == kb.derived_count
 
+
+
+def test_the_closure_resolves_no_property_key_on_its_own(monkeypatch, full_stack, perfbench_requests):
+    """The index resolves the key of every property expression that an
+    assertion, an axiom or a rule atom names, once; a closure, with its
+    skolemization and join, reads them from ``prop_keys``."""
+    argv = perfbench_requests[1]["prov-trace"][0]["argv"]
+    request = [extract_axioms(parse_turtle(Path(argv[i + 1]).read_text(encoding="utf-8")))
+               for i, flag in enumerate(argv) if flag in ("--source", "--target", "--alignment", "--instances")]
+    for models in ([*full_stack, load_model("instances/fig9.ttl")], request):
+        tbox = TBoxIndex(models)
+        named = {ax.args[0] for ax in tbox.assertions if ax.kind == "property-assertion"}
+        named |= {atom.prop for _, _, body, head in tbox.rules for atom in body + head if isinstance(atom, PropertyAtom)}
+        assert named <= set(tbox.prop_keys) and len(named) > 10
+        calls = []
+        for module in (index, reasoner):
+            monkeypatch.setattr(module, "_prop_key", lambda pe, key=module._prop_key: calls.append(pe) or key(pe))
+        kb = reasoner._close(tbox, 3, 1_000_000)
+        monkeypatch.undo()
+        assert calls == [] and kb.derived_count > len(tbox.assertions) and kb.serial
 
 _PROPS = [NamedProperty(iri(EX + f"p{k}")) for k in range(4)]
 _PES = st.sampled_from(_PROPS + [InverseProperty(p) for p in _PROPS])

@@ -317,3 +317,10 @@ def test_serialize_single_triple_round_trips():
     g = parse_turtle(PREFIXES + "ex:a a ex:B .")
     out = serialize_turtle(g)
     assert graph_isomorphic(parse_turtle(out), g)
+
+
+def test_a_comment_ends_at_a_bare_carriage_return():
+    """Turtle 1.1 ends a comment at U+000D as at U+000A."""
+    graph = parse_turtle("@prefix ex: <http://e/> .\rex:a ex:p ex:b . # note\rex:c ex:p ex:d .\r")
+    assert graph.triples == {Triple(iri("http://e/a"), iri("http://e/p"), iri("http://e/b")),
+                             Triple(iri("http://e/c"), iri("http://e/p"), iri("http://e/d"))}
