@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from . import vocab
 from .owl import (
     Axiom,
-    ClassAtom,
     ClassExpression,
     DisjointUnionOf,
     OntologyModel,
@@ -26,6 +25,7 @@ from .owl import (
     add_names,
     add_uses,
     _Encoder,
+    _STATEMENTS,
 )
 from .rdf import Graph, Iri, Literal, Term, iri, new_scope
 
@@ -153,22 +153,23 @@ def _names(item: Union[Axiom, SwrlRule]) -> Set[str]:
     return names
 
 
+# The mapping fields that annotations carry, in the SSSOM columns' order: each
+# one's annotation property and the value that it has, unwritten, when no
+# annotation gives one.
+_ANNOTATION_FIELDS = (
+    ("subject_label", vocab.SSSOM_SUBJECT_LABEL, None),
+    ("object_label", vocab.SSSOM_OBJECT_LABEL, None),
+    ("justification", vocab.SSSOM_MAPPING_JUSTIFICATION, DEFAULT_JUSTIFICATION),
+    ("comment", vocab.RDFS_COMMENT, None),
+)
+_FIELD_OF = {pred: name for name, pred, _ in _ANNOTATION_FIELDS}
+
+
 def _annotation_fields(annotations) -> Dict[str, Optional[str]]:
-    fields: Dict[str, Optional[str]] = {
-        "subject_label": None, "object_label": None,
-        "justification": DEFAULT_JUSTIFICATION, "comment": None,
-    }
+    fields = {name: default for name, _, default in _ANNOTATION_FIELDS}
     for pred, value in annotations:
-        if not isinstance(value, Literal):
-            continue
-        if pred == vocab.SSSOM_SUBJECT_LABEL:
-            fields["subject_label"] = value.lexical
-        elif pred == vocab.SSSOM_OBJECT_LABEL:
-            fields["object_label"] = value.lexical
-        elif pred == vocab.SSSOM_MAPPING_JUSTIFICATION:
-            fields["justification"] = value.lexical
-        elif pred == vocab.RDFS_COMMENT:
-            fields["comment"] = value.lexical
+        if pred in _FIELD_OF and isinstance(value, Literal):
+            fields[_FIELD_OF[pred]] = value.lexical
     return fields
 
 
@@ -250,15 +251,8 @@ def export_sssom(alignment: Alignment) -> str:
     writer.writerow(SSSOM_HEADER)
     rows = []
     for m in alignment.simple_mappings():
-        rows.append([
-            render_side(m.subject),
-            _PREDICATE_IRI[m.predicate],
-            render_side(m.object),
-            m.subject_label or "",
-            m.object_label or "",
-            m.justification,
-            m.comment or "",
-        ])
+        rows.append([render_side(m.subject), _PREDICATE_IRI[m.predicate], render_side(m.object),
+                     *(getattr(m, name) or "" for name, _, _ in _ANNOTATION_FIELDS)])
     rows.sort(key=lambda r: (r[0], r[2]))
     for row in rows:
         writer.writerow(row)
@@ -298,82 +292,24 @@ def serialize_mapping(mapping: Mapping) -> Graph:
     if mapping.predicate == SKOS_RELATED:
         raise UnsupportedPredicateError("skos mappings serialize as plain triples, not reified axioms")
     graph = Graph(prefixes=dict(_STANDARD_PREFIXES))
-    scope = new_scope()
-    encoder = _Encoder(graph, scope)
-
-    def annotate(node: Term) -> None:
-        if mapping.subject_label is not None:
-            graph.add_triple(node, iri(vocab.SSSOM_SUBJECT_LABEL), Literal(mapping.subject_label))
-        if mapping.object_label is not None:
-            graph.add_triple(node, iri(vocab.SSSOM_OBJECT_LABEL), Literal(mapping.object_label))
-        if mapping.justification != DEFAULT_JUSTIFICATION:
-            graph.add_triple(node, iri(vocab.SSSOM_MAPPING_JUSTIFICATION),
-                             Literal(mapping.justification))
-        if mapping.comment is not None:
-            graph.add_triple(node, iri(vocab.RDFS_COMMENT), Literal(mapping.comment))
-
+    encoder = _Encoder(graph, new_scope())
+    payload = mapping.payload
     if mapping.predicate == SWRL_RULE:
-        rule = mapping.payload
-        if not isinstance(rule, SwrlRule):
+        if not isinstance(payload, SwrlRule):
             raise UnsupportedPredicateError("swrl-rule mapping has no rule payload")
-        imp = encoder.fresh()
-        graph.add_triple(imp, iri(vocab.RDF_TYPE), iri(vocab.SWRL_IMP))
-        variables: Dict[str, Term] = {}
-
-        def var_term(name: str) -> Term:
-            node = variables.get(name)
-            if node is None:
-                if ":" in name and not name.startswith("_:"):
-                    node = iri(name)
-                else:
-                    node = iri("urn:swrl:var:" + name.lstrip("_:"))
-                graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.SWRL_VARIABLE))
-                variables[name] = node
-            return node
-
-        def atom_node(atom) -> Term:
-            node = encoder.fresh()
-            if isinstance(atom, ClassAtom):
-                graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.SWRL_CLASS_ATOM))
-                graph.add_triple(node, iri(vocab.SWRL_CLASS_PREDICATE),
-                                 encoder.class_expression(atom.cls))
-                graph.add_triple(node, iri(vocab.SWRL_ARGUMENT1), var_term(atom.var))
-            else:
-                graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM))
-                graph.add_triple(node, iri(vocab.SWRL_PROPERTY_PREDICATE),
-                                 encoder.property_expression(atom.prop))
-                graph.add_triple(node, iri(vocab.SWRL_ARGUMENT1), var_term(atom.var1))
-                graph.add_triple(node, iri(vocab.SWRL_ARGUMENT2), var_term(atom.var2))
-            return node
-
-        for slot, atoms in ((vocab.SWRL_BODY, rule.body), (vocab.SWRL_HEAD, rule.head)):
-            graph.add_triple(imp, iri(slot), encoder.encode_list([atom_node(a) for a in atoms]))
-        annotate(imp)
-        return graph
-
-    node = encoder.fresh()
-    graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_AXIOM))
-    if mapping.predicate == PROPERTY_CHAIN:
-        axiom = mapping.payload
-        if not isinstance(axiom, Axiom) or axiom.kind != "property-chain":
+        node = encoder.swrl_rule(payload)
+    elif mapping.predicate == PROPERTY_CHAIN:
+        if not isinstance(payload, Axiom) or payload.kind != "property-chain":
             raise UnsupportedPredicateError("property-chain mapping has no chain payload")
-        chain, sup = axiom.args
-        graph.add_triple(node, iri(vocab.OWL_ANNOTATED_SOURCE), encoder.property_expression(sup))
-        graph.add_triple(node, iri(vocab.OWL_ANNOTATED_PROPERTY), iri(vocab.OWL_PROPERTY_CHAIN))
-        graph.add_triple(node, iri(vocab.OWL_ANNOTATED_TARGET),
-                         encoder.encode_list([encoder.property_expression(pe) for pe in chain]))
-        annotate(node)
-        return graph
-
-    predicate_iri = _PREDICATE_IRI[mapping.predicate]
-    if mapping.predicate in (EQUIVALENT_CLASS, SUB_CLASS_OF):
-        source_term = encoder.class_expression(mapping.subject)
-        target_term = encoder.class_expression(mapping.object)
+        chain, sup = payload.args
+        node = encoder.reified(encoder.property_expression(sup), vocab.OWL_PROPERTY_CHAIN,
+                               encoder.encode_list([encoder.property_expression(pe) for pe in chain]))
     else:
-        source_term = encoder.property_expression(mapping.subject)
-        target_term = encoder.property_expression(mapping.object)
-    graph.add_triple(node, iri(vocab.OWL_ANNOTATED_SOURCE), source_term)
-    graph.add_triple(node, iri(vocab.OWL_ANNOTATED_PROPERTY), iri(predicate_iri))
-    graph.add_triple(node, iri(vocab.OWL_ANNOTATED_TARGET), target_term)
-    annotate(node)
+        predicate = _PREDICATE_IRI[mapping.predicate]
+        _, s_class, o_class = _STATEMENTS[predicate]
+        node = encoder.reified(encoder.expression(mapping.subject, s_class), predicate,
+                               encoder.expression(mapping.object, o_class))
+    for name, pred, default in _ANNOTATION_FIELDS:
+        if (value := getattr(mapping, name)) != default:
+            graph.add_triple(node, iri(pred), Literal(value))
     return graph

@@ -143,7 +143,7 @@ def check_totality(source: OntologyModel, others: Sequence[OntologyModel],
     ordered = sorted(alignment.mappings, key=Mapping.sort_key)
     for round_predicates in ((EQUIVALENT_CLASS, EQUIVALENT_PROPERTY), SIMPLE_PREDICATES):
         for m in ordered:
-            if m.predicate not in round_predicates or m.predicate not in SIMPLE_PREDICATES:
+            if m.predicate not in round_predicates:
                 continue
             for own, other in ((m.subject, m.object), (m.object, m.subject)):
                 for name in _top_level_names(own):
@@ -232,8 +232,8 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
     unsat: List[str] = []
     undetermined: List[Tuple[str, str]] = []
     for c in sorted(seen_classes, key=lambda c: (-tbox.super_count(named[c]), c)):
-        i = tbox._ids.get(named[c])
-        if i is not None and satisfiable >> i & 1:
+        i = tbox._ids[named[c]]
+        if satisfiable >> i & 1:
             continue
         try:
             ok = class_satisfiable(models, named[c], skolem_depth=skolem_depth,
@@ -243,7 +243,7 @@ def check_coherence(models: Sequence[OntologyModel], *, skolem_depth: int = 3,
             continue
         if not ok:
             unsat.append(c)
-        elif i is not None:
+        else:
             satisfiable |= tbox._reach[i]
     return CoherenceReport(unsatisfiable=sorted(unsat), undetermined=sorted(undetermined),
                            probed=len(seen_classes), unmodeled_count=unmodeled_total(models))

@@ -28,8 +28,8 @@ from .checks import (
     report_text,
 )
 from .matcher import UnknownPropertyError, suggest_property_mappings
-from .owl import NamedClass, NamedProperty, OntologyModel, OwlError, extract_axioms, merge_models
-from .rdf import BlankNode, Graph, Literal, iri, new_scope
+from .owl import NamedClass, NamedProperty, OntologyModel, OwlError, _Encoder, extract_axioms, merge_models
+from .rdf import Graph, Literal, iri, new_scope
 from .reasoner import FactCapExceededError, Taxonomy, _mutual, entailed_taxonomy
 from .turtle import TurtleParseError, parse_turtle, serialize_turtle
 
@@ -287,16 +287,12 @@ def _run_materialize(inp: _Inputs) -> int:
                 if m.is_simple() and isinstance(m.subject, named) and isinstance(m.object, named)}
 
     out = Graph(prefixes={"owl": vocab.OWL, "rdfs": vocab.RDFS, "rdf": vocab.RDF})
-    scope = new_scope()
-    for k, (predicate_iri, a, b, predicate) in enumerate(_cross_pairs(taxonomy, args.source_ns, args.target_ns)):
+    encoder = _Encoder(out, new_scope())
+    for predicate_iri, a, b, predicate in _cross_pairs(taxonomy, args.source_ns, args.target_ns):
         derived = (predicate, a, b) not in asserted and (
             predicate not in ("equivalent-class", "equivalent-property")
             or (predicate, b, a) not in asserted)
-        node = BlankNode(f"m{k}", scope)
-        out.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_AXIOM))
-        out.add_triple(node, iri(vocab.OWL_ANNOTATED_SOURCE), iri(a))
-        out.add_triple(node, iri(vocab.OWL_ANNOTATED_PROPERTY), iri(predicate_iri))
-        out.add_triple(node, iri(vocab.OWL_ANNOTATED_TARGET), iri(b))
+        node = encoder.reified(iri(a), predicate_iri, iri(b))
         comment = "entailed by the asserted alignment" if derived else "asserted mapping"
         out.add_triple(node, iri(vocab.RDFS_COMMENT), Literal(comment))
 

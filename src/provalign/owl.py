@@ -425,6 +425,16 @@ _BENIGN_ANNOTATIONS = {
 
 _REIFICATION = (vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET)
 
+# The SWRL atoms, in the order in which decoding tries their types: each one's
+# rdf:type, whether its predicate is a class (True) or a property (False)
+# expression, and the predicates of that expression and of its variables, in
+# the atom's field order.
+_SWRL_ATOMS = {
+    ClassAtom: (vocab.SWRL_CLASS_ATOM, True, (vocab.SWRL_CLASS_PREDICATE, vocab.SWRL_ARGUMENT1)),
+    PropertyAtom: (vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM, False,
+                   (vocab.SWRL_PROPERTY_PREDICATE, vocab.SWRL_ARGUMENT1, vocab.SWRL_ARGUMENT2)),
+}
+
 _T = TypeVar("_T")
 
 # The n-ary class constructors, in the order in which decoding tries them.
@@ -547,6 +557,9 @@ class _Extractor:
         named = NamedProperty(node)
         return InverseProperty(named) if inverted else named
 
+    def expression(self, node: Term, is_class: bool) -> Union[ClassExpression, PropertyExpression]:
+        return self.class_expression(node) if is_class else self.property_expression(node)
+
     # -- passes --------------------------------------------------------------
 
     def run(self) -> OntologyModel:
@@ -616,19 +629,13 @@ class _Extractor:
         return f"_:{term.node_id}"
 
     def _swrl_atom(self, node: Term) -> Atom:
-        if self.take_types(node, (vocab.SWRL_CLASS_ATOM,)):
-            cls_node, arg1 = self.take(node, vocab.SWRL_CLASS_PREDICATE), self.take(node, vocab.SWRL_ARGUMENT1)
-            if cls_node is None:
-                raise MalformedExpressionError("SWRL class atom missing classPredicate")
-            return ClassAtom(self.class_expression(cls_node), self._swrl_variable_name(arg1))
-        if self.take_types(node, (vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM,)):
-            prop_node, arg1, arg2 = (self.take(node, p) for p in (
-                vocab.SWRL_PROPERTY_PREDICATE, vocab.SWRL_ARGUMENT1, vocab.SWRL_ARGUMENT2))
-            if prop_node is None:
-                raise MalformedExpressionError("SWRL property atom missing propertyPredicate")
-            return PropertyAtom(self.property_expression(prop_node),
-                                self._swrl_variable_name(arg1),
-                                self._swrl_variable_name(arg2))
+        for make, (atom_type, is_class, predicates) in _SWRL_ATOMS.items():
+            if self.take_types(node, (atom_type,)):
+                predicate, *variables = [self.take(node, p) for p in predicates]
+                if predicate is None:
+                    raise MalformedExpressionError(f"SWRL {'class' if is_class else 'property'} atom "
+                                                   f"missing {predicates[0][len(vocab.SWRL):]}")
+                return make(self.expression(predicate, is_class), *map(self._swrl_variable_name, variables))
         types = sorted(o.value for o in self.graph.objects(node, vocab.RDF_TYPE) if isinstance(o, Iri))
         raise UnsupportedAtomError(
             f"unsupported SWRL atom type(s) {types}; only class and "
@@ -663,8 +670,7 @@ class _Extractor:
         statement = _STATEMENTS.get(p)
         if statement is not None:
             kind, s_class, o_class = statement
-            return Axiom(kind, (self.class_expression(s) if s_class else self.property_expression(s),
-                                self.class_expression(o) if o_class else self.property_expression(o)))
+            return Axiom(kind, (self.expression(s, s_class), self.expression(o, o_class)))
         if p in vocab.SKOS_MAPPING_PREDICATES:
             return Axiom("skos-related", (p, s, o))
         if p != vocab.OWL_PROPERTY_CHAIN:
@@ -782,7 +788,7 @@ def extract_swrl_rules(graph: Graph) -> List[SwrlRule]:
 
 
 # ---------------------------------------------------------------------------
-# Expression encoding (inverse of parse_class_expression)
+# Encoding (the inverse of extraction)
 # ---------------------------------------------------------------------------
 
 class _Encoder:
@@ -796,38 +802,71 @@ class _Encoder:
         self.count += 1
         return node
 
+    def node(self, *pairs: Tuple[str, Term]) -> BlankNode:
+        """A fresh node with one triple per (predicate, object) pair."""
+        node = self.fresh()
+        for p, o in pairs:
+            self.graph.add_triple(node, iri(p), o)
+        return node
+
     def encode_list(self, items: Sequence[Term]) -> Term:
-        cells = [self.fresh() for _ in items]
-        for cell, item, rest in zip(cells, items, [*cells[1:], iri(vocab.RDF_NIL)]):
-            self.graph.add_triple(cell, iri(vocab.RDF_FIRST), item)
-            self.graph.add_triple(cell, iri(vocab.RDF_REST), rest)
-        return cells[0] if cells else iri(vocab.RDF_NIL)
+        head: Term = iri(vocab.RDF_NIL)
+        for item in reversed(items):
+            head = self.node((vocab.RDF_FIRST, item), (vocab.RDF_REST, head))
+        return head
 
     def class_expression(self, ce: ClassExpression) -> Term:
         if isinstance(ce, NamedClass):
             return ce.iri
-        node = self.fresh()
         if isinstance(ce, (Intersection, UnionOf, DisjointUnionOf)):
             pred = next(p for p, make in _NARY.items() if make is type(ce))
-            self.graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_CLASS))
-            members = self.encode_list([self.class_expression(o) for o in ce.operands])
-            self.graph.add_triple(node, iri(pred), members)
-            return node
+            return self.node((vocab.RDF_TYPE, iri(vocab.OWL_CLASS)),
+                             (pred, self.encode_list([self.class_expression(o) for o in ce.operands])))
         if isinstance(ce, Complement):
-            self.graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_CLASS))
-            self.graph.add_triple(node, iri(vocab.OWL_COMPLEMENT_OF), self.class_expression(ce.operand))
-            return node
-        self.graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.OWL_RESTRICTION))
-        self.graph.add_triple(node, iri(vocab.OWL_ON_PROPERTY), self.property_expression(ce.prop))
-        self.graph.add_triple(node, iri(vocab.OWL_SOME_VALUES_FROM), self.class_expression(ce.filler))
-        return node
+            return self.node((vocab.RDF_TYPE, iri(vocab.OWL_CLASS)),
+                             (vocab.OWL_COMPLEMENT_OF, self.class_expression(ce.operand)))
+        return self.node((vocab.RDF_TYPE, iri(vocab.OWL_RESTRICTION)),
+                         (vocab.OWL_ON_PROPERTY, self.property_expression(ce.prop)),
+                         (vocab.OWL_SOME_VALUES_FROM, self.class_expression(ce.filler)))
 
     def property_expression(self, pe: PropertyExpression) -> Term:
         if isinstance(pe, NamedProperty):
             return pe.iri
-        node = self.fresh()
-        self.graph.add_triple(node, iri(vocab.OWL_INVERSE_OF), pe.operand.iri)
+        return self.node((vocab.OWL_INVERSE_OF, pe.operand.iri))
+
+    def expression(self, e: Union[ClassExpression, PropertyExpression], is_class: bool) -> Term:
+        return self.class_expression(e) if is_class else self.property_expression(e)
+
+    def reified(self, source: Term, predicate: str, target: Term) -> BlankNode:
+        """The owl:Axiom node that ``_reified_axiom`` reads as the statement
+        (source, predicate, target); annotations go on it."""
+        node = self.fresh()  # not through ``node``: materialize writes one per entailed pair
+        for p, o in zip((vocab.RDF_TYPE, *_REIFICATION), (iri(vocab.OWL_AXIOM), source, iri(predicate), target)):
+            self.graph.add_triple(node, iri(p), o)
         return node
+
+    def swrl_rule(self, rule: SwrlRule) -> BlankNode:
+        """The swrl:Imp node that ``_swrl_rules`` reads as ``rule``. A variable
+        named ``_:label`` is a blank node with that label, in a scope of its
+        own so that it meets no fresh node; any other name with a colon is an
+        IRI, and the rest take the ``urn:swrl:var:`` prefix."""
+        scope = new_scope()
+
+        def variable(name: str) -> Term:
+            node = BlankNode(name[2:], scope) if name.startswith("_:") else iri(
+                name if ":" in name else "urn:swrl:var:" + name)
+            self.graph.add_triple(node, iri(vocab.RDF_TYPE), iri(vocab.SWRL_VARIABLE))
+            return node
+
+        def atom(a: Atom) -> BlankNode:
+            atom_type, is_class, predicates = _SWRL_ATOMS[type(a)]
+            expression, *names = (getattr(a, f) for f in a.__match_args__)
+            return self.node((vocab.RDF_TYPE, iri(atom_type)), *zip(
+                predicates, [self.expression(expression, is_class), *map(variable, names)]))
+
+        slots = ((vocab.SWRL_BODY, rule.body), (vocab.SWRL_HEAD, rule.head))
+        return self.node((vocab.RDF_TYPE, iri(vocab.SWRL_IMP)),
+                         *((slot, self.encode_list([atom(a) for a in atoms])) for slot, atoms in slots))
 
 
 def encode_class_expression(graph: Graph, ce: ClassExpression, scope: Optional[int] = None) -> Term:

@@ -250,3 +250,26 @@ def test_a_rule_read_twice_is_one_mapping():
     model.rules = [SwrlRule((ClassAtom(a, "x"),), (ClassAtom(b, "x"),))] * 2
     alignment = extract_mappings(merge_models([model, model]), SOURCE_NAMESPACES, TARGET_NAMESPACES)
     assert sorted(m.predicate for m in alignment.mappings) == ["property-chain", "swrl-rule"]
+
+
+def test_a_rule_over_blank_node_variables_round_trips():
+    # _:e0 is also the label of the writer's first fresh node: the variables
+    # are written in a scope of their own, so the two stay apart.
+    model = model_of("""
+    @prefix swrl: <http://www.w3.org/2003/11/swrl#> .
+    @prefix var: <http://example.org/var#> .
+    _:x a swrl:Variable . _:e0 a swrl:Variable . var:z a swrl:Variable .
+    [] a swrl:Imp ;
+       swrl:body ( [ a swrl:ClassAtom ; swrl:classPredicate prov:Entity ; swrl:argument1 _:x ]
+                   [ a swrl:IndividualPropertyAtom ; swrl:propertyPredicate prov:wasDerivedFrom ;
+                     swrl:argument1 _:x ; swrl:argument2 _:e0 ]
+                   [ a swrl:IndividualPropertyAtom ; swrl:propertyPredicate prov:used ;
+                     swrl:argument1 _:e0 ; swrl:argument2 var:z ] ) ;
+       swrl:head ( [ a swrl:ClassAtom ; swrl:classPredicate obo:BFO_0000002 ; swrl:argument1 var:z ] ) ;
+       rdfs:comment "blank-node variables" .
+    """)
+    (m,) = extract_mappings(model, SOURCE_NAMESPACES, TARGET_NAMESPACES).mappings
+    assert [atom.var1 for atom in m.payload.body[1:]] == ["_:x", "_:e0"]
+    assert m.payload.head[0].var == "http://example.org/var#z"
+    back = extract_mappings(extract_axioms(serialize_mapping(m)), SOURCE_NAMESPACES, TARGET_NAMESPACES)
+    assert back.mappings == [m]

@@ -17,7 +17,8 @@ import provalign
 import provalign.checks
 import provalign.cli
 import provalign.index
-from provalign import owl, rdf
+from provalign import owl, rdf, vocab
+from provalign.alignment import extract_mappings
 from provalign.cli import run
 from provalign.fixtures import fixture_path
 from provalign.owl import extract_axioms
@@ -167,6 +168,39 @@ def test_materialize_emits_parseable_turtle_with_derived_mappings(tmp_path):
     # the inverse-entailed property mapping is materialized
     assert ("sub-property-of", "http://www.w3.org/ns/prov#generated",
             "http://purl.obolibrary.org/obo/BFO_0000057") in pairs
+
+
+_MATERIALIZED_PREDICATES = {
+    vocab.OWL_EQUIVALENT_CLASS: "equivalent-class",
+    vocab.OWL_EQUIVALENT_PROPERTY: "equivalent-property",
+    vocab.RDFS_SUBCLASSOF: "sub-class-of",
+    vocab.RDFS_SUBPROPERTYOF: "sub-property-of",
+}
+
+
+@pytest.mark.parametrize("alignment", ["align-paper", "align-counterexample", "align-plan-incoherent"])
+@pytest.mark.parametrize("source", ["prov-mini", "prov-tiny"])
+def test_materialize_output_reads_back_as_an_alignment(tmp_path, alignment, source):
+    """Each owl:Axiom that materialize writes is one mapping to the reader, with
+    the predicate, the sides and the comment written."""
+    out = tmp_path / "derived.ttl"
+    stack = ["--source", fix(f"{source}.ttl"), "--target", fix("bfo-mini.ttl"), "--target", fix("cco-mini.ttl"),
+             "--target", fix("ro-mini.ttl"), "--alignment", fix(f"{alignment}.ttl")]
+    assert run(["materialize", *stack, *NS_FLAGS, "--out", str(out)]) == 0
+    graph = parse_turtle(out.read_text())
+    written = []
+    for node in graph.subjects_with(vocab.RDF_TYPE, rdf.iri(vocab.OWL_AXIOM)):
+        source_term, prop, target, comment = (graph.object(node, p) for p in (
+            vocab.OWL_ANNOTATED_SOURCE, vocab.OWL_ANNOTATED_PROPERTY, vocab.OWL_ANNOTATED_TARGET, vocab.RDFS_COMMENT))
+        written.append((_MATERIALIZED_PREDICATES[prop.value], source_term.value, target.value, comment.lexical))
+    mappings = extract_mappings(extract_axioms(graph), ["http://www.w3.org/ns/prov#"],
+                                ["http://purl.obolibrary.org/obo/", "https://www.commoncoreontologies.org/"]).mappings
+    read = [(m.predicate, m.subject.iri.value, m.object.iri.value, m.comment) for m in mappings]
+    assert len(read) == len(written) and sorted(read) == sorted(written)
+    if (alignment, source) == ("align-paper", "prov-mini"):
+        comments = [comment for *_, comment in read]
+        assert len(read) == 35 and comments.count("entailed by the asserted alignment") == 25
+        assert comments.count("asserted mapping") == 10
 
 
 def test_missing_file_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Bottom-up coherence probing with upward pruning against probing every class,
 class_satisfiable against the engine's closure, and every probe's traces."""
 
+import functools
 import hashlib
 import importlib.util
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from provalign import checks, index, reasoner
 from provalign.checks import _fact_text, check_coherence
+from provalign.cli import build_parser
 from provalign.fixtures import load_model
 from provalign.owl import (
     NOTHING,
@@ -120,6 +122,27 @@ def test_coherence_builds_one_index_for_every_probe(monkeypatch, source, alignme
     built, init = [], TBoxIndex.__init__
     monkeypatch.setattr(TBoxIndex, "__init__", lambda tbox, models: built.append(models) or init(tbox, models))
     assert check_coherence(models).probed and len(built) == 1
+
+
+def test_every_class_of_a_stack_has_an_id_in_its_index(perfbench_requests):
+    """check_coherence reads each class's id from the stack's index without a
+    fallback: every class of the merged signature has one, on the fixture
+    stacks and on the stack of each perfbench seed 1-3 request."""
+    load = functools.cache(lambda path: extract_axioms(parse_turtle(Path(path).read_text(encoding="utf-8"))))
+    stacks = [[load_model(name) for name in (source, "bfo-mini.ttl", "cco-mini.ttl", "ro-mini.ttl", alignment)]
+              for source in ("prov-mini.ttl", "prov-tiny.ttl")
+              for alignment in ("align-paper.ttl", "align-counterexample.ttl", "align-plan-incoherent.ttl")]
+    for workloads in perfbench_requests.values():
+        for requests in workloads.values():
+            for request in requests:
+                args = build_parser().parse_args(request["argv"])
+                stacks.append([load(path) for paths in (args.source, args.target, args.alignment) for path in paths])
+    classes = 0
+    for models in stacks:
+        ids, names = TBoxIndex(models)._ids, merged_signature(models)["classes"]
+        assert all(NamedClass(iri(c)) in ids for c in names)
+        classes += len(names)
+    assert len(stacks) == 81 and classes == 17_344
 
 
 def test_pruned_coherence_on_tree_finds_planted_clashes_with_fewer_probes(monkeypatch):

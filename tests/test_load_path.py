@@ -3,6 +3,7 @@ decides plain triples per predicate, against the per-triple extractor it
 replaced."""
 
 import functools
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -51,12 +52,12 @@ _REFERENCE_DECLARATIONS = {
 
 class ReferenceExtractor(owl._Extractor):
     """Extraction as it was before plain triples were decided per predicate:
-    every unconsumed triple, in triple order, through one decision. Statements
-    and declarations are decoded kind by kind, not through the extractor's
-    tables. The reified-axiom and owl:AllDisjointClasses passes read the
-    graph's triples themselves, and a statement that fails to decode gives
-    back what it consumed through the reference's own ``_attempt``; the
-    header and SWRL passes, and the expression and list decoders, are
+    every unconsumed triple, in triple order, through one decision. Statements,
+    declarations and SWRL atoms are decoded kind by kind, not through the
+    extractor's tables. The ontology-header, SWRL, reified-axiom and
+    owl:AllDisjointClasses passes read the graph's triples themselves, and a
+    statement that fails to decode gives back what it consumed through the
+    reference's own ``_attempt``; the expression and list decoders are
     inherited."""
 
     def _attempt(self, decode, *args):
@@ -85,6 +86,78 @@ class ReferenceExtractor(owl._Extractor):
     def _typed(self, rdf_type):
         return sorted({t.subject for t in self.graph.triples
                        if t.predicate.value == vocab.RDF_TYPE and t.object == iri(rdf_type)}, key=term_sort_key)
+
+    def _first(self, node, predicate):
+        """The object of ``node``'s first ``predicate`` triple, consumed, or None."""
+        triples = self._triples(node, predicate)
+        self.consumed.update(triples[:1])
+        return triples[0].object if triples else None
+
+    def _consume_types(self, node, rdf_type):
+        typed = [t for t in self._triples(node, vocab.RDF_TYPE) if t.object == iri(rdf_type)]
+        self.consumed.update(typed)
+        return bool(typed)
+
+    def _ontology_header(self):
+        for node in self._typed(vocab.OWL_ONTOLOGY):
+            self._consume_types(node, vocab.OWL_ONTOLOGY)
+            if isinstance(node, Iri):
+                self.model.ontology_iri = node.value
+            versions = self._triples(node, vocab.OWL_VERSION_IRI)
+            if versions and isinstance(versions[0].object, Iri):
+                self.consumed.add(versions[0])
+                self.model.version_iri = versions[0].object.value
+            derived = [t for t in self._triples(node, vocab.PROV_WAS_DERIVED_FROM) if isinstance(t.object, Iri)]
+            self.consumed.update(derived + self._triples(node, vocab.OWL_IMPORTS))
+            self.model.derived_from = tuple(sorted(t.object.value for t in derived))
+
+    def _swrl_rules(self):
+        self.swrl_variables = set(self._typed(vocab.SWRL_VARIABLE))
+        for var in self.swrl_variables:
+            self._consume_types(var, vocab.SWRL_VARIABLE)
+        for imp in self._typed(vocab.SWRL_IMP):
+            self._consume_types(imp, vocab.SWRL_IMP)
+            parts = []
+            for slot in (vocab.SWRL_BODY, vocab.SWRL_HEAD):
+                atoms = self._first(imp, slot)
+                if atoms is None:
+                    raise owl.MalformedExpressionError("swrl:Imp missing body or head")
+                items = self.read_list(atoms, (vocab.SWRL_ATOM_LIST, vocab.RDF + "List"), "SWRL atom list")
+                parts.append(tuple(self._reference_atom(x) for x in items))
+            annotations = [t for t in self.by_subject[imp]
+                           if t.predicate.value not in (vocab.RDF_TYPE, vocab.SWRL_BODY, vocab.SWRL_HEAD)]
+            self.consumed.update(annotations)
+            pairs = sorted({(t.predicate.value, t.object) for t in annotations},
+                           key=lambda kv: (kv[0], term_sort_key(kv[1])))
+            body, head = parts
+            body_variables = {v for atom in body for v in _reference_variables(atom)}
+            for atom in head:
+                unsafe = set(_reference_variables(atom)) - body_variables
+                if unsafe:
+                    raise owl.UnsafeRuleError(f"head variable(s) {sorted(unsafe)} never occur in the rule body")
+            self.model.rules.append(owl.SwrlRule(body, head, tuple(pairs)))
+
+    def _reference_atom(self, node):
+        if self._consume_types(node, vocab.SWRL_CLASS_ATOM):
+            cls, arg1 = self._first(node, vocab.SWRL_CLASS_PREDICATE), self._first(node, vocab.SWRL_ARGUMENT1)
+            if cls is None:
+                raise owl.MalformedExpressionError("SWRL class atom missing classPredicate")
+            return owl.ClassAtom(self.class_expression(cls), self._reference_variable(arg1))
+        if self._consume_types(node, vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM):
+            prop = self._first(node, vocab.SWRL_PROPERTY_PREDICATE)
+            arg1, arg2 = self._first(node, vocab.SWRL_ARGUMENT1), self._first(node, vocab.SWRL_ARGUMENT2)
+            if prop is None:
+                raise owl.MalformedExpressionError("SWRL property atom missing propertyPredicate")
+            return owl.PropertyAtom(self.property_expression(prop), self._reference_variable(arg1),
+                                    self._reference_variable(arg2))
+        types = sorted(t.object.value for t in self._triples(node, vocab.RDF_TYPE) if isinstance(t.object, Iri))
+        raise owl.UnsupportedAtomError(
+            f"unsupported SWRL atom type(s) {types}; only class and individual-property atoms are handled")
+
+    def _reference_variable(self, term):
+        if term is None or term not in self.swrl_variables:
+            raise owl.UnsupportedAtomError("SWRL atom argument is not a declared swrl:Variable")
+        return term.value if isinstance(term, Iri) else f"_:{term.node_id}"
 
     def _reified_axioms(self):
         for node in self._typed(vocab.OWL_AXIOM):
@@ -211,6 +284,10 @@ class ReferenceExtractor(owl._Extractor):
         self.model.unmodeled = sorted(self.graph.triples - self.consumed, key=triple_sort_key)
 
 
+def _reference_variables(atom):
+    return (atom.var,) if isinstance(atom, owl.ClassAtom) else (atom.var1, atom.var2)
+
+
 def _outcome(extractor):
     """Everything an extraction yields, or the type and message of its error."""
     try:
@@ -241,6 +318,20 @@ _REIFIED_PARTS = {"type": vocab.RDF_TYPE, "source": vocab.OWL_ANNOTATED_SOURCE,
 # Annotations of a reified axiom; the last is a second annotatedSource, which is no annotation.
 _REIFIED_ANNOTATIONS = [(vocab.RDFS_COMMENT, Literal("why")), (vocab.RDFS_LABEL, Literal("x", language="en")),
                         (EX + "ann", iri(EX + "a")), (vocab.OWL_ANNOTATED_SOURCE, iri(EX + "b"))]
+# Annotations of a rule; the last is a second swrl:body, which is no annotation
+# (a literal, so it sorts after the rule's own body and is not the one read).
+_RULE_ANNOTATIONS = [(vocab.RDFS_COMMENT, Literal("why")), (EX + "ann", iri(EX + "a")),
+                     (vocab.SWRL_BODY, Literal("x"))]
+# The faults that a rule may carry, each in one of its atoms or slots; most rules carry none.
+_RULE_FAULTS = [None] * 8 + ["undeclared", "no-argument", "no-predicate", "unsupported", "untyped",
+                             "no-body", "no-head", "unsafe"]
+_HEADER_OBJECTS = {vocab.OWL_VERSION_IRI: [iri(EX + "v1"), iri(EX + "v2"), Literal("1.0")],
+                   vocab.PROV_WAS_DERIVED_FROM: [iri(EX + "src"), iri(EX + "src2"), Literal("src")],
+                   vocab.OWL_IMPORTS: [iri(EX + "imp"), Literal("imp")]}
+
+
+def _atom_arguments(kind, var1, var2):
+    return [var1] if kind == "class" else [var1, var2]
 
 
 @st.composite
@@ -249,10 +340,13 @@ def _graphs(draw):
     makes twice, reified axioms that may be complete, incomplete or annotated,
     owl:AllDisjointClasses whose member lists may repeat a class, lack or cut
     a cell, or loop, blank-node class expressions, lists that may be cut short
-    or loop, declarations and random triples over one small vocabulary."""
+    or loop, declarations, ontology headers, SWRL rules that may be annotated
+    or carry a fault, and random triples over one small vocabulary."""
     scope = new_scope()
     nodes = [BlankNode(f"n{i}", scope) for i in range(5)]
     cells = [BlankNode(f"l{i}", scope) for i in range(5)]
+    fresh = (BlankNode(f"s{i}", scope) for i in itertools.count())
+    variables = [iri(EX + "x"), BlankNode("v0", scope), BlankNode("v1", scope)]
     subjects = st.sampled_from(_NAMES + nodes + cells)
     objects = st.sampled_from(_NAMES + _BUILTINS + nodes + cells + _LITERALS)
     classes = st.sampled_from(_NAMES[:4] + nodes + [iri(vocab.OWL_THING)])
@@ -275,6 +369,54 @@ def _graphs(draw):
                 add(cell, vocab.RDF_REST, chain[0] if end == "loop" else iri(vocab.RDF_NIL))
         return chain[0] if chain else iri(vocab.RDF_NIL)
 
+    def swrl_rule(imp, body, head, fault, at, annotations, typed_cells):
+        """A swrl:Imp (``imp``, which other rules may share, or a fresh node)
+        over fresh atom nodes and cells, with ``fault`` in the atom at ``at``,
+        or in a slot; a head variable that the body does not use is made one
+        that it does, unless the fault is "unsafe"."""
+        safe = [v for kind, _, _, *pair in body for v in _atom_arguments(kind, *pair)]
+        head = [(kind, c, p, *[v if v in safe or fault == "unsafe" else safe[0] for v in pair])
+                for kind, c, p, *pair in head]
+        atoms = []
+        for k, (kind, c, p, *pair) in enumerate(body + head):
+            node, faulty = next(fresh), k == at % (len(body) + len(head))
+            atom_type = {"class": vocab.SWRL_CLASS_ATOM, "property": vocab.SWRL_INDIVIDUAL_PROPERTY_ATOM}[kind]
+            if faulty and fault == "unsupported":
+                atom_type = vocab.SWRL + "BuiltinAtom"
+            if not (faulty and fault == "untyped"):
+                add(node, vocab.RDF_TYPE, iri(atom_type))
+            if not (faulty and fault == "no-predicate"):
+                if kind == "class":
+                    add(node, vocab.SWRL_CLASS_PREDICATE, c)
+                else:
+                    add(node, vocab.SWRL_PROPERTY_PREDICATE, p)
+            arguments = _atom_arguments(kind, *pair)
+            if faulty and fault == "undeclared":
+                arguments[0] = iri(EX + "u")
+            # With "no-argument" the atom lacks its last argument.
+            for predicate, value in zip((vocab.SWRL_ARGUMENT1, vocab.SWRL_ARGUMENT2),
+                                        arguments[:-1] if faulty and fault == "no-argument" else arguments):
+                add(node, predicate, value)
+            atoms.append(node)
+        for v in variables:
+            add(v, vocab.RDF_TYPE, iri(vocab.SWRL_VARIABLE))
+        imp = imp or next(fresh)
+        add(imp, vocab.RDF_TYPE, iri(vocab.SWRL_IMP))
+        for slot, items in ((vocab.SWRL_BODY, atoms[:len(body)]), (vocab.SWRL_HEAD, atoms[len(body):])):
+            if fault != ("no-body" if slot == vocab.SWRL_BODY else "no-head"):
+                chain = [next(fresh) for _ in items]
+                for cell, item, rest in zip(chain, items, chain[1:] + [iri(vocab.RDF_NIL)]):
+                    add(cell, vocab.RDF_FIRST, item)
+                    add(cell, vocab.RDF_REST, rest)
+                    if typed_cells:
+                        add(cell, vocab.RDF_TYPE, iri(vocab.SWRL_ATOM_LIST))
+                add(imp, slot, chain[0] if chain else iri(vocab.RDF_NIL))
+        for predicate, value in annotations:
+            add(imp, predicate, value)
+
+    atom = st.tuples(st.sampled_from(["class", "property"]), st.sampled_from(_NAMES[2:4] * 2 + nodes[:1]),
+                     st.sampled_from(_NAMES[4:6] * 3 + nodes[:1]),
+                     st.sampled_from(variables), st.sampled_from(variables))
     assertions = st.tuples(st.just("triple"), subjects, st.sampled_from([EX + "p", EX + "q", vocab.RDF_TYPE]),
                            st.sampled_from(_NAMES + nodes + _LITERALS))
     pieces = st.one_of(
@@ -298,6 +440,12 @@ def _graphs(draw):
                   st.sampled_from([vocab.OWL_ANNOTATION_PROPERTY, vocab.OWL_CLASS, vocab.OWL_OBJECT_PROPERTY,
                                    vocab.OWL_DATATYPE_PROPERTY, vocab.OWL_NAMED_INDIVIDUAL,
                                    vocab.RDFS + "Class", vocab.RDF + "Property"])),
+        st.tuples(st.just("header"), st.sampled_from([iri(EX + "ont"), iri(EX + "ont2"), nodes[0]]),
+                  *(st.lists(st.sampled_from(values), max_size=2) for values in _HEADER_OBJECTS.values())),
+        st.tuples(st.just("rule"), st.sampled_from([None] * 5 + [iri(EX + "r")]),
+                  st.lists(atom, min_size=1, max_size=3), st.lists(atom, min_size=1, max_size=2),
+                  st.sampled_from(_RULE_FAULTS), st.integers(0, 4),
+                  st.lists(st.sampled_from(_RULE_ANNOTATIONS), max_size=2), st.booleans()),
     )
     for piece in draw(st.lists(pieces, max_size=20)):
         kind, *args = piece
@@ -325,12 +473,20 @@ def _graphs(draw):
             add(node, vocab.RDF_TYPE, iri(vocab.OWL_ALL_DISJOINT_CLASSES))
             if end != "no-members":
                 add(node, vocab.OWL_MEMBERS, rdf_list(start, items, end))
-        else:
+        elif kind == "declare":
             add(args[0], vocab.RDF_TYPE, iri(args[1]))
+        elif kind == "header":
+            subject, *objects = args
+            add(subject, vocab.RDF_TYPE, iri(vocab.OWL_ONTOLOGY))
+            for predicate, values in zip(_HEADER_OBJECTS, objects):
+                for value in values:
+                    add(subject, predicate, value)
+        else:
+            swrl_rule(*args)
     return graph
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_graphs())
 def test_extraction_matches_the_per_triple_reference(graph):
     extractor = owl._Extractor(graph, "g")
